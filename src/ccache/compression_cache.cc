@@ -984,6 +984,27 @@ size_t CompressionCache::CleanPrefixFrames() const {
   return static_cast<size_t>(prefix_end / kPageSize - head_off_ / kPageSize);
 }
 
+bool CompressionCache::CleanPrefixReaches(size_t target) const {
+  const auto frames_to = [this](uint64_t off) {
+    return static_cast<size_t>(off / kPageSize - head_off_ / kPageSize);
+  };
+  // The prefix ends at the first dirty entry, so it covers at least every
+  // clean or invalid entry before it.
+  for (const Entry& e : entries_) {
+    if (e.valid && e.dirty) {
+      return frames_to(e.header_off) >= target;
+    }
+    if (frames_to(e.end_off()) >= target) {
+      return true;
+    }
+  }
+  return frames_to(tail_off_) >= target;
+}
+
+size_t CompressionCache::CleanTarget() const {
+  return std::max(options_.clean_frames_target, mapped_count_ / 8);
+}
+
 void CompressionCache::RunCleaner(size_t pool_free_frames) {
   // Paper: the cleaning rate is a function of the number of completely free pages,
   // the number of clean reclaimable pages, and the size of the cache. Rendered as:
@@ -992,9 +1013,7 @@ void CompressionCache::RunCleaner(size_t pool_free_frames) {
   if (pool_free_frames >= options_.pool_free_target) {
     return;
   }
-  const size_t clean_target =
-      std::max(options_.clean_frames_target, mapped_count_ / 8);
-  if (CleanPrefixFrames() >= clean_target) {
+  if (CleanPrefixReaches(CleanTarget())) {
     return;
   }
   WriteOldestDirtyBatch();
@@ -1137,6 +1156,19 @@ void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
           return "frame " + std::to_string(f) + " is overlapped by more than " +
                  std::to_string(kMaxPerFrame) + " entries";
         }
+      }
+    }
+    return std::nullopt;
+  });
+  // Cleaner verdict: the early-exit walk RunCleaner uses agrees with a full
+  // CleanPrefixFrames() scan at the live clean target, and at the targets on
+  // either side of the prefix's true length.
+  auditor->Register("ccache", "cleaner-verdict", [this]() -> std::optional<std::string> {
+    const size_t frames = CleanPrefixFrames();
+    for (const size_t target : {CleanTarget(), frames, frames + 1}) {
+      if (CleanPrefixReaches(target) != (frames >= target)) {
+        return "early-exit cleaner verdict disagrees with a full scan: clean prefix of " +
+               std::to_string(frames) + " frames against a target of " + std::to_string(target);
       }
     }
     return std::nullopt;

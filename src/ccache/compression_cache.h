@@ -278,9 +278,10 @@ class CompressionCache {
   void ResetStats();
 
   // Invariants: ring occupancy — the contiguous entry chain spans exactly
-  // [head, tail] and per-slot live-byte accounting matches a recount — plus
-  // index coherence: every index key maps to exactly the valid entry bearing
-  // that key (no double-maps), and valid entries == index size.
+  // [head, tail] and per-slot live-byte accounting matches a recount — the
+  // cleaner's early-exit verdict against a full prefix scan, plus index
+  // coherence: every index key maps to exactly the valid entry bearing that
+  // key (no double-maps), and valid entries == index size.
   void RegisterAuditChecks(InvariantAuditor* auditor);
 
   // --- observability ---
@@ -390,6 +391,11 @@ class CompressionCache {
 
   // Frames worth of clean/invalid prefix at the head (reclaimable without I/O).
   size_t CleanPrefixFrames() const;
+  // CleanPrefixFrames() >= target, walking the ring only until the answer is
+  // known: the cleaner's per-fault test.
+  bool CleanPrefixReaches(size_t target) const;
+  // Clean-prefix frames below which the cleaner writes a batch.
+  size_t CleanTarget() const;
 
   void UnmapSlotsBelow(uint64_t old_head, uint64_t new_head);
 

@@ -22,7 +22,9 @@
 #ifndef COMPCACHE_COMPRESS_LZRW1_H_
 #define COMPCACHE_COMPRESS_LZRW1_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "compress/codec.h"
@@ -63,6 +65,29 @@ class Lzrw1 : public Codec {
 inline constexpr uint32_t kLzrwMaxOffset = 4095;
 inline constexpr uint32_t kLzrwMinMatch = 3;
 inline constexpr uint32_t kLzrwMaxMatch = 18;
+
+// The encoders' greedy match extension: given that a[0, len) == b[0, len),
+// returns the length of the common prefix of a[0, max_len) and b[0, max_len),
+// comparing eight bytes at a time. Both ranges must be readable.
+inline size_t LzrwExtendMatch(const uint8_t* a, const uint8_t* b, size_t len, size_t max_len) {
+  for (; len + sizeof(uint64_t) <= max_len; len += sizeof(uint64_t)) {
+    uint64_t x = 0;
+    uint64_t y = 0;
+    std::memcpy(&x, a + len, sizeof(x));
+    std::memcpy(&y, b + len, sizeof(y));
+    if (const uint64_t diff = x ^ y; diff != 0) {
+      // The first differing byte in memory order is the lowest set byte on a
+      // little-endian host and the highest on a big-endian one.
+      const int bits = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                                  : std::countl_zero(diff);
+      return len + static_cast<size_t>(bits) / 8;
+    }
+  }
+  while (len < max_len && a[len] == b[len]) {
+    ++len;
+  }
+  return len;
+}
 
 // Decodes the shared LZRW bitstream (used by both Lzrw1 and Lzrw1a — decompression
 // needs no per-codec state). dst.size() must equal the original input size.

@@ -75,11 +75,8 @@ size_t Lzrw1a::Compress(std::span<const uint8_t> src, std::span<uint8_t> dst) {
           if (in[cand] != in[pos] || in[cand + 1] != in[pos + 1] || in[cand + 2] != in[pos + 2]) {
             continue;
           }
-          size_t len = kLzrwMinMatch;
           const size_t max_len = std::min<size_t>(kLzrwMaxMatch, n - pos);
-          while (len < max_len && in[cand + len] == in[pos + len]) {
-            ++len;
-          }
+          const size_t len = LzrwExtendMatch(in + cand, in + pos, kLzrwMinMatch, max_len);
           if (len > best_len) {
             best_len = len;
             best_offset = offset;

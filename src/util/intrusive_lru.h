@@ -96,6 +96,18 @@ class LruList {
     return t;
   }
 
+  // First element, LRU-to-MRU, for which pred(const T&) holds; nullptr when
+  // none does. Stops at the first match.
+  template <typename Pred>
+  T* FindFirst(Pred&& pred) {
+    for (LruLink* l = head_.next; l != &head_; l = l->next) {
+      if (pred(*FromLink(l))) {
+        return FromLink(l);
+      }
+    }
+    return nullptr;
+  }
+
   // Iterates LRU-to-MRU, calling fn(T&). fn must not mutate the list.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

@@ -516,25 +516,12 @@ bool Pager::ReleaseOldest() {
   // Find the oldest un-pinned resident page (LRU-to-MRU scan; pinned pages are
   // rare and transient, so the first hit is almost always the true LRU). Pages
   // pinned by application advisory are passed over while any other victim
-  // exists; they remain fair game as a last resort — the advisory is a hint.
-  PageEntry* victim = nullptr;
-  PageEntry* advised_fallback = nullptr;
-  lru_.ForEach([&](const PageEntry& e) {
-    if (e.pinned) {
-      return;
-    }
-    if (e.advise_pinned) {
-      if (advised_fallback == nullptr) {
-        advised_fallback = const_cast<PageEntry*>(&e);
-      }
-      return;
-    }
-    if (victim == nullptr) {
-      victim = const_cast<PageEntry*>(&e);
-    }
-  });
+  // exists; they remain fair game as a last resort — the advisory is a hint —
+  // so only then does a second scan take the oldest of them.
+  PageEntry* victim =
+      lru_.FindFirst([](const PageEntry& e) { return !e.pinned && !e.advise_pinned; });
   if (victim == nullptr) {
-    victim = advised_fallback;
+    victim = lru_.FindFirst([](const PageEntry& e) { return !e.pinned; });
   }
   if (victim == nullptr) {
     return false;

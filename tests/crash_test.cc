@@ -565,7 +565,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendCrashGrid,
                          ::testing::Values(BackendKind::kClustered,
                                            BackendKind::kFixedOffset,
                                            BackendKind::kLfs),
-                         [](const auto& info) { return BackendName(info.param); });
+                         [](const auto& param_info) { return BackendName(param_info.param); });
 
 // ---------- machine-level crash + recovery differential ----------
 

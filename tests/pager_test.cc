@@ -240,5 +240,45 @@ TEST(PagerLruTest, LruVictimIsOldest) {
   EXPECT_EQ(machine.pager().GetSegment(0)->page(0).state, PageState::kResident);
 }
 
+TEST(PagerLruTest, VictimSkipsPinnedAndAdvisedPagesAtTheLruFront) {
+  Machine machine(SmallConfig(false));
+  Heap heap = machine.NewHeap(6 * kPageSize);
+  for (uint32_t p = 0; p < 6; ++p) {
+    heap.Store<uint32_t>(p * kPageSize, p);
+  }
+  // LRU order 0..5. Page 0 is pinned as if mid-fault; pages 1 and 2 carry the
+  // advisory. The victim is the first page that is neither: page 3.
+  Pager& pager = machine.pager();
+  Segment& segment = *heap.segment();
+  segment.page(0).pinned = true;
+  pager.Advise(segment, 1, 2, /*pin=*/true);
+  const auto resident = [&](std::initializer_list<uint32_t> pages) {
+    for (const uint32_t p : pages) {
+      EXPECT_EQ(segment.page(p).state, PageState::kResident) << "page " << p;
+    }
+  };
+  ASSERT_TRUE(pager.ReleaseOldest());
+  EXPECT_EQ(segment.page(3).state, PageState::kSwapped);
+  resident({0, 1, 2, 4, 5});
+
+  // While any unpinned page lacks the advisory, advised pages stay.
+  ASSERT_TRUE(pager.ReleaseOldest());
+  EXPECT_EQ(segment.page(4).state, PageState::kSwapped);
+  resident({0, 1, 2, 5});
+
+  // Once every unpinned page is advised, the oldest advised page goes; the
+  // pinned page never does.
+  pager.Advise(segment, 5, 1, /*pin=*/true);
+  ASSERT_TRUE(pager.ReleaseOldest());
+  EXPECT_EQ(segment.page(1).state, PageState::kSwapped);
+  resident({0, 2, 5});
+  ASSERT_TRUE(pager.ReleaseOldest());
+  ASSERT_TRUE(pager.ReleaseOldest());
+  resident({0});
+  EXPECT_FALSE(pager.ReleaseOldest());
+  segment.page(0).pinned = false;
+  pager.CheckInvariants();
+}
+
 }  // namespace
 }  // namespace compcache

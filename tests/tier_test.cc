@@ -454,7 +454,7 @@ TEST(TierStackTest, TranscodingTierReencodesAndDecodesOnRead) {
 
 // --- full machine ------------------------------------------------------------
 
-void TierWorkload(Machine& machine, Heap& heap, int ops, uint64_t seed = 21) {
+void TierWorkload(Heap& heap, int ops, uint64_t seed = 21) {
   Rng rng(seed);
   std::vector<uint8_t> page(kPageSize);
   for (int op = 0; op < ops; ++op) {
@@ -490,11 +490,11 @@ TEST(TierMachineTest, TieredMachinePreservesContentAndAuditsClean) {
   MachineConfig tiered_config = TieredConfig();
   Machine tiered(tiered_config);
   Heap tiered_heap = tiered.NewHeap(4 * kMiB);
-  TierWorkload(tiered, tiered_heap, 1500);
+  TierWorkload(tiered_heap, 1500);
 
   Machine plain(SmallConfig(true));
   Heap plain_heap = plain.NewHeap(4 * kMiB);
-  TierWorkload(plain, plain_heap, 1500);
+  TierWorkload(plain_heap, 1500);
 
   // Page contents are a pure function of the access sequence — the hierarchy
   // must never change what a page reads back as, only where it waited.
@@ -528,7 +528,7 @@ TEST(TierMachineTest, TieredMachineSurvivesSustainedThrashingUnderPeriodicAudit)
   config.audit_interval = 32;  // audit every 32 faults, mid-flight
   Machine machine(config);
   Heap heap = machine.NewHeap(5 * kMiB);
-  TierWorkload(machine, heap, 2500, /*seed=*/33);
+  TierWorkload(heap, 2500, /*seed=*/33);
   EXPECT_GT(machine.pager().stats().faults, 0u);
   EXPECT_EQ(machine.RunAudit(), 0u);
   // Destruction runs the shutdown audit once more.
@@ -553,7 +553,7 @@ TEST(TierMachineTest, FailedDemotionUnderInjectedFaultsLeavesNoOrphanCopies) {
   Machine machine(config);
   machine.auditor().set_abort_on_violation(false);  // tally, don't abort
   Heap heap = machine.NewHeap(5 * kMiB);
-  TierWorkload(machine, heap, 2500, /*seed=*/33);
+  TierWorkload(heap, 2500, /*seed=*/33);
   machine.RunAudit();
   EXPECT_EQ(machine.auditor().total_violations(), 0u);
   // The injected faults actually made some demotions fail, so the discard
