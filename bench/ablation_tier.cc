@@ -1,15 +1,18 @@
-// Ablation: the multi-tier compressed memory hierarchy (DRAM -> compressed
-// DRAM -> compressed "SSD" -> disk) against the two degenerate ways to spend
-// the same hardware.
+// Ablation: a compressed-SSD tier behind the compression cache (DRAM ->
+// compressed DRAM -> compressed "SSD" -> disk) against the two degenerate
+// ways to spend the same hardware.
 //
 // The split axis is the DRAM share of the compressed cache: how many pool
-// frames the ccache ring may hold (the rest of DRAM serves the resident set),
-// with a fixed compressed-RAM tier and a large compressed-SSD tier below it.
-// The extremes bracket the design space:
+// frames the ccache ring may hold (the rest of DRAM serves the resident set).
+// `dram=` is that ring cap, MachineConfig::ccache_max_frames; the ccache is
+// the machine's only compressed-DRAM store. A large compressed-SSD tier sits
+// below it: every ccache writeback lands there, and its LRU overflow goes on
+// to the disk. The extremes bracket the design space:
 //   all_dram   tiers disabled, uncapped ccache — the PR-9 machine, where
 //              every compressed page the DRAM cannot hold pays a disk seek
 //   all_ssd    a near-zero ccache cap, so virtually every compressed copy
-//              lives behind the SSD cost model (~100 us) instead of DRAM
+//              lives behind the SSD cost model (500 us / 100 MB/s) instead
+//              of DRAM
 //
 // Two workload axes:
 //   thrash   fig3-style cyclic thrasher past the knee (working set whose
@@ -63,22 +66,14 @@ MachineConfig TieredConfig(uint64_t memory_bytes, double share) {
     return config;  // all_dram: today's untiered machine, uncapped ccache
   }
   config.tiers.enabled = true;
-  TierSpec ram;
-  ram.name = "ram";
-  ram.medium = TierMedium::kCompressedRam;
-  ram.capacity_bytes = 64 * kKiB;
   TierSpec ssd;
   ssd.name = "ssd";
-  ssd.medium = TierMedium::kSsd;
   ssd.capacity_bytes = 16 * kMiB;  // roomy: the disk is for cold dregs only
   // Cheap bulk flash: an order of magnitude slower than compressed DRAM and
   // an order faster than the seeking disk — the middle of the hierarchy.
   ssd.ssd_latency = SimDuration::Micros(500);
   ssd.ssd_bandwidth_bytes_per_sec = 100e6;
-  config.tiers.tiers = {ram, ssd};
-  // Fault-service timescales are tens of milliseconds of virtual time; the
-  // read-recency window must outlive them or nothing ever classifies hot.
-  config.tiers.classifier.hot_window = SimDuration::Seconds(120);
+  config.tiers.tiers = {ssd};
   const size_t total_frames = memory_bytes / kPageSize;
   const size_t cap = static_cast<size_t>(share * static_cast<double>(total_frames));
   config.ccache_max_frames = cap < kMinCcacheFrames ? kMinCcacheFrames : cap;
@@ -107,8 +102,7 @@ ThrashResult RunThrash(uint64_t address_space, double share) {
   result.avg_access_ms = app.result().AvgAccessMillis();
   result.disk_reads = machine.disk().stats().read_ops;
   if (machine.tier_stack() != nullptr) {
-    result.ssd_landings = machine.metrics().GaugeValue("tier.ssd.landings") +
-                          machine.metrics().GaugeValue("tier.ssd.demotions_in");
+    result.ssd_landings = machine.metrics().GaugeValue("tier.ssd.landings");
   }
   result.violations = machine.RunAudit();
   return result;
@@ -196,12 +190,11 @@ int main(int argc, char** argv) {
   BenchReport report("ablation_tier", argc, argv);
   report.Config("user_memory_mb", kUserMemory / kMiB);
   report.Config("kv_memory_mb", kKvMemory / kMiB);
-  report.Config("ram_tier_kb", uint64_t{64});
   report.Config("ssd_tier_mb", uint64_t{16});
   report.Config("quick", quick);
 
-  std::printf("tier ablation: DRAM share of the compressed cache, RAM(64 KB) + "
-              "SSD(16 MB) stack over the clustered disk\n\n");
+  std::printf("tier ablation: DRAM share of the compressed cache, SSD(16 MB) "
+              "tier over the clustered disk\n\n");
 
   std::vector<std::function<ThrashResult()>> thrash_jobs;
   for (const uint64_t mb : thrash_sizes_mb) {
@@ -214,7 +207,7 @@ int main(int argc, char** argv) {
   std::vector<std::function<KvResult()>> kv_jobs;
   for (size_t c = 0; c < cells.size(); ++c) {
     const double share = cells[c].share;
-    // The widest interior cell contributes the metric snapshot, so the
+    // The middle interior share contributes the metric snapshot, so the
     // tier.* counter families (and their conservation) land in the JSON.
     const bool snapshot = report.enabled() && share == kInteriorShares[1];
     kv_jobs.push_back([share, quick, snapshot] { return RunKv(share, quick, snapshot); });

@@ -14,7 +14,7 @@
 //   --pipeline       enable async pipelining (write-behind depth 4, prefetch,
 //                    fault batching) across the grid, so the in-flight-page
 //                    and prefetch-buffer conservation audits soak too
-//   --tiers          run every machine over a RAM + SSD tier stack, so the
+//   --tiers          run every machine over a two-SSD tier cascade, so the
 //                    tier audits (residency coherence, per-tier occupancy and
 //                    boundary flow conservation) soak alongside the rest
 //   --json=<path>    machine-readable report (schema in DESIGN.md)
@@ -81,16 +81,14 @@ MachineConfig MakeConfig(CompressedSwapKind kind, double fault_rate, SoakMode mo
   }
   if (mode.tiers) {
     config.tiers.enabled = true;
-    TierSpec ram;
-    ram.name = "ram";
-    ram.medium = TierMedium::kCompressedRam;
-    ram.capacity_bytes = 128 * kKiB;
+    TierSpec nvm;
+    nvm.name = "nvm";
+    nvm.capacity_bytes = 256 * kKiB;
+    nvm.ssd_latency = SimDuration::Micros(20);
     TierSpec ssd;
     ssd.name = "ssd";
-    ssd.medium = TierMedium::kSsd;
     ssd.capacity_bytes = 1 * kMiB;
-    config.tiers.tiers = {ram, ssd};
-    config.tiers.classifier.hot_window = SimDuration::Seconds(120);
+    config.tiers.tiers = {nvm, ssd};
     // Cap the ccache ring so traffic actually flows through the stack.
     config.ccache_max_frames = 256;
   }
@@ -197,7 +195,7 @@ int main(int argc, char** argv) {
               workloads.size(), backends.size(), fault_rate, kAuditInterval,
               mode.superblock ? ", superblock packing ON" : "",
               mode.pipeline ? ", pipelining ON" : "",
-              mode.tiers ? ", RAM+SSD tier stack ON" : "");
+              mode.tiers ? ", NVM+SSD tier cascade ON" : "");
   std::printf("%10s %18s %8s %10s %11s  %s\n", "workload", "backend", "faults",
               "audit_runs", "violations", "first_violation");
 

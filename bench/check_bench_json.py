@@ -61,11 +61,11 @@ Schema (schema_version 1):
                         kv.request_ns.count, kv.validation_failures == 0
     swap.clustered.coresidents_dropped  corrupt-coresident discard tally;
                         must be non-negative when present
-    tier.*              multi-tier hierarchy counters; non-negative, and any
-                        snapshot naming tiers (tier.<name>.level) must
-                        conserve flows across every adjacent boundary:
-                          tier[i].demotions_out  == tier[i+1].demotions_in
-                          tier[i+1].promotions_out == tier[i].promotions_in
+    tier.*              tier cascade counters; non-negative, and any
+                        snapshot naming tiers (tier.<name>.level) must carry
+                        every tier's demotions_in / demotions_out and
+                        conserve them across every adjacent boundary:
+                          tier[i].demotions_out == tier[i+1].demotions_in
                         with nothing crossing the stack's ends (the top tier
                         receives no demotions, the bottom emits none)
     ablation_tier       must publish the crossover frontier with an interior
@@ -89,7 +89,7 @@ import sys
 METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 TOP_KEYS = {"bench", "schema_version", "config", "results", "metrics"}
 # Monotonic counter families: a negative value can only be a bug. (tier.*
-# includes a few gauges — level, pages, frames — but none may go negative.)
+# includes a few gauges — level, pages, sub_blocks — but none may go negative.)
 COUNTER_PREFIXES = ("fault.", "retry.", "recovery.", "pipeline.", "prefetch.", "kv.",
                     "tier.")
 # Counter gauges that are not part of a whole-family prefix but must still
@@ -343,10 +343,10 @@ def validate(path):
             err(f'metrics["pipeline.inflight"] must be 0 after a drain, '
                 f"got {inflight}")
 
-    # Multi-tier flow conservation: a snapshot naming tiers carries each
-    # tier's flow counters from one machine, so every page that left tier i
-    # downward must have arrived at tier i+1 (and vice versa for promotions),
-    # and nothing may cross the ends of the stack.
+    # Tier flow conservation: a snapshot naming tiers carries each tier's
+    # demotion counters from one machine, so every page that left tier i
+    # downward must have arrived at tier i+1, and nothing may cross the ends
+    # of the stack. A missing counter fails: it would hide a broken boundary.
     if isinstance(metrics, dict):
         tiers = []
         for k, v in metrics.items():
@@ -354,25 +354,25 @@ def validate(path):
             if m and is_number(v):
                 tiers.append((v, m.group(1)))
         tiers.sort()
-        def tier_counter(name, field):
-            return metrics.get(f"tier.{name}.{field}")
-        for (lvl_a, a), (lvl_b, b) in zip(tiers, tiers[1:]):
-            dout, din = tier_counter(a, "demotions_out"), tier_counter(b, "demotions_in")
-            if is_number(dout) and is_number(din) and dout != din:
+        flows = {}
+        for _, name in tiers:
+            for field in ("demotions_in", "demotions_out"):
+                v = metrics.get(f"tier.{name}.{field}")
+                if is_number(v):
+                    flows[name, field] = v
+                else:
+                    err(f'snapshot names tier "{name}" but lacks numeric '
+                        f'metrics["tier.{name}.{field}"]')
+        for (_, a), (_, b) in zip(tiers, tiers[1:]):
+            dout, din = flows.get((a, "demotions_out")), flows.get((b, "demotions_in"))
+            if dout is not None and din is not None and dout != din:
                 err(f"tier boundary {a}/{b}: demotions_out = {dout} but "
                     f"demotions_in = {din} -- a demoted page left one tier "
                     f"without arriving at the next")
-            pout, pin = tier_counter(b, "promotions_out"), tier_counter(a, "promotions_in")
-            if is_number(pout) and is_number(pin) and pout != pin:
-                err(f"tier boundary {a}/{b}: promotions_out = {pout} but "
-                    f"promotions_in = {pin} -- a promoted page left one tier "
-                    f"without arriving at the one above")
         if tiers:
-            top, bottom = tiers[0][1], tiers[-1][1]
-            for name, field in ((top, "demotions_in"), (top, "promotions_out"),
-                                (bottom, "demotions_out"), (bottom, "promotions_in")):
-                v = tier_counter(name, field)
-                if is_number(v) and v != 0:
+            for name, field in ((tiers[0][1], "demotions_in"), (tiers[-1][1], "demotions_out")):
+                v = flows.get((name, field))
+                if v is not None and v != 0:
                     err(f'metrics["tier.{name}.{field}"] must be 0 -- flow '
                         f"crossed the end of the tier stack, got {v}")
 

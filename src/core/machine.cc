@@ -71,6 +71,10 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
 
   CC_EXPECTS(!config_.pipeline.enabled || config_.use_compression_cache);
   CC_EXPECTS(!config_.tiers.enabled || config_.use_compression_cache);
+  // SSD tiers are non-durable layouts on private devices that Recover never
+  // copies and Mount never reads, yet every writeback lands there first.
+  CC_EXPECTS(!(config_.durability.enabled && config_.tiers.enabled &&
+               !config_.tiers.tiers.empty()));
   if (config_.use_compression_cache) {
     std::unique_ptr<CompressedSwapBackend> inner;
     switch (config_.compressed_swap) {
@@ -109,12 +113,10 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     }
     if (config_.tiers.enabled) {
       // Tier stack: the configured layout becomes the stack's bottom tier and
-      // every intermediate tier (compressed DRAM, flash-class device) sits in
-      // front of it, behind the same CompressedSwapBackend contract. With an
-      // empty tier list the stack is degenerate and forwards verbatim.
-      auto stack = std::make_unique<TierStack>(&clock_, &config_.costs, this,
-                                               codec_.get(), std::move(inner),
-                                               config_.tiers);
+      // the flash-class device tiers sit in front of it, behind the same
+      // CompressedSwapBackend contract. With an empty tier list the stack is
+      // degenerate and forwards verbatim.
+      auto stack = std::make_unique<TierStack>(&clock_, std::move(inner), config_.tiers);
       tier_stack_ = stack.get();
       inner = std::move(stack);
     }
@@ -226,27 +228,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
         [this] { return pipeline_->ReleaseOldest(); }, config_.biases.vm,
         /*monotone_age=*/false);
   }
-  if (tier_stack_ != nullptr) {
-    // Each compressed-RAM tier competes for physical frames like the ccache
-    // ring does: its oldest entry's landing stamp plus the tier's configured
-    // age penalty. Releasing demotes LRU pages down the stack until a frame
-    // actually frees. Non-monotone: promotion and invalidation remove
-    // arbitrary LRU positions. Device-backed tiers hold no frames and are
-    // not registered.
-    for (size_t t = 0; t < tier_stack_->num_tiers(); ++t) {
-      if (!tier_stack_->tier_is_ram(t)) {
-        continue;
-      }
-      TierStack* stack = tier_stack_;
-      arbiter_.AddConsumer(
-          "tier_" + tier_stack_->tier_name(t),
-          [stack, t] { return stack->TierOldestAgeNs(t); },
-          [stack, t] { return stack->TierReleaseOldestFrame(t); },
-          tier_stack_->tier_age_penalty(t),
-          /*monotone_age=*/false);
-    }
-  }
-
   audit_interval_ = config_.audit_interval;
   if (const char* env = std::getenv("CC_AUDIT_INTERVAL"); env != nullptr && *env != '\0') {
     audit_interval_ = static_cast<size_t>(std::strtoull(env, nullptr, 10));
@@ -393,8 +374,8 @@ void Machine::BindAllMetrics() {
                        ? static_cast<double>(ccache_->stats().checksum_mismatches)
                        : 0.0;
     if (tier_stack_ != nullptr) {
-      // Sums the stack's own detections plus every tier backend's (the plain
-      // accessor below would only see the outermost decorator's counter).
+      // Sums every tier backend's detections (the plain accessor below would
+      // only see the outermost decorator's counter).
       total += static_cast<double>(tier_stack_->total_checksum_mismatches());
     } else if (cswap_ != nullptr) {
       total += static_cast<double>(cswap_->checksum_mismatches());
@@ -471,8 +452,7 @@ Machine::~Machine() {
 void Machine::RegisterAuditChecks() {
   // Frame conservation across the whole machine: every physical frame is free,
   // resident (VM), a buffer-cache block, a mapped ccache slot, wired metadata,
-  // an LFS segment buffer, a prefetch-buffer entry, or a compressed-RAM tier
-  // frame — and nothing else.
+  // an LFS segment buffer, or a prefetch-buffer entry — and nothing else.
   auditor_.Register("machine", "frame-conservation", [this]() -> std::optional<std::string> {
     const size_t total = pool_.total_frames();
     const size_t free = pool_.free_frames();
@@ -484,17 +464,15 @@ void Machine::RegisterAuditChecks() {
       lfs_buffer = lfs_swap_->buffer_frame_count();
     }
     const size_t prefetch = pipeline_ != nullptr ? pipeline_->buffered_frames() : 0;
-    const size_t tier_frames = tier_stack_ != nullptr ? tier_stack_->ram_frames_held() : 0;
     const size_t accounted = free + resident + bcache + ccache + metadata_frames_ +
-                             lfs_buffer + prefetch + tier_frames;
+                             lfs_buffer + prefetch;
     if (accounted != total) {
       return "pool holds " + std::to_string(total) + " frames but " +
              std::to_string(accounted) + " are accounted for (free " + std::to_string(free) +
              " + resident " + std::to_string(resident) + " + bcache " +
              std::to_string(bcache) + " + ccache " + std::to_string(ccache) +
              " + metadata " + std::to_string(metadata_frames_) + " + lfs buffer " +
-             std::to_string(lfs_buffer) + " + prefetch " + std::to_string(prefetch) +
-             " + tier " + std::to_string(tier_frames) + ")";
+             std::to_string(lfs_buffer) + " + prefetch " + std::to_string(prefetch) + ")";
     }
     return std::nullopt;
   });
@@ -720,22 +698,18 @@ std::string Machine::Report() const {
   }
 
   if (tier_stack_ != nullptr) {
-    // Intermediate tiers only; the bottom tier is the layout reported above.
+    // Device tiers only; the bottom tier is the layout reported above.
     for (size_t t = 0; t + 1 < tier_stack_->num_tiers(); ++t) {
       const TierCounters& tc = tier_stack_->tier_counters(t);
       std::snprintf(buf, sizeof(buf),
                     "tier %-8s %zu pages (%llu KB), %llu landings, "
-                    "%llu/%llu demotions in/out, %llu/%llu promotions in/out, "
-                    "%llu reads, %llu transcodes\n",
+                    "%llu/%llu demotions in/out, %llu reads\n",
                     tier_stack_->tier_name(t).c_str(), tier_stack_->tier_pages(t),
                     static_cast<unsigned long long>(tier_stack_->tier_sub_blocks(t)),
                     static_cast<unsigned long long>(tc.landings),
                     static_cast<unsigned long long>(tc.demotions_in),
                     static_cast<unsigned long long>(tc.demotions_out),
-                    static_cast<unsigned long long>(tc.promotions_in),
-                    static_cast<unsigned long long>(tc.promotions_out),
-                    static_cast<unsigned long long>(tc.reads),
-                    static_cast<unsigned long long>(tc.transcodes));
+                    static_cast<unsigned long long>(tc.reads));
       out += buf;
     }
   }

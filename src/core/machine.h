@@ -164,17 +164,18 @@ struct MachineConfig {
   // prefetching, and fault batching. Requires use_compression_cache.
   PipelineOptions pipeline;
 
-  // Multi-tier compressed memory hierarchy: intermediate tiers (compressed
-  // DRAM, flash-class devices) interposed between the compression cache and
-  // the configured disk layout. Requires use_compression_cache. With
-  // `tiers.enabled` and an empty tier list the stack is degenerate and the
-  // machine behaves byte-identically to one without it.
+  // Flash-class device tiers interposed as an LRU cascade between the
+  // compression cache and the configured disk layout. Requires
+  // use_compression_cache; refused with durability when tiers are listed.
+  // With `tiers.enabled` and an empty tier list the stack is degenerate and
+  // the machine behaves byte-identically to one without it.
   TierOptions tiers;
 
-  // Cap on compression-cache slots (frames the ccache ring may map). 0 means
-  // every pool frame is eligible — the historical behavior. Tier ablations
-  // use this as the DRAM-share knob: a small cap forces evictions through to
-  // the tier stack instead of lingering in uncompressed-adjacent DRAM.
+  // Cap on compression-cache slots (frames the ccache ring may map): the
+  // capacity of the machine's one compressed-DRAM store. 0 means every pool
+  // frame is eligible — the historical behavior. Tier ablations use this as
+  // the DRAM-share knob: a small cap sends writebacks into the device tiers
+  // instead of keeping them in compressed DRAM.
   size_t ccache_max_frames = 0;
 
   static MachineConfig Unmodified(uint64_t memory_bytes) {

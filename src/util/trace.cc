@@ -70,8 +70,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "power_fail";
     case TraceEventKind::kTierDemotion:
       return "tier_demotion";
-    case TraceEventKind::kTierPromotion:
-      return "tier_promotion";
     case TraceEventKind::kCount:
       break;
   }

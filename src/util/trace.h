@@ -70,10 +70,9 @@ enum class TraceEventKind : uint8_t {
   // Power loss mid-write; key unused, a = first byte offset lost from the torn
   // request, b = bytes lost.
   kPowerFail,
-  // Tier stack page movement; a = source tier index, b = destination tier
-  // index (0 = fastest, last = the disk layout).
+  // Tier stack demotion; a = source tier index, b = destination tier index
+  // (0 = fastest, last = the disk layout).
   kTierDemotion,
-  kTierPromotion,
   kCount,
 };
 

@@ -276,8 +276,8 @@ TEST(ArbiterEdgeTest, EqualEffectiveAgesBreakTowardLowerIndex) {
 }
 
 TEST(ArbiterEdgeTest, ReclaimChoiceIgnoresRegistrationOrder) {
-  // Registering a new consumer (an N-tier stack adds one per RAM tier) must
-  // never perturb which of the existing consumers gets reclaimed: ties and the
+  // Registering a new consumer (the pipeline adds "prefetch") must never
+  // perturb which of the existing consumers gets reclaimed: ties and the
   // refusal fallback walk consumers in name order, not registration order.
   for (const bool reversed : {false, true}) {
     MemoryArbiter arbiter;
@@ -298,8 +298,8 @@ TEST(ArbiterEdgeTest, ReclaimChoiceIgnoresRegistrationOrder) {
   }
 
   // The last-resort fallback pass (everything looked empty or refused in the
-  // ordered pass, e.g. a wired tier reserve publishing UINT64_MAX) is equally
-  // order-blind.
+  // ordered pass, e.g. an empty prefetch buffer publishing UINT64_MAX) is
+  // equally order-blind.
   for (const bool reversed : {false, true}) {
     MemoryArbiter arbiter;
     FakeConsumer alpha;
@@ -584,23 +584,20 @@ TEST(AuditTest, ResetStatsZeroesPipelineEraCounters) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
-// PR-10's tier-era counters (per-tier landings, demotion/promotion flows,
-// the SSD tier's device stats, per-tier read latency histograms) get the same
-// registry-driven reset parity. The machine runs a RAM + SSD stack over the
+// The tier stack's counters (per-tier landings and demotion flows, the SSD
+// tiers' device stats, per-tier read latency histograms) get the same
+// registry-driven reset parity. The machine runs a two-SSD cascade over the
 // clustered disk so every tier level exists and sees traffic first.
 TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
   MachineConfig config = SmallConfig(true);
   config.tiers.enabled = true;
-  TierSpec ram;
-  ram.name = "ram";
-  ram.medium = TierMedium::kCompressedRam;
-  ram.capacity_bytes = 128 * kKiB;
+  TierSpec nvm;
+  nvm.name = "nvm";
+  nvm.capacity_bytes = 128 * kKiB;
   TierSpec ssd;
   ssd.name = "ssd";
-  ssd.medium = TierMedium::kSsd;
   ssd.capacity_bytes = 512 * kKiB;
-  config.tiers.tiers = {ram, ssd};
-  config.tiers.classifier.hot_window = SimDuration::Seconds(120);
+  config.tiers.tiers = {nvm, ssd};
   config.ccache_max_frames = 128;
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);
@@ -608,19 +605,15 @@ TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
 
   const auto& names = machine.metrics().counter_gauge_names();
   for (const char* name :
-       {"tier.ram.landings", "tier.ram.demotions_out", "tier.ram.promotions_in",
-        "tier.ram.invalidations", "tier.ram.reads", "tier.ram.transcodes",
-        "tier.ram.demotion_failures", "tier.ssd.landings", "tier.ssd.demotions_in",
-        "tier.ssd.device_read_ops", "tier.ssd.device_write_ops", "tier.ssd.device_busy_ns",
-        "tier.disk.landings", "tier.disk.demotions_in", "tier.disk.reads"}) {
+       {"tier.nvm.landings", "tier.nvm.demotions_out", "tier.nvm.invalidations",
+        "tier.nvm.reads", "tier.nvm.demotion_failures", "tier.nvm.device_write_ops",
+        "tier.ssd.landings", "tier.ssd.demotions_in", "tier.ssd.device_read_ops",
+        "tier.ssd.device_write_ops", "tier.ssd.device_busy_ns", "tier.disk.landings",
+        "tier.disk.demotions_in", "tier.disk.reads"}) {
     EXPECT_TRUE(names.contains(name)) << name << " missing from the registry";
   }
-  ASSERT_GT(machine.metrics().GaugeValue("tier.ram.landings") +
-                machine.metrics().GaugeValue("tier.ram.promotions_in"),
-            0.0);
-  ASSERT_GT(machine.metrics().GaugeValue("tier.disk.landings") +
-                machine.metrics().GaugeValue("tier.disk.demotions_in"),
-            0.0);
+  ASSERT_GT(machine.metrics().GaugeValue("tier.nvm.landings"), 0.0);
+  ASSERT_GT(machine.metrics().GaugeValue("tier.disk.demotions_in"), 0.0);
 
   machine.ResetStats();
   for (const std::string& name : names) {
