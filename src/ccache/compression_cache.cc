@@ -661,46 +661,27 @@ bool CompressionCache::DecompressImage(std::span<const uint8_t> compressed,
   return true;
 }
 
-CcacheFaultResult CompressionCache::PrefetchIn(PageKey key, std::span<uint8_t> out,
-                                               SimDuration* cost) {
+std::optional<uint32_t> CompressionCache::PrefetchIn(PageKey key, std::span<uint8_t> frame,
+                                                    SimDuration* cost) {
   CC_EXPECTS(cost != nullptr);
-  Entry* e = Find(key);
+  const Entry* e = Find(key);
   if (e == nullptr) {
-    return CcacheFaultResult::kMiss;
+    return std::nullopt;
   }
-  CC_EXPECTS(out.size() == e->original_size);
+  CC_EXPECTS(frame.size() == e->original_size);
   if (e->zero_page) {
-    std::memset(out.data(), 0, out.size());
-    *cost += costs_->ZeroScanCost(out.size());
-    return CcacheFaultResult::kHit;
+    *cost += costs_->ZeroScanCost(frame.size());
+    return 0;
   }
-  ScratchArena::Scope scope(*arena_);
-  std::span<uint8_t> buf = arena_->Alloc(e->payload_size);
-  CopyOut(e->payload_off(), buf);
-  if (options_.verify_on_fault_in && e->checksum != 0 && Crc32(buf) != e->checksum) {
-    return CcacheFaultResult::kCorrupt;
+  // The keep threshold's ratio is at least 1, so a kept image fits its page.
+  CC_ASSERT(e->payload_size > 0 && e->payload_size <= frame.size());
+  const std::span<uint8_t> image = frame.first(e->payload_size);
+  CopyOut(e->payload_off(), image);
+  if (options_.verify_on_fault_in && e->checksum != 0 && Crc32(image) != e->checksum) {
+    return std::nullopt;
   }
-  if (!codec_->TryDecompress(buf, out)) {
-    return CcacheFaultResult::kCorrupt;
-  }
-  *cost += costs_->DecompressCost(out.size());
-  return CcacheFaultResult::kHit;
-}
-
-bool CompressionCache::DecompressImageDeferred(std::span<const uint8_t> compressed,
-                                               std::span<uint8_t> out,
-                                               SimDuration* cost) {
-  CC_EXPECTS(cost != nullptr);
-  if (IsZeroPageMarker(compressed)) {
-    std::memset(out.data(), 0, out.size());
-    *cost += costs_->ZeroScanCost(out.size());
-    return true;
-  }
-  if (!codec_->TryDecompress(compressed, out)) {
-    return false;
-  }
-  *cost += costs_->DecompressCost(out.size());
-  return true;
+  *cost += costs_->DecompressCost(frame.size());
+  return e->payload_size;
 }
 
 void CompressionCache::Touch(PageKey key) {

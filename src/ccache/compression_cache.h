@@ -220,25 +220,26 @@ class CompressionCache {
                                      std::span<uint8_t> out);
 
   // --- speculative (decompress-ahead) interface ---
-  // Like FaultIn, but for the prefetcher: nothing is charged to the caller's
-  // clock — the modelled decompression time is accumulated into *cost for the
-  // engine to place on its background timeline — and the entry's age and the
-  // fault counters are left untouched (speculation is not a demand reference;
-  // a hit refreshes the age later, via Touch). Checksum verification still
-  // runs, but no injector ordinals are drawn: speculation never perturbs the
-  // fault schedule, and a corrupt entry is simply not prefetched — the demand
-  // fault rediscovers (and meters) the corruption through the real path.
-  CcacheFaultResult PrefetchIn(PageKey key, std::span<uint8_t> out,
-                               SimDuration* cost);
+  // The prefetcher's read of a cached copy. Copies the CRC-verified compressed
+  // image of `key` out of the ring into the head of `frame` (a page-sized
+  // buffer frame) without decoding it: the prefetcher runs the codec only when
+  // a demand fault consumes the image (codec()). Returns the image size, 0 for
+  // a zero page (nothing is copied), or nullopt when the key is absent or its
+  // payload fails the checksum. Nothing is charged to the caller's clock — the
+  // modelled decompression time is accumulated into *cost for the engine to
+  // place on its background timeline — and the entry's age and the fault
+  // counters are left untouched (speculation is not a demand reference; a hit
+  // refreshes the age later, via Touch). No injector ordinals are drawn:
+  // speculation never perturbs the fault schedule, and a corrupt entry is
+  // simply not prefetched — the demand fault rediscovers (and meters) the
+  // corruption through the real path.
+  std::optional<uint32_t> PrefetchIn(PageKey key, std::span<uint8_t> frame, SimDuration* cost);
 
-  // Cost-out variant of DecompressImage for speculative swap reads: decodes
-  // without advancing the clock, accumulating the modelled time into *cost.
-  [[nodiscard]] bool DecompressImageDeferred(std::span<const uint8_t> compressed,
-                                             std::span<uint8_t> out,
-                                             SimDuration* cost);
+  // The codec every cached image was encoded with.
+  Codec* codec() const { return codec_; }
 
   // Refreshes a live entry's age (a prefetch hit is a demand reference even
-  // though the codec path was skipped). No-op when the key is absent.
+  // though FaultIn was bypassed). No-op when the key is absent.
   void Touch(PageKey key);
 
   // Discards the cached copy (page was modified while resident, or dropped).

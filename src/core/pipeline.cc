@@ -96,15 +96,21 @@ std::optional<FaultOrigin> PipelineEngine::TryFill(PageKey key,
     clock_->Advance(wait, TimeCategory::kDecompression);
     stats_.wait_ready_time += wait;
   }
-  const auto data = frames_->FrameData(entry.frame);
-  CC_ASSERT(data.size() == out.size());
-  std::memcpy(out.data(), data.data(), out.size());
+  // Decode on the hit: the buffer frame holds the verified compressed image
+  // (none for a zero page), and this is the only fault that needs its bytes.
+  const auto image = frames_->FrameData(entry.frame).first(entry.image_size);
+  if (entry.image_size == 0) {
+    std::memset(out.data(), 0, out.size());
+  } else if (!ccache_->codec()->TryDecompress(image, out)) {
+    // Undecodable despite the issue-time check (possible only with integrity
+    // checks off): a miss, and the demand fault takes the ladder.
+    Drop(key, /*count_miss=*/true);
+    return std::nullopt;
+  }
   clock_->Advance(costs_->CopyCost(out.size()), TimeCategory::kCopy);
   // The retained compressed copy just serviced a demand reference.
   ccache_->Touch(key);
-  frames_->FreeFrame(entry.frame);
-  buffer_.erase(key);
-  order_.erase(std::find(order_.begin(), order_.end(), key));
+  Drop(key, /*count_miss=*/false);
   ++stats_.hits;
   ++lifetime_hits_;
   return FaultOrigin::kCcache;
@@ -146,13 +152,12 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
       return false;
     }
   }
-  const auto frame_data = frames_->FrameData(*frame);
   SimDuration work;  // decompress time, background timeline
-  const bool ok =
-      ccache_->PrefetchIn(key, frame_data, &work) == CcacheFaultResult::kHit;
-  if (!ok) {
-    // Corrupt or unreadable source: leave it for the demand fault's ladder
-    // (which meters and recovers); speculation stays invisible.
+  const std::optional<uint32_t> image_size =
+      ccache_->PrefetchIn(key, frames_->FrameData(*frame), &work);
+  if (!image_size.has_value()) {
+    // Corrupt source: leave it for the demand fault's ladder (which meters and
+    // recovers); speculation stays invisible.
     frames_->FreeFrame(*frame);
     return false;
   }
@@ -161,6 +166,7 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   const SimTime start = std::max(background_busy_until_, clock_->Now());
   Entry entry;
   entry.frame = *frame;
+  entry.image_size = *image_size;
   entry.ready_at = start + work;
   entry.age_ns = static_cast<uint64_t>(clock_->Now().nanos());
   background_busy_until_ = entry.ready_at;

@@ -1,22 +1,25 @@
 // Decompress-ahead engine: the prefetching half of the async I/O pipeline.
 //
 // The engine watches the fault stream through the Pager's PagePrefetcher hook,
-// feeds it to a seeded stride+Markov predictor, and speculatively decompresses
-// predicted-next ccache entries into a small buffer of arbiter-charged frames.
-// A fault that hits the buffer is served by a memory copy: no codec, no disk.
-// Swapped-out pages are never read speculatively — on a seek-dominated disk a
-// separate single-page read costs more than the fault it might save. Instead,
-// fault batching widens the demand swap read itself (the clustered layout's
-// readahead_blocks), whose coresidents land in the ccache and become
-// decompress-ahead targets here.
+// feeds it to a seeded stride+Markov predictor, and copies the CRC-verified
+// compressed images of predicted-next ccache entries into a small buffer of
+// arbiter-charged frames, one frame per entry. The codec runs only for the
+// demand fault that consumes a buffered image: the hit decodes it straight
+// into the faulting frame, with no ring read and no disk, and the many guesses
+// that are never consumed are never decoded. Swapped-out pages are never read
+// speculatively — on a seek-dominated disk a separate single-page read costs
+// more than the fault it might save. Instead, fault batching widens the demand
+// swap read itself (the clustered layout's readahead_blocks), whose
+// coresidents land in the ccache and become decompress-ahead targets here.
 //
 // Speculative work is free of the app clock but not free of time: each issue
-// runs on a background timeline (decompression serialized behind the previous
-// speculation), and a demand hit that arrives before its entry is ready waits
-// out the remainder. Speculation never perturbs outcomes: no injector ordinals
-// are drawn on the ccache path, and a corrupt or unreadable source page is
-// simply not buffered — the demand fault rediscovers the problem through the
-// real ladder.
+// is charged the modelled decompression on a background timeline (serialized
+// behind the previous speculation), and a demand hit that arrives before its
+// entry is ready waits out the remainder, then pays a page copy. Where the
+// host runs the codec does not enter virtual time. Speculation never perturbs
+// outcomes: no injector ordinals are drawn on the ccache path, and a corrupt
+// source page is simply not buffered — the demand fault rediscovers the
+// problem through the real ladder.
 //
 // Buffer frames are the memory arbiter's fourth consumer ("prefetch"), biased
 // at parity with resident VM pages: a fresh speculation is a page expected to
@@ -103,6 +106,7 @@ class PipelineEngine : public PagePrefetcher {
   void Flush();
 
   size_t buffered_frames() const { return buffer_.size(); }
+  bool buffered(PageKey key) const { return buffer_.contains(key); }
   const PrefetchStats& stats() const { return stats_; }
   FaultPredictor& predictor() { return predictor_; }
 
@@ -115,8 +119,9 @@ class PipelineEngine : public PagePrefetcher {
  private:
   struct Entry {
     FrameId frame;
-    SimTime ready_at;     // speculation finishes on the background timeline
-    uint64_t age_ns = 0;  // issue time, for the arbiter
+    uint32_t image_size = 0;  // compressed bytes at the frame's head; 0: zero page
+    SimTime ready_at;         // speculation finishes on the background timeline
+    uint64_t age_ns = 0;      // issue time, for the arbiter
   };
 
   // Issues one speculative page if it is a sensible target; returns true when

@@ -157,9 +157,10 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   CC_ASSERT(source != PageState::kResident && "fault on resident page");
 
   // Decompress-ahead short-circuit: a buffered speculative copy services the
-  // fault with a memory copy, skipping the codec and the backing store. The
-  // compressed/backing copies stay where they are, exactly as on the rung
-  // that originally produced the buffered image.
+  // fault, skipping the ring read and the backing store. The compressed/backing
+  // copies stay where they are, exactly as on the rung that originally
+  // produced the buffered image. A copy that fails to decode is a buffer miss
+  // and the fault walks the ladder below.
   if (prefetcher_ != nullptr &&
       (source == PageState::kCompressed || source == PageState::kSwapped)) {
     if (const auto origin = prefetcher_->TryFill(entry.key, frame_data)) {

@@ -25,10 +25,12 @@ class PagePrefetcher {
  public:
   virtual ~PagePrefetcher() = default;
 
-  // If `key` sits decompressed in the prefetch buffer, copies it into `out`
-  // (charging copy time, plus any wait for the speculative work to finish on
-  // the background timeline), consumes the entry, and reports where the
-  // speculative copy originally came from. Returns nullopt on a buffer miss.
+  // If `key` sits in the prefetch buffer, fills `out` with its bytes (charging
+  // copy time, plus any wait for the speculative work to finish on the
+  // background timeline), consumes the entry, and reports where the
+  // speculative copy originally came from. Returns nullopt on a buffer miss,
+  // or when the buffered copy turns out unusable (the entry is discarded and
+  // `out` holds no page).
   virtual std::optional<FaultOrigin> TryFill(PageKey key,
                                              std::span<uint8_t> out) = 0;
 

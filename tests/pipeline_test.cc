@@ -381,6 +381,148 @@ TEST(PipelineMachineTest, SequentialThrashHitsThePrefetchBuffer) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
+// A prefetch hit delivers the page's exact bytes: seeded content is written
+// once, then read over sequential read-only passes that the stride predictor
+// follows, and every page read is compared byte for byte with its
+// regenerated content.
+TEST(PipelineMachineTest, PrefetchHitsDeliverExactBytes) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.pipeline.enabled = true;
+  config.pipeline.write_behind_depth = 4;
+  config.pipeline.prefetch = true;
+  config.pipeline.prefetch_per_fault = 2;
+  config.pipeline.fault_batch_window = 2;
+  Machine machine(config);
+  machine.auditor().set_abort_on_violation(false);
+
+  Heap heap = machine.NewHeap(6 * kMiB);
+  const uint64_t pages = heap.size_bytes() / kPageSize;
+  // Zero pages take the image-free path; random ones are never kept compressed.
+  const auto content = [](uint64_t p) {
+    if (p % 7 == 0) {
+      return ContentClass::kZero;
+    }
+    if (p % 5 == 0) {
+      return ContentClass::kRandom;
+    }
+    return p % 2 == 0 ? ContentClass::kSparseNumeric : ContentClass::kText;
+  };
+  constexpr uint64_t kSeed = 17;
+  std::vector<uint8_t> page(kPageSize);
+  Rng rng(kSeed);
+  for (uint64_t p = 0; p < pages; ++p) {
+    FillPage(page, content(p), rng);
+    heap.WriteBytes(p * kPageSize, page);
+  }
+
+  std::vector<uint8_t> out(kPageSize);
+  uint64_t mismatches = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    Rng regen(kSeed);
+    for (uint64_t p = 0; p < pages; ++p) {
+      FillPage(page, content(p), regen);
+      heap.ReadBytes(p * kPageSize, out);
+      if (out != page) {
+        ++mismatches;
+      }
+    }
+  }
+  machine.DrainPipeline();
+
+  EXPECT_GT(machine.metrics().GaugeValue("prefetch.hits"), 0.0)
+      << "sequential read passes should be stride-predictable";
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
+// The CRC check runs when a page is issued, not when it is hit: a ring entry
+// whose payload fails its checksum never enters the buffer, and its demand
+// fault rediscovers the damage on the section-12 ladder. The control case (no
+// flipped bit) shows the same stride does buffer the page. With checksums off
+// nothing refuses the damaged image at issue: it is buffered, fails to decode
+// at the hit, and is dropped as a miss before the fault takes the same ladder.
+TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
+  struct Case {
+    const char* name;
+    bool corrupt;
+    bool checksums;
+  };
+  for (const Case c : {Case{"control", false, true}, Case{"corrupt", true, true},
+                       Case{"corrupt, checksums off", true, false}}) {
+    SCOPED_TRACE(c.name);
+    MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+    config.integrity.checksums = c.checksums;
+    config.pipeline.enabled = true;
+    config.pipeline.prefetch = true;
+    config.pipeline.prefetch_per_fault = 1;
+    Machine machine(config);
+    machine.auditor().set_abort_on_violation(false);
+
+    Heap heap = machine.NewHeap(4 * kMiB);
+    const auto pages = static_cast<uint32_t>(heap.size_bytes() / kPageSize);
+    std::vector<std::vector<uint8_t>> reference(pages, std::vector<uint8_t>(kPageSize));
+    Rng rng(29);
+    for (uint32_t p = 0; p < pages; ++p) {
+      FillPage(reference[p], ContentClass::kRepetitiveText, rng);
+      heap.WriteBytes(uint64_t{p} * kPageSize, reference[p]);
+    }
+    // Clean entries: the damaged page keeps a valid backing copy.
+    CompressionCache& ccache = *machine.ccache();
+    ccache.FlushDirty();
+
+    // The youngest run of four cached pages, far from the ring's head: the
+    // walk faults the first three and the confirmed stride names the fourth.
+    const uint32_t segment = heap.segment()->id();
+    const auto cached = [&](uint32_t p) { return ccache.Contains(PageKey{segment, p}); };
+    const auto walkable = [&](uint32_t t) {
+      return cached(t) && cached(t - 1) && cached(t - 2) && cached(t - 3);
+    };
+    uint32_t target = pages - 1;
+    while (target >= 3 && !walkable(target)) {
+      --target;
+    }
+    ASSERT_GE(target, 3u) << "no run of cached pages to walk";
+    const PageKey key{segment, target};
+    if (c.corrupt) {
+      // Bit 1 of the container byte: the image can neither match its CRC nor
+      // decode.
+      ccache.CorruptPayloadBitForTest(key, 1);
+    }
+    const bool refused = c.corrupt && c.checksums;
+
+    PipelineEngine& engine = *machine.pipeline();
+    std::vector<uint8_t> out(kPageSize);
+    for (uint32_t p = target - 3; p < target; ++p) {
+      heap.ReadBytes(uint64_t{p} * kPageSize, out);
+      ASSERT_EQ(out, reference[p]) << "page " << p;
+      if (refused) {
+        EXPECT_FALSE(engine.buffered(key)) << "after faulting page " << p;
+      }
+    }
+    ASSERT_TRUE(engine.predictor().stride_confirmed(segment));
+    ASSERT_TRUE(cached(target)) << "the target left the ring before its fault";
+    EXPECT_EQ(engine.buffered(key), !refused);
+
+    const VmStats before = machine.pager().stats();
+    const uint64_t misses_before = engine.stats().misses;
+    heap.ReadBytes(uint64_t{target} * kPageSize, out);
+    EXPECT_EQ(out, reference[target]);
+    const VmStats& vm = machine.pager().stats();
+    EXPECT_EQ(vm.faults - before.faults, 1u);
+    EXPECT_EQ(vm.faults_prefetch_hit - before.faults_prefetch_hit, c.corrupt ? 0u : 1u);
+    EXPECT_EQ(engine.stats().misses - misses_before, c.corrupt && !refused ? 1u : 0u);
+    EXPECT_FALSE(engine.buffered(key));
+    EXPECT_EQ(vm.pages_recovered - before.pages_recovered, c.corrupt ? 1u : 0u);
+    EXPECT_EQ(vm.pages_lost, 0u);
+    EXPECT_EQ(ccache.stats().checksum_mismatches, c.corrupt ? 1u : 0u);
+
+    machine.DrainPipeline();
+    const PrefetchStats& ps = engine.stats();
+    EXPECT_EQ(ps.issued, ps.hits + ps.misses);
+    EXPECT_EQ(machine.RunAudit(), 0u);
+  }
+}
+
 TEST(PipelineMachineTest, PipelinedRunsAreDeterministic) {
   const auto run = [] {
     MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
