@@ -1,5 +1,6 @@
 #include "compress/lzrw1.h"
 
+#include <bit>
 #include <cstring>
 
 #include "util/assert.h"
@@ -17,25 +18,18 @@ size_t WorstCase(size_t n) {
   return 1 /* container flag */ + n + 2 * groups;
 }
 
-// Writes the `len`-byte match that starts `offset` bytes back, with the
-// byte-by-byte semantics of an overlapping copy; `room` is the output space
-// left at `out`. With an offset of 8 or more and 7 bytes of room past the
-// match, it moves whole 8-byte chunks: each chunk reads only bytes that are
-// already final, and the up to 7 bytes it writes past the match are
-// overwritten by the items that follow.
-void CopyMatch(uint8_t* out, size_t offset, size_t len, size_t room) {
-  const uint8_t* from = out - offset;
-  if (offset >= 8 && room >= len + 7) {
-    for (size_t i = 0; i < len; i += 8) {
-      uint64_t chunk = 0;
-      std::memcpy(&chunk, from + i, sizeof(chunk));
-      std::memcpy(out + i, &chunk, sizeof(chunk));
-    }
-  } else {
-    for (size_t i = 0; i < len; ++i) {
-      out[i] = from[i];
-    }
-  }
+// Room the decode fast loop needs at the start of a step. A step moves one
+// 16-byte literal block, then handles at most one copy item: 2 bytes of input
+// and at most 24 bytes of output (three 8-byte moves).
+constexpr ptrdiff_t kFastIn = 16 + 2;
+constexpr ptrdiff_t kFastOut = 16 + 24;
+
+// Moves sizeof(Word) bytes as one load and one store.
+template <typename Word>
+void MoveWord(uint8_t* to, const uint8_t* from) {
+  Word word = 0;
+  std::memcpy(&word, from, sizeof(word));
+  std::memcpy(to, &word, sizeof(word));
 }
 
 }  // namespace
@@ -175,9 +169,52 @@ bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
     if (in + 2 > in_end) {
       return false;  // truncated control word
     }
-    const uint16_t control = static_cast<uint16_t>(in[0] | (in[1] << 8));
+    const uint32_t control = static_cast<uint32_t>(in[0] | (in[1] << 8));
     in += 2;
-    for (size_t item = 0; item < kItemsPerGroup && out < out_end; ++item) {
+    size_t item = 0;
+    // Fast loop, one step per copy item. With this much room no item can be
+    // truncated or run past dst, so the offset is the only check that can
+    // fail; bytes written past an item are rewritten by the items after it
+    // (DESIGN.md §13).
+    while (item < kItemsPerGroup && in_end - in >= kFastIn && out_end - out >= kFastOut) {
+      // The literals before the next copy item, or to the end of the group.
+      const size_t run = static_cast<size_t>(
+          std::countr_zero((control >> item) | (1u << (kItemsPerGroup - item))));
+      MoveWord<uint64_t>(out, in);
+      MoveWord<uint64_t>(out + 8, in + 8);
+      in += run;
+      out += run;
+      item += run;
+      if (item == kItemsPerGroup) {
+        break;
+      }
+      const size_t offset = ((in[0] & 0xF0u) << 4) | in[1];
+      const size_t len = (in[0] & 0x0Fu) + kLzrwMinMatch;
+      if (offset - 1 >= static_cast<size_t>(out - out_begin)) {
+        return false;  // offset 0, or before start of output
+      }
+      // Fixed-shape copies: with an offset of at least the word size, each
+      // word reads only bytes before it that are already final.
+      const uint8_t* const from = out - offset;
+      if (offset >= 8) {
+        MoveWord<uint64_t>(out, from);
+        MoveWord<uint64_t>(out + 8, from + 8);
+        MoveWord<uint64_t>(out + 16, from + 16);
+      } else if (offset >= 4) {
+        for (size_t i = 0; i < 20; i += 4) {
+          MoveWord<uint32_t>(out + i, from + i);
+        }
+      } else {
+        for (size_t i = 0; i < len; ++i) {
+          out[i] = from[i];
+        }
+      }
+      in += 2;
+      out += len;
+      ++item;
+    }
+    // Checked loop: finishes the group near the end of the input or output.
+    for (; item < kItemsPerGroup && out < out_end; ++item) {
       if (control & (1u << item)) {
         if (in + 2 > in_end) {
           return false;  // truncated copy item
@@ -190,7 +227,10 @@ bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
             out + len > out_end) {
           return false;  // offset before start of output, or copy past its end
         }
-        CopyMatch(out, offset, len, static_cast<size_t>(out_end - out));
+        const uint8_t* const from = out - offset;
+        for (size_t i = 0; i < len; ++i) {
+          out[i] = from[i];
+        }
         out += len;
       } else {
         if (in >= in_end) {
@@ -201,12 +241,6 @@ bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
     }
   }
   return in == in_end;  // trailing garbage is also corruption
-}
-
-size_t LzrwDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
-  const bool ok = LzrwTryDecode(src, dst);
-  CC_ASSERT(ok && "corrupt LZRW stream");
-  return dst.size();
 }
 
 }  // namespace compcache

@@ -94,9 +94,6 @@ inline size_t LzrwExtendMatch(const uint8_t* a, const uint8_t* b, size_t len, si
 // Returns false on malformed input without reading or writing out of bounds.
 bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst);
 
-// Asserting wrapper for known-intact streams; returns dst.size().
-size_t LzrwDecode(std::span<const uint8_t> src, std::span<uint8_t> dst);
-
 }  // namespace compcache
 
 #endif  // COMPCACHE_COMPRESS_LZRW1_H_

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -458,8 +459,9 @@ INSTANTIATE_TEST_SUITE_P(TableSizes, HashBitsTest, ::testing::Values(8u, 10u, 12
 // outputs of the shared decoder, so a speed-only change to either cannot move
 // a compressed size (and with it every virtual-time result) unnoticed. The
 // inputs cover every size from 0 to 700 bytes on every content class, plus
-// whole pages: near the end of its output the decoder hands over from 8-byte
-// match copies to byte copies, and these sizes put that point everywhere.
+// whole pages: near the end of its input and output the decoder hands over
+// from its fast loop to its checked loop, and these sizes put that point
+// everywhere.
 uint64_t Fnv1a(uint64_t h, std::span<const uint8_t> bytes) {
   for (const uint8_t b : bytes) {
     h = (h ^ b) * 0x100000001b3ull;
@@ -548,6 +550,142 @@ TEST(LzrwByteIdentityTest, Lzrw1aStreamsAndDecodesArePinned) {
   const LzrwPin pin = DigestLzrw(codec);
   EXPECT_EQ(pin.encode, 0x4aa10ff50c997969ull) << std::hex << pin.encode;
   EXPECT_EQ(pin.decode, 0xcef229e416b3d238ull) << std::hex << pin.decode;
+}
+
+// ---------- LZRW decoder against a reference ----------
+
+// The shared decoder's semantics, one byte at a time with every check on
+// every item. LzrwTryDecode must give the same verdict on every stream, and
+// the same output whenever it succeeds.
+bool ReferenceLzrwDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
+  if (src.empty()) {
+    return false;
+  }
+  if (IsZeroPageMarker(src)) {
+    std::fill(dst.begin(), dst.end(), uint8_t{0});
+    return true;
+  }
+  if (src[0] == kContainerRaw) {
+    if (src.size() != dst.size() + 1) {
+      return false;
+    }
+    std::copy(src.begin() + 1, src.end(), dst.begin());
+    return true;
+  }
+  if (src[0] != kContainerCompressed) {
+    return false;
+  }
+  size_t in = 1;
+  size_t out = 0;
+  while (out < dst.size()) {
+    if (src.size() - in < 2) {
+      return false;  // truncated control word
+    }
+    const unsigned control = src[in] | (src[in + 1] << 8);
+    in += 2;
+    for (unsigned item = 0; item < 16 && out < dst.size(); ++item) {
+      if ((control >> item & 1u) == 0) {
+        if (in == src.size()) {
+          return false;  // truncated literal
+        }
+        dst[out++] = src[in++];
+        continue;
+      }
+      if (src.size() - in < 2) {
+        return false;  // truncated copy item
+      }
+      const size_t offset = ((src[in] & 0xF0u) << 4) | src[in + 1];
+      const size_t len = (src[in] & 0x0Fu) + kLzrwMinMatch;
+      in += 2;
+      if (offset == 0 || offset > out || len > dst.size() - out) {
+        return false;
+      }
+      for (size_t i = 0; i < len; ++i, ++out) {
+        dst[out] = dst[out - offset];
+      }
+    }
+  }
+  return in == src.size();  // trailing garbage
+}
+
+// Decodes `stream` into an n-byte page with both decoders. The stream and the
+// pages are exact-size heap blocks, so ASan reports any read past the stream
+// or write past the page.
+::testing::AssertionResult SameAsReference(const std::vector<uint8_t>& stream, size_t n) {
+  std::vector<uint8_t> got(n, 0xEE);
+  std::vector<uint8_t> want(n, 0xEE);
+  const bool ok = LzrwTryDecode(stream, got);
+  const bool want_ok = ReferenceLzrwDecode(stream, want);
+  if (ok != want_ok) {
+    return ::testing::AssertionFailure() << "verdict " << ok << ", reference " << want_ok;
+  }
+  if (ok && got != want) {
+    return ::testing::AssertionFailure() << "output differs from the reference";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LzrwReferenceTest, EveryTruncationOfRealPages) {
+  Rng rng(0x7A11);
+  Lzrw1 lzrw1;
+  Lzrw1a lzrw1a;
+  Codec* const codecs[] = {&lzrw1, &lzrw1a};
+  std::vector<uint8_t> page(kPageSize);
+  for (const ContentClass content : AllContentClasses()) {
+    for (int i = 0; i < 4; ++i) {
+      FillPage(page, content, rng);
+      for (Codec* codec : codecs) {
+        std::vector<uint8_t> image(codec->MaxCompressedSize(page.size()));
+        image.resize(codec->Compress(page, image));
+        for (size_t len = 0; len <= image.size(); ++len) {
+          const std::vector<uint8_t> stream(image.begin(),
+                                            image.begin() + static_cast<ptrdiff_t>(len));
+          ASSERT_TRUE(SameAsReference(stream, page.size()))
+              << codec->name() << ", " << ContentClassName(content) << " page " << i
+              << " cut to " << len << " of " << image.size() << " bytes";
+        }
+      }
+    }
+  }
+}
+
+// Streams of `run` literals, one copy item, then literals up to the end of the
+// page. Item by item they cross the decoder's hand-over from its fast loop to
+// its checked loop at every distance from the end of the page.
+TEST(LzrwReferenceTest, HandBuiltCopiesAtEveryDistanceFromTheEnd) {
+  Rng rng(0xC0B1);
+  for (size_t run = 0; run <= 16; ++run) {
+    std::vector<size_t> offsets = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    offsets.push_back(run);      // back to the first byte of the page
+    offsets.push_back(run + 1);  // one byte before it
+    for (const size_t offset : offsets) {
+      for (size_t len = kLzrwMinMatch; len <= kLzrwMaxMatch; ++len) {
+        // A negative tail makes the copy run past the end of the page.
+        for (int tail = -2; tail <= 48; ++tail) {
+          const size_t items = run + 1 + static_cast<size_t>(std::max(tail, 0));
+          std::vector<uint8_t> stream = {kContainerCompressed};
+          for (size_t item = 0; item < items; ++item) {
+            if (item % 16 == 0) {
+              const unsigned control = run >= item && run < item + 16 ? 1u << (run - item) : 0;
+              stream.push_back(static_cast<uint8_t>(control & 0xFFu));
+              stream.push_back(static_cast<uint8_t>(control >> 8));
+            }
+            if (item == run) {
+              stream.push_back(
+                  static_cast<uint8_t>(((offset >> 4) & 0xF0u) | (len - kLzrwMinMatch)));
+              stream.push_back(static_cast<uint8_t>(offset & 0xFFu));
+            } else {
+              stream.push_back(static_cast<uint8_t>(rng.Next()));
+            }
+          }
+          const size_t n = run + static_cast<size_t>(static_cast<int>(len) + tail);
+          ASSERT_TRUE(SameAsReference(stream, n))
+              << run << " literals, then offset " << offset << " length " << len
+              << " ending " << tail << " bytes before the end";
+        }
+      }
+    }
+  }
 }
 
 // ---------- threshold ----------
