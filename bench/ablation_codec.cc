@@ -257,12 +257,11 @@ int main(int argc, char** argv) {
          {"wall_clock.decompress_mbps." + codecs[i], host[i].decompress_mbps}});
   }
 
-  // A representative machine run with the adaptive codec and superblock frame
-  // packing on, so the JSON snapshot carries the ccache.superblock.* counters
-  // (and the auditor's clean bill) alongside the throughput numbers.
+  // A representative machine run with the adaptive codec, so the JSON
+  // snapshot carries the ccache.* counters (and the auditor's clean bill)
+  // alongside the throughput numbers.
   MachineConfig rep_config = MachineConfig::WithCompressionCache(kUserMemory);
   rep_config.codec = "adaptive";
-  rep_config.superblock_packing = true;
   Machine rep(rep_config);
   ThrasherOptions rep_options;
   rep_options.address_space_bytes = 2 * kUserMemory;

@@ -8,9 +8,6 @@
 //   --quick          smaller workloads for CI smoke runs
 //   --faults=<rate>  per-attempt transient disk error probability for the
 //                    fault-injected half of the matrix (default 0.02)
-//   --superblock     enable superblock frame packing across the whole grid,
-//                    so the packing-specific audits (alignment, quantization,
-//                    per-frame entry bounds) soak alongside the classic ones
 //   --pipeline       enable async pipelining (write-behind depth 4, prefetch,
 //                    fault batching) across the grid, so the in-flight-page
 //                    and prefetch-buffer conservation audits soak too
@@ -63,7 +60,6 @@ SoakResult Finish(Machine& machine, bool snapshot_metrics) {
 }
 
 struct SoakMode {
-  bool superblock = false;
   bool pipeline = false;
   bool tiers = false;
 };
@@ -72,7 +68,6 @@ MachineConfig MakeConfig(CompressedSwapKind kind, double fault_rate, SoakMode mo
   MachineConfig config = MachineConfig::WithCompressionCache(kUserMemory);
   config.compressed_swap = kind;
   config.audit_interval = kAuditInterval;
-  config.superblock_packing = mode.superblock;
   if (mode.pipeline) {
     config.pipeline.enabled = true;
     config.pipeline.write_behind_depth = 4;
@@ -158,8 +153,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--superblock") == 0) {
-      mode.superblock = true;
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       mode.pipeline = true;
     } else if (std::strcmp(argv[i], "--tiers") == 0) {
@@ -186,14 +179,12 @@ int main(int argc, char** argv) {
   report.Config("audit_interval", uint64_t{kAuditInterval});
   report.Config("fault_rate", fault_rate);
   report.Config("quick", quick);
-  report.Config("superblock_packing", mode.superblock);
   report.Config("pipeline", mode.pipeline);
   report.Config("tiers", mode.tiers);
 
   std::printf("audit soak: %zu workloads x %zu backends x {clean, faults=%g}, "
-              "audit every %zu faults%s%s%s\n\n",
+              "audit every %zu faults%s%s\n\n",
               workloads.size(), backends.size(), fault_rate, kAuditInterval,
-              mode.superblock ? ", superblock packing ON" : "",
               mode.pipeline ? ", pipelining ON" : "",
               mode.tiers ? ", NVM+SSD tier cascade ON" : "");
   std::printf("%10s %18s %8s %10s %11s  %s\n", "workload", "backend", "faults",

@@ -1,13 +1,12 @@
-// Crash-recovery soak: sweeps crash density x compressed-swap backend x
-// superblock packing. Each cell runs a deterministic eviction-heavy workload,
-// crashes it at evenly spaced power-fail sector ordinals (one machine per
-// crash point), boots a recovered machine over each surviving image, and
-// checks the result three ways: the cross-subsystem invariant audit must be
-// clean, every recovered page must read back as bytes the workload actually
-// wrote (or zeros with the segment aborted — the lost ladder), and the
-// recovery.* accounting must cover every touched page exactly once. Any
-// violation or content mismatch fails the process, so CI treats crash-
-// consistency drift as a hard error.
+// Crash-recovery soak: sweeps crash density x compressed-swap backend. Each
+// cell runs a deterministic eviction-heavy workload, crashes it at evenly
+// spaced power-fail sector ordinals (one machine per crash point), boots a
+// recovered machine over each surviving image, and checks the result three
+// ways: the cross-subsystem invariant audit must be clean, every recovered page
+// must read back as bytes the workload actually wrote (or zeros with the
+// segment aborted — the lost ladder), and the recovery.* accounting must cover
+// every touched page exactly once. Any violation or content mismatch fails the
+// process, so CI treats crash-consistency drift as a hard error.
 //
 //   --quick       smaller workload and fewer crash points for CI smoke runs
 //   --points=<n>  override the dense grid's crash points per cell
@@ -65,10 +64,9 @@ bool IsAllZero(std::span<const uint8_t> page) {
   return std::all_of(page.begin(), page.end(), [](uint8_t b) { return b == 0; });
 }
 
-MachineConfig MakeConfig(CompressedSwapKind kind, bool superblock) {
+MachineConfig MakeConfig(CompressedSwapKind kind) {
   MachineConfig config = MachineConfig::WithCompressionCache(kUserMemory);
   config.compressed_swap = kind;
-  config.superblock_packing = superblock;
   config.durability.enabled = true;
   config.durability.lfs_checkpoint_interval = 2;
   config.fault_injection.enabled = true;
@@ -89,15 +87,15 @@ void Workload(Machine& machine, Segment* segment, uint32_t num_pages,
   }
 }
 
-CellResult RunCell(CompressedSwapKind kind, bool superblock, uint64_t points,
-                   uint32_t num_pages, bool snapshot) {
+CellResult RunCell(CompressedSwapKind kind, uint64_t points, uint32_t num_pages,
+                   bool snapshot) {
   CellResult cell;
   cell.crash_points = points;
 
   // Dry run: expose the cell's power-fail crash points.
   uint64_t total_sectors = 0;
   {
-    Machine machine(MakeConfig(kind, superblock));
+    Machine machine(MakeConfig(kind));
     Segment* segment = machine.pager().CreateSegment(num_pages);
     std::vector<uint32_t> versions(num_pages, 0);
     Workload(machine, segment, num_pages, &versions);
@@ -111,7 +109,7 @@ CellResult RunCell(CompressedSwapKind kind, bool superblock, uint64_t points,
 
   for (uint64_t i = 0; i < points; ++i) {
     const uint64_t crash_sector = total_sectors * (i + 1) / (points + 1) + 1;
-    MachineConfig config = MakeConfig(kind, superblock);
+    MachineConfig config = MakeConfig(kind);
     config.fault_injection.power_fail_nth_sectors = {crash_sector};
 
     Machine machine(config);
@@ -214,25 +212,20 @@ int main(int argc, char** argv) {
   report.Config("num_pages", uint64_t{num_pages});
   report.Config("quick", quick);
 
-  std::printf("crash soak: %zu backends x {flat, superblock} x %zu crash densities, "
-              "%u-page workload\n\n",
+  std::printf("crash soak: %zu backends x %zu crash densities, %u-page workload\n\n",
               backends.size(), densities.size(), num_pages);
-  std::printf("%18s %11s %7s %8s %10s %6s %9s %7s %11s %10s\n", "backend", "packing",
-              "points", "crashes", "recovered", "lost", "replays", "torn",
-              "mismatches", "violations");
+  std::printf("%18s %7s %8s %10s %6s %9s %7s %11s %10s\n", "backend", "points", "crashes",
+              "recovered", "lost", "replays", "torn", "mismatches", "violations");
 
   std::vector<std::function<CellResult()>> jobs;
   for (const auto& [bname, kind] : backends) {
-    for (const bool superblock : {false, true}) {
-      for (const uint64_t points : densities) {
-        // One representative snapshot: the densest, most stressed cell.
-        const bool snapshot = report.enabled() && bname == backends.back().first &&
-                              superblock && points == densities.back();
-        const auto k = kind;
-        jobs.push_back([k, superblock, points, num_pages, snapshot] {
-          return RunCell(k, superblock, points, num_pages, snapshot);
-        });
-      }
+    for (const uint64_t points : densities) {
+      // One representative snapshot: the densest, most stressed cell.
+      const bool snapshot =
+          report.enabled() && bname == backends.back().first && points == densities.back();
+      const auto k = kind;
+      jobs.push_back(
+          [k, points, num_pages, snapshot] { return RunCell(k, points, num_pages, snapshot); });
     }
   }
   const std::vector<CellResult> results = RunSweep(jobs, SweepThreadsFromArgs(argc, argv));
@@ -245,52 +238,48 @@ int main(int argc, char** argv) {
   size_t job = 0;
   std::string first_violation;
   for (const auto& [bname, kind] : backends) {
-    for (const bool superblock : {false, true}) {
-      for (size_t d = 0; d < densities.size(); ++d) {
-        const CellResult& r = results[job++];
-        total_violations += r.violations;
-        total_mismatches += r.content_mismatches;
-        total_points += r.crash_points;
-        total_crashes += r.crashes;
-        grid.mounts += r.totals.mounts;
-        grid.pages_recovered += r.totals.pages_recovered;
-        grid.pages_lost += r.totals.pages_lost;
-        grid.orphans_discarded += r.totals.orphans_discarded;
-        grid.journal_replays += r.totals.journal_replays;
-        grid.checkpoint_loads += r.totals.checkpoint_loads;
-        grid.torn_writes_detected += r.totals.torn_writes_detected;
-        grid.mount_ns += r.totals.mount_ns;
-        if (first_violation.empty()) {
-          first_violation = r.first_violation;
-        }
-        if (!r.metrics.empty()) {
-          report.MergeMetrics(r.metrics);
-        }
-        std::printf("%18s %11s %7llu %8llu %10llu %6llu %9llu %7llu %11llu %10zu\n",
-                    bname.c_str(), superblock ? "superblock" : "flat",
-                    static_cast<unsigned long long>(r.crash_points),
-                    static_cast<unsigned long long>(r.crashes),
-                    static_cast<unsigned long long>(r.totals.pages_recovered),
-                    static_cast<unsigned long long>(r.totals.pages_lost),
-                    static_cast<unsigned long long>(r.totals.journal_replays),
-                    static_cast<unsigned long long>(r.totals.torn_writes_detected),
-                    static_cast<unsigned long long>(r.content_mismatches),
-                    r.violations);
-        report.AddRow()
-            .Set("backend", bname)
-            .Set("superblock", superblock ? 1 : 0)
-            .Set("crash_points", r.crash_points)
-            .Set("crashes", r.crashes)
-            .Set("pages_recovered", r.totals.pages_recovered)
-            .Set("pages_lost", r.totals.pages_lost)
-            .Set("orphans_discarded", r.totals.orphans_discarded)
-            .Set("journal_replays", r.totals.journal_replays)
-            .Set("checkpoint_loads", r.totals.checkpoint_loads)
-            .Set("torn_writes_detected", r.totals.torn_writes_detected)
-            .Set("mount_ns", r.totals.mount_ns)
-            .Set("content_mismatches", r.content_mismatches)
-            .Set("violations", static_cast<uint64_t>(r.violations));
+    for (size_t d = 0; d < densities.size(); ++d) {
+      const CellResult& r = results[job++];
+      total_violations += r.violations;
+      total_mismatches += r.content_mismatches;
+      total_points += r.crash_points;
+      total_crashes += r.crashes;
+      grid.mounts += r.totals.mounts;
+      grid.pages_recovered += r.totals.pages_recovered;
+      grid.pages_lost += r.totals.pages_lost;
+      grid.orphans_discarded += r.totals.orphans_discarded;
+      grid.journal_replays += r.totals.journal_replays;
+      grid.checkpoint_loads += r.totals.checkpoint_loads;
+      grid.torn_writes_detected += r.totals.torn_writes_detected;
+      grid.mount_ns += r.totals.mount_ns;
+      if (first_violation.empty()) {
+        first_violation = r.first_violation;
       }
+      if (!r.metrics.empty()) {
+        report.MergeMetrics(r.metrics);
+      }
+      std::printf("%18s %7llu %8llu %10llu %6llu %9llu %7llu %11llu %10zu\n", bname.c_str(),
+                  static_cast<unsigned long long>(r.crash_points),
+                  static_cast<unsigned long long>(r.crashes),
+                  static_cast<unsigned long long>(r.totals.pages_recovered),
+                  static_cast<unsigned long long>(r.totals.pages_lost),
+                  static_cast<unsigned long long>(r.totals.journal_replays),
+                  static_cast<unsigned long long>(r.totals.torn_writes_detected),
+                  static_cast<unsigned long long>(r.content_mismatches),
+                  r.violations);
+      report.AddRow()
+          .Set("backend", bname)
+          .Set("crash_points", r.crash_points)
+          .Set("crashes", r.crashes)
+          .Set("pages_recovered", r.totals.pages_recovered)
+          .Set("pages_lost", r.totals.pages_lost)
+          .Set("orphans_discarded", r.totals.orphans_discarded)
+          .Set("journal_replays", r.totals.journal_replays)
+          .Set("checkpoint_loads", r.totals.checkpoint_loads)
+          .Set("torn_writes_detected", r.totals.torn_writes_detected)
+          .Set("mount_ns", r.totals.mount_ns)
+          .Set("content_mismatches", r.content_mismatches)
+          .Set("violations", static_cast<uint64_t>(r.violations));
     }
   }
 

@@ -163,16 +163,7 @@ void CompressionCache::AppendEntry(PageKey key, std::span<const uint8_t> payload
                                    uint32_t original_size, bool dirty, bool zero_page) {
   CC_EXPECTS(!Contains(key));
   CC_EXPECTS(!zero_page || payload.empty());
-  const uint64_t body = kEntryHeaderBytes + payload.size();
-  uint32_t slack = 0;
-  if (options_.superblock_packing) {
-    // Round the footprint up to the sub-block quantum: every entry then starts
-    // on a sub-block boundary (the chain is contiguous and starts at zero), so
-    // a frame holds at most kPageSize / kSubBlockBytes = 4 compressed pages.
-    const uint64_t quantized = (body + kSubBlockBytes - 1) / kSubBlockBytes * kSubBlockBytes;
-    slack = static_cast<uint32_t>(quantized - body);
-  }
-  const uint64_t need = body + slack;
+  const uint64_t need = kEntryHeaderBytes + payload.size();
   const uint64_t capacity = static_cast<uint64_t>(options_.max_slots) * kPageSize;
   const uint64_t effective_capacity = capacity - kPageSize;  // head/tail anti-alias slack
   CC_EXPECTS(need <= effective_capacity);
@@ -199,23 +190,12 @@ void CompressionCache::AppendEntry(PageKey key, std::span<const uint8_t> payload
   e.header_off = tail_off_;
   e.payload_size = static_cast<uint32_t>(payload.size());
   e.original_size = original_size;
-  e.slack = slack;
   e.zero_page = zero_page;
   e.dirty = dirty;
   e.valid = true;
   e.age_ns = static_cast<uint64_t>(clock_->Now().nanos());
 
-  if (options_.superblock_packing) {
-    stats_.superblock_pad_bytes += slack;
-    // Joining a frame some earlier entry already occupies = a packed insert.
-    // (The anti-alias slack guarantees the tail slot never still holds bytes
-    // from a previous lap of the ring, so any live bytes here are this lap's.)
-    if (tail_off_ % kPageSize != 0 && live_bytes_[SlotOf(tail_off_)] > 0) {
-      ++stats_.superblock_packed_inserts;
-    }
-  }
-
-  if (options_.checksums && !payload.empty()) {
+  if (!payload.empty()) {
     // The paper's 36-byte per-page header carries the payload CRC-32C in its
     // first word; the Entry keeps a copy so verification needs no header read.
     e.checksum = Crc32(payload);
@@ -263,16 +243,6 @@ void CompressionCache::BindMetrics(MetricRegistry* registry) {
   gauge("ccache.checksum_mismatches", &CcacheStats::checksum_mismatches);
   gauge("ccache.entries_lost", &CcacheStats::entries_lost);
   gauge("ccache.write_batch_failures", &CcacheStats::write_batch_failures);
-  // Registered whether or not packing is enabled, so metric snapshots have a
-  // stable shape; all read zero with packing off.
-  gauge("ccache.superblock.packed_inserts", &CcacheStats::superblock_packed_inserts);
-  gauge("ccache.superblock.pad_bytes", &CcacheStats::superblock_pad_bytes);
-  gauge("ccache.superblock.overwrites_inplace", &CcacheStats::superblock_overwrites_inplace);
-  gauge("ccache.superblock.overwrite_appends", &CcacheStats::superblock_overwrite_appends);
-  gauge("ccache.superblock.overwrite_evictions",
-        &CcacheStats::superblock_overwrite_evictions);
-  registry->RegisterGauge("ccache.superblock.frames_shared",
-                          [this] { return static_cast<double>(SharedFrames()); });
   registry->RegisterGauge("ccache.frames_mapped",
                           [this] { return static_cast<double>(mapped_count_); });
   registry->RegisterGauge("ccache.live_entries",
@@ -382,11 +352,7 @@ CompressionCache::CompressOutcome CompressionCache::CompressPage(
 
 void CompressionCache::InsertCompressed(PageKey key, std::span<const uint8_t> compressed,
                                         uint32_t original_size, bool dirty, bool zero_page) {
-  if (options_.superblock_packing && Contains(key)) {
-    OverwriteCompressed(key, compressed, original_size, dirty, zero_page);
-  } else {
-    AppendEntry(key, compressed, original_size, dirty, zero_page);
-  }
+  AppendEntry(key, compressed, original_size, dirty, zero_page);
   ++stats_.pages_kept;
   stats_.original_bytes_kept += original_size;
   stats_.compressed_bytes_kept += compressed.size();
@@ -434,166 +400,6 @@ void CompressionCache::InsertCompressedClean(PageKey key, std::span<const uint8_
   }
 }
 
-void CompressionCache::EvictCoResidents(uint64_t lo, uint64_t hi, PageKey keep) {
-  // Widen [lo, hi) to whole frames, clamped to the occupied ring range.
-  const uint64_t frame_lo = std::max(lo / kPageSize * kPageSize, head_off_);
-  const uint64_t frame_hi = std::min(((hi - 1) / kPageSize + 1) * kPageSize, tail_off_);
-
-  // First pass: one clustered write of every dirty victim, exactly like head
-  // reclamation — a dirty page must reach the backing store before it can be
-  // evicted from memory.
-  std::vector<SwapPageImage> batch;
-  for (const Entry& e : entries_) {
-    if (e.end_off() <= frame_lo) {
-      continue;
-    }
-    if (e.header_off >= frame_hi) {
-      break;
-    }
-    if (e.valid && e.dirty && !(e.key == keep)) {
-      SwapPageImage img;
-      img.key = e.key;
-      img.is_compressed = true;
-      img.original_size = e.original_size;
-      if (e.zero_page) {
-        img.bytes.assign(1, kContainerZeroPage);
-        img.checksum = Crc32(img.bytes);
-      } else {
-        img.checksum = e.checksum;
-        img.bytes.resize(e.payload_size);
-        CopyOut(e.payload_off(), img.bytes);
-      }
-      batch.push_back(std::move(img));
-    }
-  }
-  if (!batch.empty()) {
-    uint64_t staged = 0;
-    for (const SwapPageImage& img : batch) {
-      staged += img.bytes.size();
-    }
-    clock_->Advance(costs_->CopyCost(staged), TimeCategory::kCopy);
-    const IoStatus write_status = swap_->WriteBatch(batch);
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), staged, batch.size());
-    }
-    if (write_status != IoStatus::kOk) {
-      // Same discipline as ReclaimHeadFrame: discard any partially persisted
-      // locations, keep the entries dirty, and let the drop pass report them
-      // lost.
-      for (const SwapPageImage& img : batch) {
-        swap_->Invalidate(img.key);
-      }
-      ++stats_.write_batch_failures;
-    } else {
-      for (const SwapPageImage& img : batch) {
-        Entry* e = Find(img.key);
-        CC_ASSERT(e != nullptr);
-        e->dirty = false;
-        ++stats_.entries_cleaned;
-        if (tracer_ != nullptr) {
-          tracer_->Record(TraceEventKind::kCcacheEntryCleaned, clock_->Now(), img.key);
-        }
-        events_->OnEntryCleaned(img.key);
-      }
-    }
-  }
-
-  // Second pass: evict. The footprints stay in the ring as invalid husks (head
-  // reclamation pops them later), so the chain stays contiguous.
-  for (Entry& e : entries_) {
-    if (e.end_off() <= frame_lo) {
-      continue;
-    }
-    if (e.header_off >= frame_hi) {
-      break;
-    }
-    if (!e.valid || e.key == keep) {
-      continue;
-    }
-    e.valid = false;
-    index_.erase(e.key);
-    AddLiveBytes(e.header_off, e.end_off(), -1);
-    ++stats_.superblock_overwrite_evictions;
-    if (e.dirty) {
-      ++stats_.entries_lost;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kPageLost, clock_->Now(), e.key);
-      }
-      events_->OnEntryLost(e.key);
-    } else {
-      ++stats_.entries_dropped;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kCcacheEntryDropped, clock_->Now(), e.key);
-      }
-      events_->OnEntryDropped(e.key);
-    }
-  }
-}
-
-void CompressionCache::OverwriteCompressed(PageKey key, std::span<const uint8_t> compressed,
-                                           uint32_t original_size, bool dirty, bool zero_page) {
-  Entry* e = Find(key);
-  CC_EXPECTS(e != nullptr);
-  // The backing-store layouts store at most one page per image, so an image
-  // that did not beat raw storage (e.g. a codec's n+1 raw fallback) must not
-  // enter the ring — the caller keeps such pages uncompressed instead.
-  CC_EXPECTS(compressed.size() <= kPageSize);
-  // Normalize a zero-page marker image exactly as the insert paths do.
-  if (!zero_page && IsZeroPageMarker(compressed)) {
-    zero_page = true;
-  }
-  const std::span<const uint8_t> payload =
-      zero_page ? std::span<const uint8_t>{} : compressed;
-  const uint64_t footprint = e->end_off() - e->header_off;
-  const uint64_t body = kEntryHeaderBytes + payload.size();
-
-  if (dirty) {
-    // The new contents supersede whatever the backing store holds for this key.
-    swap_->Invalidate(key);
-  }
-
-  if (body <= footprint) {
-    // The new image still fits the entry's reserved class: rewrite in place.
-    // The footprint is unchanged (slack absorbs any shrink), so neither the
-    // chain nor the per-slot live-byte accounting moves.
-    clock_->Advance(costs_->CopyCost(payload.size()), TimeCategory::kCopy);
-    e->payload_size = static_cast<uint32_t>(payload.size());
-    e->slack = static_cast<uint32_t>(footprint - body);
-    e->original_size = original_size;
-    e->zero_page = zero_page;
-    e->dirty = dirty;
-    e->checksum = 0;
-    if (options_.checksums && !payload.empty()) {
-      e->checksum = Crc32(payload);
-      const uint8_t hdr[4] = {static_cast<uint8_t>(e->checksum),
-                              static_cast<uint8_t>(e->checksum >> 8),
-                              static_cast<uint8_t>(e->checksum >> 16),
-                              static_cast<uint8_t>(e->checksum >> 24)};
-      CopyIn(e->header_off, hdr);
-    }
-    CopyIn(e->payload_off(), payload);
-    e->age_ns = static_cast<uint64_t>(clock_->Now().nanos());
-    ++stats_.superblock_overwrites_inplace;
-    return;
-  }
-
-  // The image outgrew its class (the Sniper CompressCacheSet case): evict the
-  // co-resident pages of the entry's frames, retire the old entry, and append
-  // the new image at the tail.
-  EvictCoResidents(e->header_off, e->end_off(), key);
-  e = Find(key);  // the deque did not move, but re-find for clarity/safety
-  CC_ASSERT(e != nullptr);
-  e->valid = false;
-  index_.erase(key);
-  AddLiveBytes(e->header_off, e->end_off(), -1);
-  ++stats_.invalidations;
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventKind::kCcacheInvalidate, clock_->Now(), key);
-  }
-  ++stats_.superblock_overwrite_appends;
-  AppendEntry(key, payload, original_size, dirty, zero_page);
-}
-
 CcacheFaultResult CompressionCache::FaultIn(PageKey key, std::span<uint8_t> out) {
   Entry* e = Find(key);
   if (e == nullptr) {
@@ -619,19 +425,17 @@ CcacheFaultResult CompressionCache::FaultIn(PageKey key, std::span<uint8_t> out)
     const uint64_t bit = injector_->Draw(FaultSite::kCodecCorruption, buf.size() * 8);
     buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   }
-  if (options_.verify_on_fault_in && e->checksum != 0) {
-    const uint32_t computed = Crc32(buf);
-    if (computed != e->checksum) {
-      ++stats_.checksum_mismatches;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kChecksumMismatch, clock_->Now(), key, e->checksum,
-                        computed);
-      }
-      return CcacheFaultResult::kCorrupt;
+  const uint32_t computed = Crc32(buf);
+  if (computed != e->checksum) {
+    ++stats_.checksum_mismatches;
+    if (tracer_ != nullptr) {
+      tracer_->Record(TraceEventKind::kChecksumMismatch, clock_->Now(), key, e->checksum,
+                      computed);
     }
+    return CcacheFaultResult::kCorrupt;
   }
   if (!codec_->TryDecompress(buf, out)) {
-    // Malformed stream that still passed (or skipped) the checksum.
+    // Malformed stream that still passed the checksum.
     ++stats_.checksum_mismatches;
     if (tracer_ != nullptr) {
       tracer_->Record(TraceEventKind::kChecksumMismatch, clock_->Now(), key, e->checksum, 0);
@@ -677,7 +481,7 @@ std::optional<uint32_t> CompressionCache::PrefetchIn(PageKey key, std::span<uint
   CC_ASSERT(e->payload_size > 0 && e->payload_size <= frame.size());
   const std::span<uint8_t> image = frame.first(e->payload_size);
   CopyOut(e->payload_off(), image);
-  if (options_.verify_on_fault_in && e->checksum != 0 && Crc32(image) != e->checksum) {
+  if (Crc32(image) != e->checksum) {
     return std::nullopt;
   }
   *cost += costs_->DecompressCost(frame.size());
@@ -703,29 +507,6 @@ void CompressionCache::Invalidate(PageKey key) {
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kCcacheInvalidate, clock_->Now(), key);
   }
-}
-
-size_t CompressionCache::SharedFrames() const {
-  // Entries are ordered by offset, so the frames they touch appear
-  // monotonically; count frames overlapped by two or more valid entries.
-  size_t shared = 0;
-  uint64_t frame = UINT64_MAX;
-  size_t overlapping = 0;
-  for (const Entry& e : entries_) {
-    if (!e.valid) {
-      continue;
-    }
-    for (uint64_t f = e.header_off / kPageSize; f <= (e.end_off() - 1) / kPageSize; ++f) {
-      if (f != frame) {
-        shared += overlapping >= 2;
-        frame = f;
-        overlapping = 0;
-      }
-      ++overlapping;
-    }
-  }
-  shared += overlapping >= 2;
-  return shared;
 }
 
 uint64_t CompressionCache::OldestAge() const {
@@ -770,63 +551,19 @@ void CompressionCache::ReclaimHeadFrame() {
 
   // First pass: write out, in one clustered batch, every dirty entry that overlaps
   // the head slot (they must reach the backing store before their frame dies).
+  // A failed write leaves them dirty, and the drop pass below reports them lost
+  // — reclamation must still make progress.
   std::vector<SwapPageImage> batch;
   for (const Entry& e : entries_) {
     if (e.header_off >= slot_end) {
       break;
     }
     if (e.valid && e.dirty) {
-      SwapPageImage img;
-      img.key = e.key;
-      img.is_compressed = true;
-      img.original_size = e.original_size;
-      if (e.zero_page) {
-        // Zero entries have no ring payload; the backing store gets a one-byte
-        // marker image (backends require non-empty bytes).
-        img.bytes.assign(1, kContainerZeroPage);
-        img.checksum = Crc32(img.bytes);
-      } else {
-        img.checksum = e.checksum;
-        img.bytes.resize(e.payload_size);
-        CopyOut(e.payload_off(), img.bytes);
-      }
-      batch.push_back(std::move(img));
+      batch.push_back(ImageOf(e));
     }
   }
   if (!batch.empty()) {
-    uint64_t staged = 0;
-    for (const SwapPageImage& img : batch) {
-      staged += img.bytes.size();
-    }
-    clock_->Advance(costs_->CopyCost(staged), TimeCategory::kCopy);
-    const IoStatus write_status = swap_->WriteBatch(batch);
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), staged, batch.size());
-    }
-    if (write_status != IoStatus::kOk) {
-      // Retries were already exhausted below; which images persisted is backend-
-      // dependent, so conservatively keep them all dirty. The drop pass below
-      // then reports them lost — reclamation must still make progress. The
-      // backend may have persisted a prefix of the batch, though: those partial
-      // locations must be discarded, or the backend claims pages the page
-      // tables disclaim (and, for the clustered/LFS layouts, holds their blocks
-      // forever — a leak the auditor's orphan check turns into a hard failure).
-      for (const SwapPageImage& img : batch) {
-        swap_->Invalidate(img.key);
-      }
-      ++stats_.write_batch_failures;
-    } else {
-      for (const SwapPageImage& img : batch) {
-        Entry* e = Find(img.key);
-        CC_ASSERT(e != nullptr);
-        e->dirty = false;
-        ++stats_.entries_cleaned;
-        if (tracer_ != nullptr) {
-          tracer_->Record(TraceEventKind::kCcacheEntryCleaned, clock_->Now(), img.key);
-        }
-        events_->OnEntryCleaned(img.key);
-      }
-    }
+    SubmitBatch(batch);
   }
 
   // Second pass: drop every entry overlapping the head slot. Entries are laid out
@@ -896,45 +633,40 @@ bool CompressionCache::ReleaseOldest() {
   return true;
 }
 
-bool CompressionCache::WriteOldestDirtyBatch() {
-  std::vector<SwapPageImage> batch;
-  uint64_t payload = 0;
-  for (const Entry& e : entries_) {
-    if (!e.valid || !e.dirty) {
-      continue;
-    }
-    SwapPageImage img;
-    img.key = e.key;
-    img.is_compressed = true;
-    img.original_size = e.original_size;
-    if (e.zero_page) {
-      img.bytes.assign(1, kContainerZeroPage);
-      img.checksum = Crc32(img.bytes);
-    } else {
-      img.checksum = e.checksum;
-      img.bytes.resize(e.payload_size);
-      CopyOut(e.payload_off(), img.bytes);
-    }
-    payload += img.bytes.size();
-    batch.push_back(std::move(img));
-    if (payload >= options_.write_batch_bytes) {
-      break;
-    }
+SwapPageImage CompressionCache::ImageOf(const Entry& e) const {
+  SwapPageImage img;
+  img.key = e.key;
+  img.is_compressed = true;
+  img.original_size = e.original_size;
+  if (e.zero_page) {
+    img.bytes.assign(1, kContainerZeroPage);
+    img.checksum = Crc32(img.bytes);
+  } else {
+    img.checksum = e.checksum;
+    img.bytes.resize(e.payload_size);
+    CopyOut(e.payload_off(), img.bytes);
   }
-  if (batch.empty()) {
-    return false;
+  return img;
+}
+
+bool CompressionCache::SubmitBatch(std::span<const SwapPageImage> batch) {
+  CC_EXPECTS(!batch.empty());
+  uint64_t staged = 0;
+  for (const SwapPageImage& img : batch) {
+    staged += img.bytes.size();
   }
-  clock_->Advance(costs_->CopyCost(payload), TimeCategory::kCopy);
+  clock_->Advance(costs_->CopyCost(staged), TimeCategory::kCopy);
   const IoStatus write_status = swap_->WriteBatch(batch);
   if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), payload, batch.size());
+    tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), staged, batch.size());
   }
   if (write_status != IoStatus::kOk) {
-    // Entries stay dirty; the cleaner (and FlushDirty) will stop rather than
-    // spin, and ReclaimHeadFrame handles the terminal case. Partially persisted
-    // images are discarded from the backend (see ReclaimHeadFrame): the entries
-    // are still dirty, so claiming a backing copy would be a lie — and the
-    // stranded blocks would never return to the free pool.
+    // Retries were already exhausted below; which images persisted is backend-
+    // dependent, so conservatively keep every entry dirty. The backend may have
+    // persisted a prefix of the batch, though: those partial locations must be
+    // discarded, or the backend claims pages the page tables disclaim (and, for
+    // the clustered/LFS layouts, holds their blocks forever — a leak the
+    // auditor's orphan check turns into a hard failure).
     for (const SwapPageImage& img : batch) {
       swap_->Invalidate(img.key);
     }
@@ -952,6 +684,24 @@ bool CompressionCache::WriteOldestDirtyBatch() {
     events_->OnEntryCleaned(img.key);
   }
   return true;
+}
+
+bool CompressionCache::WriteOldestDirtyBatch() {
+  std::vector<SwapPageImage> batch;
+  uint64_t payload = 0;
+  for (const Entry& e : entries_) {
+    if (!e.valid || !e.dirty) {
+      continue;
+    }
+    batch.push_back(ImageOf(e));
+    payload += batch.back().bytes.size();
+    if (payload >= options_.write_batch_bytes) {
+      break;
+    }
+  }
+  // A failed write leaves the entries dirty; the cleaner (and FlushDirty) then
+  // stop rather than spin, and ReclaimHeadFrame handles the terminal case.
+  return !batch.empty() && SubmitBatch(batch);
 }
 
 size_t CompressionCache::CleanPrefixFrames() const {
@@ -983,7 +733,7 @@ bool CompressionCache::CleanPrefixReaches(size_t target) const {
 }
 
 size_t CompressionCache::CleanTarget() const {
-  return std::max(options_.clean_frames_target, mapped_count_ / 8);
+  return std::max(kCleanFramesTarget, mapped_count_ / 8);
 }
 
 void CompressionCache::RunCleaner(size_t pool_free_frames) {
@@ -1053,12 +803,18 @@ void CompressionCache::AliasIndexKeyForTest(PageKey existing, PageKey alias) {
   index_[alias] = it->second;  // two keys now map to one entry
 }
 
-void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
+void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) const {
   CC_EXPECTS(auditor != nullptr);
-  // Ring occupancy: the entry chain is contiguous from head to tail (so the sum
-  // of entry footprints equals the used-bytes gauge by construction), and the
-  // per-slot live-byte accounting matches a recount over valid entries.
+  // Ring occupancy: [head, tail] fits the ring less its anti-alias page, the
+  // entry chain is contiguous from head to tail (so the sum of entry
+  // footprints equals the used-bytes gauge by construction), and the per-slot
+  // live-byte accounting matches a recount over valid entries.
   auditor->Register("ccache", "occupancy", [this]() -> std::optional<std::string> {
+    const uint64_t capacity = static_cast<uint64_t>(options_.max_slots) * kPageSize;
+    if (tail_off_ < head_off_ || tail_off_ - head_off_ > capacity - kPageSize) {
+      return "ring spans [" + std::to_string(head_off_) + ", " + std::to_string(tail_off_) +
+             "), beyond its " + std::to_string(capacity - kPageSize) + "-byte capacity";
+    }
     uint64_t expected_off = head_off_;
     for (const Entry& e : entries_) {
       if (e.header_off != expected_off) {
@@ -1109,38 +865,6 @@ void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
     }
     return std::nullopt;
   });
-  // Superblock packing: with packing on, every entry footprint is sub-block
-  // aligned and quantized, and no physical frame is overlapped by more than
-  // kPageSize / kSubBlockBytes = 4 entries — the property that makes frame
-  // conservation with co-resident pages exact (live_bytes recounts above
-  // already include quantization slack, so a shared frame's occupancy sums the
-  // full reserved footprints of its co-residents).
-  auditor->Register("ccache", "superblock-packing", [this]() -> std::optional<std::string> {
-    if (!options_.superblock_packing) {
-      return std::nullopt;
-    }
-    constexpr size_t kMaxPerFrame = kPageSize / kSubBlockBytes;
-    uint64_t frame = UINT64_MAX;
-    size_t overlapping = 0;
-    for (const Entry& e : entries_) {
-      const uint64_t footprint = e.end_off() - e.header_off;
-      if (e.header_off % kSubBlockBytes != 0 || footprint % kSubBlockBytes != 0) {
-        return "entry at offset " + std::to_string(e.header_off) + " with footprint " +
-               std::to_string(footprint) + " is not sub-block quantized";
-      }
-      for (uint64_t f = e.header_off / kPageSize; f <= (e.end_off() - 1) / kPageSize; ++f) {
-        if (f != frame) {
-          frame = f;
-          overlapping = 0;
-        }
-        if (++overlapping > kMaxPerFrame) {
-          return "frame " + std::to_string(f) + " is overlapped by more than " +
-                 std::to_string(kMaxPerFrame) + " entries";
-        }
-      }
-    }
-    return std::nullopt;
-  });
   // Cleaner verdict: the early-exit walk RunCleaner uses agrees with a full
   // CleanPrefixFrames() scan at the live clean target, and at the targets on
   // either side of the prefix's true length.
@@ -1187,57 +911,9 @@ void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
 }
 
 void CompressionCache::CheckInvariants() const {
-  const uint64_t capacity = static_cast<uint64_t>(options_.max_slots) * kPageSize;
-  CC_ASSERT(tail_off_ >= head_off_);
-  CC_ASSERT(tail_off_ - head_off_ <= capacity - kPageSize);
-
-  // Entries are contiguous from head to tail.
-  uint64_t expected = head_off_;
-  size_t valid_count = 0;
-  for (const Entry& e : entries_) {
-    CC_ASSERT(e.header_off == expected);
-    expected = e.end_off();
-    if (options_.superblock_packing) {
-      CC_ASSERT(e.header_off % kSubBlockBytes == 0);
-      CC_ASSERT((e.end_off() - e.header_off) % kSubBlockBytes == 0);
-    }
-    if (e.valid) {
-      ++valid_count;
-      const auto it = index_.find(e.key);
-      CC_ASSERT(it != index_.end());
-      CC_ASSERT(entries_[static_cast<size_t>(it->second - base_seq_)].key == e.key);
-    }
-  }
-  CC_ASSERT(expected == tail_off_);
-  CC_ASSERT(valid_count == index_.size());
-
-  // Recompute per-slot live bytes from valid entries and check the accounting,
-  // that every slot holding valid bytes is mapped, and the dead-slot set.
-  std::vector<uint64_t> expected_live(options_.max_slots, 0);
-  for (const Entry& e : entries_) {
-    if (!e.valid) {
-      continue;
-    }
-    for (uint64_t ls = e.header_off / kPageSize; ls <= (e.end_off() - 1) / kPageSize; ++ls) {
-      const uint64_t lo = std::max(e.header_off, ls * kPageSize);
-      const uint64_t hi = std::min(e.end_off(), (ls + 1) * kPageSize);
-      expected_live[static_cast<size_t>(ls % options_.max_slots)] += hi - lo;
-    }
-  }
-  size_t mapped = 0;
-  for (size_t slot = 0; slot < slots_.size(); ++slot) {
-    CC_ASSERT(live_bytes_[slot] == expected_live[slot]);
-    if (live_bytes_[slot] > 0) {
-      CC_ASSERT(slots_[slot].valid());
-    }
-    if (slots_[slot].valid()) {
-      ++mapped;
-      CC_ASSERT((live_bytes_[slot] == 0) == dead_slots_.contains(slot));
-    } else {
-      CC_ASSERT(!dead_slots_.contains(slot));
-    }
-  }
-  CC_ASSERT(mapped == mapped_count_);
+  InvariantAuditor auditor;
+  RegisterAuditChecks(&auditor);
+  auditor.RunAll();
 }
 
 }  // namespace compcache

@@ -8,7 +8,8 @@
 //   * pages are "compressed directly into the first unused region within the
 //     compression cache, following the last page that had been added";
 //   * "before each page there is a small header" — we reserve the paper's 36 bytes
-//     per compressed page in the ring layout;
+//     per compressed page in the ring layout; its first word holds the payload's
+//     CRC-32C, verified on every fault-in;
 //   * frames are clean / dirty / free / new; a cleaner "writes out the oldest
 //     dirty data ... to keep a pool of physical pages clean and ready for
 //     reclamation", at a rate that is "a function of the number of completely free
@@ -91,26 +92,9 @@ struct CcacheOptions {
   uint32_t write_batch_bytes = kSwapWriteBatch;
 
   // Cleaner rate policy: write a batch when the machine's free-frame pool is below
-  // `pool_free_target` frames and fewer than `clean_frames_target` frames at the
-  // head of the ring are clean/reclaimable.
+  // `pool_free_target` frames and fewer than CompressionCache::CleanTarget()
+  // frames at the head of the ring are clean/reclaimable.
   size_t pool_free_target = 16;
-  size_t clean_frames_target = 8;
-
-  // End-to-end integrity: record a CRC-32C of each compressed payload in the
-  // entry's 36-byte ring header and re-verify it on every fault-in.
-  bool checksums = true;
-  bool verify_on_fault_in = true;
-
-  // Superblock frame packing (after Touché / the Sniper CompressCacheSet
-  // organization): entry footprints are rounded up to the sub-block quantum
-  // (kPageSize / 4), so every entry starts on a sub-block boundary and at most
-  // 4 compressed pages ever share one physical frame. The padding trades ring
-  // bytes for the fixed-compression-factor property the hardware schemes
-  // depend on: an entry's reserved footprint is one of exactly four sizes, so
-  // a recompressed page that still fits its class is rewritten in place, and
-  // one that grew out of its class evicts the (up to 4) co-resident pages of
-  // its frames — see OverwriteCompressed.
-  bool superblock_packing = false;
 };
 
 struct CcacheStats {
@@ -134,12 +118,6 @@ struct CcacheStats {
   uint64_t checksum_mismatches = 0;    // fault-ins whose payload failed its CRC
   uint64_t entries_lost = 0;           // dirty entries reclaimed after write failure
   uint64_t write_batch_failures = 0;   // WriteBatch calls that did not fully succeed
-  // Superblock packing (all zero unless CcacheOptions::superblock_packing):
-  uint64_t superblock_packed_inserts = 0;      // appends that joined a partly used frame
-  uint64_t superblock_pad_bytes = 0;           // quantization slack added at append
-  uint64_t superblock_overwrites_inplace = 0;  // overwrites that fit the reserved class
-  uint64_t superblock_overwrite_appends = 0;   // overwrites that outgrew it (re-append)
-  uint64_t superblock_overwrite_evictions = 0; // co-residents evicted by those overwrites
   RunningStats kept_ratio_pct;  // compressed/original * 100 for kept pages
 };
 
@@ -181,22 +159,9 @@ class CompressionCache {
     std::span<const uint8_t> bytes;  // compressed image; valid until the Scope closes
   };
   CompressOutcome CompressPage(std::span<const uint8_t> page);
-  // With superblock packing enabled, inserting a key that is already cached
-  // routes to OverwriteCompressed (the Sniper overwrite semantics); otherwise
-  // the key must be absent.
+  // Appends the image at the tail of the ring; the key must be absent.
   void InsertCompressed(PageKey key, std::span<const uint8_t> compressed,
                         uint32_t original_size, bool dirty, bool zero_page = false);
-
-  // Replaces the compressed image of a key already in the cache. When the new
-  // image still fits the entry's reserved footprint (its superblock class) it
-  // is rewritten in place; when it has grown — e.g. the page's new contents
-  // turned incompressible — every co-resident page sharing the entry's frames
-  // is evicted first (dirty ones are written out in one clustered batch, up to
-  // 4 evictions per Sniper's CompressCacheSet), and the new image is appended
-  // fresh at the tail. A dirty overwrite invalidates any stale backing-store
-  // copy of the key.
-  void OverwriteCompressed(PageKey key, std::span<const uint8_t> compressed,
-                           uint32_t original_size, bool dirty, bool zero_page = false);
 
   // Inserts an already-compressed image read from the backing store, as a clean
   // entry. No compression charge (the bits are already compressed). A one-byte
@@ -266,9 +231,6 @@ class CompressionCache {
 
   size_t mapped_frames() const { return mapped_count_; }
   size_t live_entries() const { return index_.size(); }
-  // Frames currently overlapped by two or more live entries (0 with packing
-  // off and typical page-sized footprints).
-  size_t SharedFrames() const;
   uint64_t used_bytes() const { return tail_off_ - head_off_; }
   const CcacheStats& stats() const { return stats_; }
   const CcacheOptions& options() const { return options_; }
@@ -278,12 +240,13 @@ class CompressionCache {
   // peak re-baselines to the current mapping so it stays meaningful.
   void ResetStats();
 
-  // Invariants: ring occupancy — the contiguous entry chain spans exactly
-  // [head, tail] and per-slot live-byte accounting matches a recount — the
+  // Invariants: ring occupancy — [head, tail] fits the ring's capacity less
+  // its one-page anti-alias slack, the contiguous entry chain spans exactly
+  // [head, tail], and per-slot live-byte accounting matches a recount — the
   // cleaner's early-exit verdict against a full prefix scan, plus index
   // coherence: every index key maps to exactly the valid entry bearing that
   // key (no double-maps), and valid entries == index size.
-  void RegisterAuditChecks(InvariantAuditor* auditor);
+  void RegisterAuditChecks(InvariantAuditor* auditor) const;
 
   // --- observability ---
   // Publishes every CcacheStats counter as a "ccache.*" gauge plus the
@@ -309,12 +272,8 @@ class CompressionCache {
   // The paper's per-compressed-page header size (section 4.4).
   static constexpr uint32_t kEntryHeaderBytes = 36;
 
-  // Superblock quantum: footprints round up to this, giving the four fixed
-  // entry classes (1, 2, 3, or 4 sub-blocks) of a 4-pages-per-frame layout.
-  static constexpr uint32_t kSubBlockBytes = kPageSize / 4;
-
-  // Validates internal invariants (entries contiguous, index consistent, slot
-  // mapping covers live bytes). Test hook; aborts on violation.
+  // Runs the checks RegisterAuditChecks publishes and aborts on the first
+  // failing pass. Test hook.
   void CheckInvariants() const;
 
   // Introspection for tests and debugging.
@@ -344,18 +303,14 @@ class CompressionCache {
     uint64_t header_off = 0;  // linear (monotonic) byte offset of the entry header
     uint32_t payload_size = 0;
     uint32_t original_size = 0;
-    uint32_t checksum = 0;  // CRC-32C of the payload; 0 = not recorded
-    // Reserved-but-unused footprint bytes after the payload: superblock
-    // quantization slack, or the residue of an in-place overwrite that shrank
-    // the payload. The footprint (and thus the ring chain) includes it.
-    uint32_t slack = 0;
+    uint32_t checksum = 0;  // CRC-32C of the payload (0 for a zero page)
     bool zero_page = false;  // all-zero page: no payload, faults zero-fill
     bool dirty = false;
     bool valid = true;
     uint64_t age_ns = 0;
 
     uint64_t payload_off() const { return header_off + kEntryHeaderBytes; }
-    uint64_t end_off() const { return payload_off() + payload_size + slack; }
+    uint64_t end_off() const { return payload_off() + payload_size; }
   };
 
   size_t SlotOf(uint64_t linear_off) const {
@@ -375,12 +330,15 @@ class CompressionCache {
   Entry* Find(PageKey key);
   const Entry* Find(PageKey key) const;
 
-  // Evicts every valid entry except `keep` whose footprint overlaps the frames
-  // covering the linear byte range [lo, hi): dirty victims are written to the
-  // backing store in one clustered batch first (failed writes surface as
-  // OnEntryLost, like head reclamation). Core of OverwriteCompressed's grow
-  // path.
-  void EvictCoResidents(uint64_t lo, uint64_t hi, PageKey keep);
+  // The backing-store image of a dirty entry: its ring payload and stored CRC,
+  // or a one-byte zero-page marker (backends require non-empty bytes).
+  SwapPageImage ImageOf(const Entry& e) const;
+
+  // Writes `batch` to the backing store as one clustered batch. On success
+  // every entry in it is marked clean (OnEntryCleaned); on failure the
+  // entries stay dirty, any partially persisted copies are discarded, and
+  // write_batch_failures counts it. Returns whether the write succeeded.
+  bool SubmitBatch(std::span<const SwapPageImage> batch);
 
   // Pops head entries (writing dirty ones) until the head frame can be freed;
   // unmaps and frees it. Core of ReleaseOldest.
@@ -395,7 +353,9 @@ class CompressionCache {
   // CleanPrefixFrames() >= target, walking the ring only until the answer is
   // known: the cleaner's per-fault test.
   bool CleanPrefixReaches(size_t target) const;
-  // Clean-prefix frames below which the cleaner writes a batch.
+  // Clean-prefix frames below which the cleaner writes a batch: an eighth of
+  // the mapped ring, but at least kCleanFramesTarget.
+  static constexpr size_t kCleanFramesTarget = 8;
   size_t CleanTarget() const;
 
   void UnmapSlotsBelow(uint64_t old_head, uint64_t new_head);

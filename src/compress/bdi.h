@@ -11,10 +11,10 @@
 //   zeros (no payload) | repeated 64-bit word (8 B) | base + 1-byte deltas
 //   (17 B) | base + 2-byte deltas (25 B) | base + 4-byte deltas (41 B) |
 //   raw chunk (64 B).
-// Output sizes are fixed per class — the bounded-size property superblock
-// frame packing exploits. Trailing bytes that do not fill a chunk are stored
-// raw, and the whole image falls back to the raw container when coding does
-// not win.
+// Output sizes are fixed per class — the bounded-size property hardware
+// frame-packing schemes exploit. Trailing bytes that do not fill a chunk are
+// stored raw, and the whole image falls back to the raw container when coding
+// does not win.
 #ifndef COMPCACHE_COMPRESS_BDI_H_
 #define COMPCACHE_COMPRESS_BDI_H_
 

@@ -156,11 +156,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     cc_options.threshold = config_.threshold;
     cc_options.write_batch_bytes = config_.write_batch_bytes;
     cc_options.pool_free_target = std::max<size_t>(16, pool_.total_frames() / 64);
-    cc_options.clean_frames_target = 8;
-    cc_options.checksums = config_.integrity.checksums;
-    cc_options.verify_on_fault_in = config_.integrity.verify_on_fault_in;
-    cc_options.superblock_packing = config_.superblock_packing;
-    cswap_->SetVerifyChecksums(config_.integrity.checksums);
     ccache_ = std::make_unique<CompressionCache>(&clock_, &config_.costs, this, codec_.get(),
                                                  cswap_.get(), &event_router_, cc_options);
     ccache_->SetArena(&scratch_arena_);
@@ -192,7 +187,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     }
   } else {
     fixed_swap_ = std::make_unique<FixedSwapLayout>(fs_.get());
-    fixed_swap_->SetVerifyChecksums(config_.integrity.checksums);
     pager_->AttachFixedSwap(fixed_swap_.get());
   }
 

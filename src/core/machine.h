@@ -71,13 +71,6 @@ struct FaultInjectionOptions {
   std::vector<uint64_t> power_fail_nth_sectors;
 };
 
-// End-to-end page integrity: CRC-32C on every compressed payload (ring header
-// and swap fragment metadata), verified on decompress/read-in.
-struct IntegrityOptions {
-  bool checksums = true;
-  bool verify_on_fault_in = true;
-};
-
 // Crash consistency: when enabled, the compressed-swap backends keep durable
 // on-disk metadata (a CRC'd intent journal for the clustered and fixed-offset
 // layouts; segment summaries plus rotating checkpoints for LFS) so
@@ -112,10 +105,6 @@ struct MachineConfig {
   // (store/zero/BDI/FPC/dict/LZRW1 chosen per eviction).
   std::string codec = "lzrw1";
   unsigned codec_hash_bits = 12;  // 16 KB hash table, as measured in the paper
-
-  // Superblock frame packing: quantize compressed-entry footprints so up to 4
-  // compressed pages share one physical frame (see CcacheOptions).
-  bool superblock_packing = false;
 
   CompressionThreshold threshold{4, 3};
   ArbiterBiases biases;
@@ -153,11 +142,11 @@ struct MachineConfig {
   // turn periodic auditing on for an entire test suite without code changes.
   size_t audit_interval = 0;
 
-  // Robustness knobs: fault injection, bounded disk retry, page integrity,
-  // durable swap metadata (crash recovery).
+  // Robustness knobs: fault injection, bounded disk retry, durable swap
+  // metadata (crash recovery). Page integrity (a CRC-32C on every compressed
+  // image, verified on every read) is always on.
   FaultInjectionOptions fault_injection;
   RetryPolicy retry;
-  IntegrityOptions integrity;
   DurabilityOptions durability;
 
   // Async pipelined I/O: write-behind swap batches, decompress-ahead

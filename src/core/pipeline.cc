@@ -11,6 +11,13 @@
 
 namespace compcache {
 
+namespace {
+
+// Seed of the predictor's tie-break draws.
+constexpr uint64_t kPredictorSeed = 1;
+
+}  // namespace
+
 PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
                                FrameSource* frames, CompressionCache* ccache,
                                WriteBehindBackend* write_behind,
@@ -21,7 +28,7 @@ PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
       ccache_(ccache),
       write_behind_(write_behind),
       options_(options),
-      predictor_(options.predictor_seed) {
+      predictor_(kPredictorSeed) {
   CC_EXPECTS(clock_ != nullptr);
   CC_EXPECTS(costs_ != nullptr);
   CC_EXPECTS(frames_ != nullptr);
@@ -102,8 +109,8 @@ std::optional<FaultOrigin> PipelineEngine::TryFill(PageKey key,
   if (entry.image_size == 0) {
     std::memset(out.data(), 0, out.size());
   } else if (!ccache_->codec()->TryDecompress(image, out)) {
-    // Undecodable despite the issue-time check (possible only with integrity
-    // checks off): a miss, and the demand fault takes the ladder.
+    // Undecodable despite the issue-time CRC check (a damaged image whose CRC
+    // still matched): a miss, and the demand fault takes the ladder.
     Drop(key, /*count_miss=*/true);
     return std::nullopt;
   }

@@ -64,8 +64,6 @@ struct PipelineOptions {
   // file blocks (one disk operation — the seek is already paid), and
   // decompress-ahead the coresident neighbors it returns. 0 disables.
   uint32_t fault_batch_window = 0;
-  // Seed for the predictor's tie-break draws.
-  uint64_t predictor_seed = 1;
 };
 
 struct PrefetchStats {

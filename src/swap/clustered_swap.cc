@@ -276,7 +276,7 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
   const uint64_t skip = (loc.frag_start - first_block * kFragsPerBlock) * kSwapFragmentSize;
   result.bytes.assign(staging.begin() + static_cast<ptrdiff_t>(skip),
                       staging.begin() + static_cast<ptrdiff_t>(skip + loc.byte_size));
-  if (verify_checksums_ && loc.checksum != 0) {
+  if (loc.checksum != 0) {
     // One CRC pass serves both the verdict and the trace record (the old code
     // recomputed it while building the mismatch event's arguments).
     const uint32_t actual = Crc32(result.bytes);
@@ -319,7 +319,7 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
       // A coresident is a free bonus; a corrupt one is worse than none (it
       // would seed the ccache with a bad image), so drop it. Its on-disk copy
       // stays and a direct fault on it goes through the full recovery path.
-      if (verify_checksums_ && img.checksum != 0 && Crc32(img.bytes) != img.checksum) {
+      if (img.checksum != 0 && Crc32(img.bytes) != img.checksum) {
         ++coresidents_dropped_;
         continue;
       }

@@ -124,11 +124,7 @@ class CompressedSwapBackend {
   virtual void ResetStats() { ResetBaseCounters(); }
 
   // --- integrity ---
-  // Verification is on by default; turning it off removes the checksum compare
-  // from the fault path (the configuration knob the acceptance criteria allow
-  // for hot-path experiments). Stored checksums are unaffected. Virtual so
-  // decorators (WriteBehindBackend) can forward the flag to the wrapped layout.
-  virtual void SetVerifyChecksums(bool verify) { verify_checksums_ = verify; }
+  // Reads verify each image against the CRC-32C recorded with it at write time.
   uint64_t checksum_mismatches() const { return checksum_mismatches_; }
   uint64_t io_failures() const { return io_failures_; }
   uint64_t coresidents_dropped() const { return coresidents_dropped_; }
@@ -146,7 +142,6 @@ class CompressedSwapBackend {
     coresidents_dropped_ = 0;
   }
 
-  bool verify_checksums_ = true;
   uint64_t checksum_mismatches_ = 0;
   uint64_t io_failures_ = 0;
   uint64_t coresidents_dropped_ = 0;

@@ -106,7 +106,7 @@ CompressedSwapBackend::ReadResult FixedCompressedSwapLayout::ReadPage(
     result.bytes.clear();
     return result;
   }
-  if (verify_checksums_ && result.checksum != 0 && Crc32(result.bytes) != result.checksum) {
+  if (result.checksum != 0 && Crc32(result.bytes) != result.checksum) {
     ++checksum_mismatches_;
     result.status = IoStatus::kCorrupt;
   }

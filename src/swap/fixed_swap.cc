@@ -43,7 +43,7 @@ IoStatus FixedSwapLayout::ReadPage(PageKey key, std::span<uint8_t> out) {
     return IoStatus::kFailed;
   }
   ++pages_read_;
-  if (verify_checksums_ && it->second != 0 && Crc32(out) != it->second) {
+  if (it->second != 0 && Crc32(out) != it->second) {
     ++checksum_mismatches_;
     return IoStatus::kCorrupt;
   }

@@ -385,7 +385,7 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
   ++stats_.pages_read;
 
   const auto verify = [&] {
-    if (verify_checksums_ && loc.checksum != 0 && Crc32(result.bytes) != loc.checksum) {
+    if (loc.checksum != 0 && Crc32(result.bytes) != loc.checksum) {
       ++checksum_mismatches_;
       result.status = IoStatus::kCorrupt;
     }
@@ -434,7 +434,7 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
       img.checksum = other.checksum;
       img.bytes.assign(staging.begin() + (other.offset - range_start),
                        staging.begin() + (other.offset - range_start) + other.byte_size);
-      if (verify_checksums_ && img.checksum != 0 && Crc32(img.bytes) != img.checksum) {
+      if (img.checksum != 0 && Crc32(img.bytes) != img.checksum) {
         ++coresidents_dropped_;  // never seed the ccache with a bad image
         continue;
       }

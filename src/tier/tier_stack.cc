@@ -7,14 +7,14 @@
 #include "swap/clustered_swap.h"
 #include "util/assert.h"
 #include "util/audit.h"
+#include "util/units.h"
 
 namespace compcache {
 
 namespace {
 
-// Capacity quantum: the same 1 KB sub-block the superblock ccache and the
-// clustered swap fragments use.
-constexpr uint64_t kSubBlockBytes = kPageSize / 4;
+// Capacity quantum: the 1 KB fragment the clustered swap layout allocates in.
+constexpr uint64_t kSubBlockBytes = kSwapFragmentSize;
 // Per-request setup charged by every SSD tier device, and the device size
 // (not the tier cap: the tier's capacity_bytes bounds what it holds).
 constexpr SimDuration kSsdIoSetup = SimDuration::Micros(10);
@@ -149,12 +149,6 @@ void TierStack::ResetStats() {
       tier.ssd_device->ResetStats();
     }
     tier.backend->ResetStats();
-  }
-}
-
-void TierStack::SetVerifyChecksums(bool verify) {
-  for (Tier& tier : tiers_) {
-    tier.backend->SetVerifyChecksums(verify);
   }
 }
 

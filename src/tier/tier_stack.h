@@ -64,7 +64,6 @@ class TierStack : public CompressedSwapBackend {
   void ForEachPage(const std::function<void(PageKey)>& fn) const override;
   void RegisterAuditChecks(InvariantAuditor* auditor) override;
   void ResetStats() override;
-  void SetVerifyChecksums(bool verify) override;
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override;
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "ccache/compression_cache.h"
@@ -23,6 +24,23 @@ class EventRecorder : public CcacheEvents {
   std::vector<PageKey> cleaned;
   std::vector<PageKey> dropped;
   std::vector<PageKey> lost;
+};
+
+// A clustered layout that, while `failing`, persists the first image of each
+// batch and then reports kFailed: a write that died part way through.
+class PartialWriteSwap : public ClusteredSwapLayout {
+ public:
+  using ClusteredSwapLayout::ClusteredSwapLayout;
+
+  IoStatus WriteBatch(std::span<const SwapPageImage> pages) override {
+    if (!failing) {
+      return ClusteredSwapLayout::WriteBatch(pages);
+    }
+    EXPECT_EQ(ClusteredSwapLayout::WriteBatch(pages.first(1)), IoStatus::kOk);
+    return IoStatus::kFailed;
+  }
+
+  bool failing = false;
 };
 
 class CcacheTest : public ::testing::Test {
@@ -49,7 +67,7 @@ class CcacheTest : public ::testing::Test {
   CostModel costs_;
   DiskDevice device_;
   FileSystem fs_;
-  ClusteredSwapLayout swap_;
+  PartialWriteSwap swap_;
   TestFrameSource frames_;
   Lzrw1 codec_;
   EventRecorder events_;
@@ -391,185 +409,101 @@ TEST_F(CcacheTest, RandomOperationsKeepInvariants) {
   }
 }
 
-// --- superblock frame packing ------------------------------------------------
+// --- write-back failures -----------------------------------------------------
 
-class SuperblockCcacheTest : public CcacheTest {
+// Every entry of `keys` that is still cached has the given dirty bit.
+void ExpectCachedDirty(const CompressionCache& cache, const std::vector<PageKey>& keys,
+                       bool dirty) {
+  for (const PageKey key : keys) {
+    if (const auto info = cache.EntryInfoFor(key); info.has_value()) {
+      EXPECT_EQ(info->dirty, dirty) << key.page;
+    }
+  }
+}
+
+class WriteFailureCcacheTest : public CcacheTest {
  protected:
-  SuperblockCcacheTest() {
-    CcacheOptions options;
-    options.max_slots = 64;
-    options.superblock_packing = true;
-    cache_ = std::make_unique<CompressionCache>(&clock_, &costs_, &frames_, &codec_, &swap_,
-                                                &events_, options);
+  WriteFailureCcacheTest() {
+    for (uint32_t i = 0; i < 24; ++i) {
+      const PageKey key{0, i};
+      EXPECT_TRUE(cache_->CompressAndInsert(key, MakePage(ContentClass::kText, 600 + i),
+                                            /*dirty=*/true));
+      keys_.push_back(key);
+    }
+    swap_.failing = true;
   }
 
-  // A compressed image of `page` made with the cache's codec (so FaultIn can
-  // decode it), for driving OverwriteCompressed directly.
-  std::vector<uint8_t> CompressWithCodec(const std::vector<uint8_t>& page) {
-    std::vector<uint8_t> buf(codec_.MaxCompressedSize(page.size()));
-    buf.resize(codec_.Compress(page, buf));
-    return buf;
+  // No key has a backend copy: the image the double persisted before failing
+  // was discarded with the rest of its batch.
+  void ExpectNoBackendCopies() {
+    EXPECT_GT(swap_.stats().pages_written, 0u) << "the double never persisted an image";
+    for (const PageKey key : keys_) {
+      EXPECT_FALSE(swap_.Contains(key)) << key.page;
+    }
   }
+
+  std::vector<PageKey> keys_;
 };
 
-TEST_F(SuperblockCcacheTest, QuantizedFootprintsShareFrames) {
-  // Repetitive text compresses far below one sub-block, so consecutive inserts
-  // pack into the same physical frame at sub-block offsets.
-  for (uint32_t p = 0; p < 8; ++p) {
-    ASSERT_TRUE(
-        cache_->CompressAndInsert(PageKey{0, p}, MakePage(ContentClass::kRepetitiveText, p),
-                                  /*dirty=*/true));
-    const auto info = cache_->EntryInfoFor(PageKey{0, p});
-    ASSERT_TRUE(info.has_value());
-    EXPECT_EQ(info->header_off % CompressionCache::kSubBlockBytes, 0u) << p;
-  }
-  EXPECT_GE(cache_->SharedFrames(), 2u);
-  EXPECT_LT(cache_->mapped_frames(), cache_->live_entries());
-  EXPECT_GE(cache_->stats().superblock_packed_inserts, 3u);
-  EXPECT_GT(cache_->stats().superblock_pad_bytes, 0u);
+TEST_F(WriteFailureCcacheTest, CleanerAndFlushLeaveEntriesDirty) {
+  cache_->RunCleaner(/*pool_free_frames=*/0);
+  EXPECT_EQ(cache_->stats().write_batch_failures, 1u);
+  cache_->FlushDirty();  // stops at the first failed batch instead of spinning
+  EXPECT_EQ(cache_->stats().write_batch_failures, 2u);
+
+  EXPECT_EQ(cache_->live_entries(), keys_.size());
+  ExpectCachedDirty(*cache_, keys_, /*dirty=*/true);
+  EXPECT_EQ(cache_->stats().entries_cleaned, 0u);
+  EXPECT_TRUE(events_.cleaned.empty());
+  ExpectNoBackendCopies();
   cache_->CheckInvariants();
 }
 
-TEST_F(SuperblockCcacheTest, FourZeroEntriesPackIntoOneFrame) {
-  const std::vector<uint8_t> zero_page(kPageSize, 0);
-  for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(cache_->CompressAndInsert(PageKey{0, p}, zero_page, /*dirty=*/true));
+TEST_F(WriteFailureCcacheTest, ReleaseOldestReportsDirtyHeadEntriesLost) {
+  ASSERT_TRUE(cache_->ReleaseOldest());
+  EXPECT_EQ(cache_->stats().write_batch_failures, 1u);
+  ASSERT_FALSE(events_.lost.empty());
+  EXPECT_EQ(cache_->stats().entries_lost, events_.lost.size());
+  EXPECT_TRUE(events_.dropped.empty());
+  for (const PageKey key : events_.lost) {
+    EXPECT_FALSE(cache_->Contains(key)) << key.page;
   }
-  // Four one-sub-block entries fill exactly one frame of ring space.
-  EXPECT_EQ(cache_->used_bytes(), static_cast<uint64_t>(kPageSize));
-  EXPECT_EQ(cache_->SharedFrames(), 1u);
-  std::vector<uint8_t> out(kPageSize, 0xCD);
-  EXPECT_EQ(cache_->FaultIn(PageKey{0, 2}, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, zero_page);
+  ExpectNoBackendCopies();
+  cache_->CheckInvariants();
+
+  // Once writes succeed again, FlushDirty cleans everything still cached.
+  swap_.failing = false;
+  cache_->FlushDirty();
+  EXPECT_EQ(cache_->live_entries(), keys_.size() - events_.lost.size());
+  ExpectCachedDirty(*cache_, keys_, /*dirty=*/false);
+  EXPECT_EQ(events_.cleaned.size(), cache_->live_entries());
+  for (const PageKey key : events_.cleaned) {
+    EXPECT_TRUE(swap_.Contains(key)) << key.page;
+  }
   cache_->CheckInvariants();
 }
 
-TEST_F(SuperblockCcacheTest, OverwriteThatFitsRewritesInPlace) {
-  const auto page_a = MakePage(ContentClass::kRepetitiveText, 1);
-  const auto page_b = MakePage(ContentClass::kRepetitiveText, 2);
-  const PageKey key{0, 0};
-  ASSERT_TRUE(cache_->CompressAndInsert(key, page_a, /*dirty=*/true));
-  const auto before = cache_->EntryInfoFor(key);
-  ASSERT_TRUE(before.has_value());
+// --- CheckInvariants ---------------------------------------------------------
 
-  cache_->OverwriteCompressed(key, CompressWithCodec(page_b),
-                              static_cast<uint32_t>(page_b.size()), /*dirty=*/true);
-  const auto after = cache_->EntryInfoFor(key);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->header_off, before->header_off);  // did not move
-  EXPECT_EQ(cache_->stats().superblock_overwrites_inplace, 1u);
-  EXPECT_EQ(cache_->stats().superblock_overwrite_evictions, 0u);
+using CcacheDeathTest = CcacheTest;
 
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, page_b);
+TEST_F(CcacheDeathTest, CheckInvariantsAbortsOnSkewedLiveBytes) {
+  ASSERT_TRUE(cache_->CompressAndInsert(PageKey{0, 0},
+                                        MakePage(ContentClass::kText, 1), /*dirty=*/true));
+  cache_->CheckInvariants();  // healthy
+  cache_->CorruptLiveBytesForTest(/*slot=*/0, +1);  // the ring starts in slot 0
+  EXPECT_DEATH(cache_->CheckInvariants(), "occupancy");
+  cache_->CorruptLiveBytesForTest(/*slot=*/0, -1);
   cache_->CheckInvariants();
 }
 
-TEST_F(SuperblockCcacheTest, IncompressibleOverwriteEvictsCoResidents) {
-  // Pack four pages into one frame (zero pages: exactly one sub-block each),
-  // then overwrite one of them with an image that no longer fits its sub-block
-  // class: Sniper's CompressCacheSet semantics say the co-residents (up to 4
-  // pages) are evicted.
-  const std::vector<uint8_t> zero_page(kPageSize, 0);
-  for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(cache_->CompressAndInsert(PageKey{0, p}, zero_page, /*dirty=*/true));
-  }
-  ASSERT_EQ(cache_->SharedFrames(), 1u);
-
-  // Text compresses, but nowhere near the zero entries' one-sub-block class:
-  // the new image outgrows the reserved footprint without breaching the
-  // backends' one-page image limit.
-  const auto grown = MakePage(ContentClass::kText, 99);
-  const auto grown_image = CompressWithCodec(grown);
-  ASSERT_GT(grown_image.size() + CompressionCache::kEntryHeaderBytes,
-            CompressionCache::kSubBlockBytes);
-  ASSERT_LE(grown_image.size(), kPageSize);
-  const PageKey victim{0, 1};
-  cache_->OverwriteCompressed(victim, grown_image, static_cast<uint32_t>(grown.size()),
-                              /*dirty=*/true);
-
-  EXPECT_EQ(cache_->stats().superblock_overwrite_appends, 1u);
-  EXPECT_EQ(cache_->stats().superblock_overwrite_evictions, 3u);
-  // The dirty co-residents were written out before eviction, so they were
-  // dropped (with backing copies), not lost.
-  EXPECT_EQ(events_.dropped.size(), 3u);
-  EXPECT_TRUE(events_.lost.empty());
-  for (const uint32_t p : {0u, 2u, 3u}) {
-    EXPECT_FALSE(cache_->Contains(PageKey{0, p})) << p;
-    EXPECT_TRUE(swap_.Contains(PageKey{0, p})) << p;
-  }
-
-  // The overwritten key survives with its new (grown) image, appended fresh.
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(victim, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, grown);
-  cache_->CheckInvariants();
-}
-
-TEST_F(SuperblockCcacheTest, InsertCompressedRoutesExistingKeysToOverwrite) {
-  const auto page_a = MakePage(ContentClass::kRepetitiveText, 5);
-  const auto page_b = MakePage(ContentClass::kRepetitiveText, 6);
-  const PageKey key{0, 3};
-  ASSERT_TRUE(cache_->CompressAndInsert(key, page_a, /*dirty=*/true));
-  // A second insert of the same key must not trip AppendEntry's freshness
-  // contract: with packing on it routes through the overwrite path.
-  const auto image = CompressWithCodec(page_b);
-  cache_->InsertCompressed(key, image, static_cast<uint32_t>(page_b.size()), /*dirty=*/true);
-  EXPECT_EQ(cache_->stats().superblock_overwrites_inplace, 1u);
-  EXPECT_EQ(cache_->stats().pages_kept, 2u);
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, page_b);
-  cache_->CheckInvariants();
-}
-
-TEST_F(SuperblockCcacheTest, RandomOperationsKeepInvariantsWithPacking) {
-  Rng rng(778);
-  std::unordered_map<uint32_t, std::vector<uint8_t>> latest;
-  for (int op = 0; op < 600; ++op) {
-    const uint32_t page_index = static_cast<uint32_t>(rng.Below(64));
-    const PageKey key{0, page_index};
-    const double action = rng.NextDouble();
-    if (action < 0.5) {
-      const auto page = MakePage(rng.Chance(0.15) ? ContentClass::kShuffledWords
-                                                  : ContentClass::kRepetitiveText,
-                                 20'000 + static_cast<uint64_t>(op));
-      if (cache_->Contains(key)) {
-        // Exercise the overwrite path (in place or evicting) instead of the
-        // pager's invalidate-then-reinsert discipline — but only with images a
-        // real caller would keep (the threshold gates what enters the ring).
-        const auto image = CompressWithCodec(page);
-        if (!cache_->options().threshold.KeepCompressed(page.size(), image.size())) {
-          swap_.Invalidate(key);
-          cache_->Invalidate(key);
-          latest.erase(page_index);
-          continue;
-        }
-        swap_.Invalidate(key);
-        cache_->OverwriteCompressed(key, image, static_cast<uint32_t>(page.size()),
-                                    /*dirty=*/true);
-        latest[page_index] = page;
-      } else if (cache_->CompressAndInsert(key, page, true)) {
-        latest[page_index] = page;
-      } else {
-        latest.erase(page_index);
-      }
-    } else if (action < 0.7) {
-      std::vector<uint8_t> out(kPageSize);
-      if (cache_->FaultIn(key, out) == CcacheFaultResult::kHit) {
-        ASSERT_TRUE(latest.contains(page_index));
-        EXPECT_EQ(out, latest.at(page_index));
-      }
-    } else if (action < 0.85) {
-      cache_->RunCleaner(static_cast<size_t>(rng.Below(32)));
-    } else {
-      cache_->ReleaseOldest();
-    }
-    if (op % 40 == 0) {
-      cache_->CheckInvariants();
-    }
-  }
+TEST_F(CcacheDeathTest, CheckInvariantsAbortsOnAliasedIndexKey) {
+  ASSERT_TRUE(cache_->CompressAndInsert(PageKey{0, 0},
+                                        MakePage(ContentClass::kText, 2), /*dirty=*/true));
+  cache_->CheckInvariants();  // healthy
+  cache_->AliasIndexKeyForTest(PageKey{0, 0}, PageKey{0, 99});
+  EXPECT_DEATH(cache_->CheckInvariants(), "index-coherent");
+  cache_->RemoveIndexKeyForTest(PageKey{0, 99});
   cache_->CheckInvariants();
 }
 

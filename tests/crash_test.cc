@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -596,12 +595,11 @@ bool IsAllZero(std::span<const uint8_t> page) {
   return std::all_of(page.begin(), page.end(), [](uint8_t b) { return b == 0; });
 }
 
-MachineConfig CrashConfig(CompressedSwapKind kind, bool superblock) {
+MachineConfig CrashConfig(CompressedSwapKind kind) {
   // 2 MiB leaves room for the LFS backend's 512 KB segment buffer; the
   // 640-page (2.5 MiB) working set still forces steady eviction traffic.
   MachineConfig config = SmallConfig(/*use_ccache=*/true, /*memory_bytes=*/2 * kMiB);
   config.compressed_swap = kind;
-  config.superblock_packing = superblock;
   config.durability.enabled = true;
   config.durability.lfs_checkpoint_interval = 2;
   config.fault_injection.enabled = true;
@@ -624,16 +622,15 @@ void CrashWorkload(Machine& machine, Segment* segment,
   }
 }
 
-class MachineCrashGrid
-    : public ::testing::TestWithParam<std::tuple<CompressedSwapKind, bool>> {};
+class MachineCrashGrid : public ::testing::TestWithParam<CompressedSwapKind> {};
 
 TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
-  const auto [kind, superblock] = GetParam();
+  const CompressedSwapKind kind = GetParam();
 
   // Dry run: how many power-fail crash points does the workload expose?
   uint64_t total_sectors = 0;
   {
-    Machine machine(CrashConfig(kind, superblock));
+    Machine machine(CrashConfig(kind));
     Segment* segment = machine.pager().CreateSegment(kMachinePages);
     std::vector<uint32_t> versions(kMachinePages, 0);
     CrashWorkload(machine, segment, &versions);
@@ -648,7 +645,7 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
   for (uint64_t crash_sector = stride / 2 + 1; crash_sector <= total_sectors;
        crash_sector += stride) {
     SCOPED_TRACE("crash at sector " + std::to_string(crash_sector));
-    MachineConfig config = CrashConfig(kind, superblock);
+    MachineConfig config = CrashConfig(kind);
     config.fault_injection.power_fail_nth_sectors = {crash_sector};
 
     Machine machine(config);
@@ -741,31 +738,23 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
   EXPECT_GT(grid_recovered, 0u) << "grid never recovered a single page";
 }
 
-std::string MachineGridName(
-    const ::testing::TestParamInfo<std::tuple<CompressedSwapKind, bool>>& info) {
-  const auto [kind, superblock] = info.param;
-  std::string name;
-  switch (kind) {
+std::string MachineGridName(const ::testing::TestParamInfo<CompressedSwapKind>& info) {
+  switch (info.param) {
     case CompressedSwapKind::kClustered:
-      name = "clustered";
-      break;
+      return "clustered";
     case CompressedSwapKind::kFixedOffset:
-      name = "fixed_offset";
-      break;
+      return "fixed_offset";
     case CompressedSwapKind::kLfs:
-      name = "lfs";
-      break;
+      return "lfs";
   }
-  return name + (superblock ? "_superblock" : "_flat");
+  return "unknown";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackendsBothPackings, MachineCrashGrid,
-    ::testing::Combine(::testing::Values(CompressedSwapKind::kClustered,
-                                         CompressedSwapKind::kFixedOffset,
-                                         CompressedSwapKind::kLfs),
-                       ::testing::Values(false, true)),
-    MachineGridName);
+INSTANTIATE_TEST_SUITE_P(AllBackends, MachineCrashGrid,
+                         ::testing::Values(CompressedSwapKind::kClustered,
+                                           CompressedSwapKind::kFixedOffset,
+                                           CompressedSwapKind::kLfs),
+                         MachineGridName);
 
 // A machine with durability off must not pay for any of this: no journal
 // files, no summary blocks, byte-identical results to the seed configuration.
@@ -788,7 +777,7 @@ TEST(MachineCrash, DurabilityOffWritesNoJournalFiles) {
 // Recover on an LFS machine that crashed before any checkpoint existed must
 // still mount (empty checkpoint, roll-forward from summaries alone).
 TEST(MachineCrash, LfsRecoversFromSummariesWithoutACheckpoint) {
-  MachineConfig config = CrashConfig(CompressedSwapKind::kLfs, false);
+  MachineConfig config = CrashConfig(CompressedSwapKind::kLfs);
   config.durability.lfs_checkpoint_interval = 1000;  // never checkpoint
 
   uint64_t total_sectors = 0;

@@ -186,8 +186,7 @@ struct MachineRun {
 };
 
 MachineRun RunOne(const std::string& name, bool use_cc, CompressedSwapKind kind,
-                  bool superblock_packing = false, bool degenerate_tiers = false,
-                  bool inject_faults = false) {
+                  bool degenerate_tiers = false, bool inject_faults = false) {
   // The LFS layout wires its 128-frame segment buffer out of the pool at
   // construction. Give every other machine a pool that is 128 frames smaller,
   // so the *usable* frame count — which drives cleaner pacing and arbiter
@@ -196,7 +195,6 @@ MachineRun RunOne(const std::string& name, bool use_cc, CompressedSwapKind kind,
   const uint64_t memory = is_lfs ? 2 * kMiB + 128 * kPageSize : 2 * kMiB;
   MachineConfig config = NeutralConfig(use_cc, memory);
   config.compressed_swap = kind;
-  config.superblock_packing = superblock_packing;
   // An enabled tier stack with no intermediate tiers: the wrapper must forward
   // every operation verbatim, with zero cost and zero behavioral difference.
   config.tiers.enabled = degenerate_tiers;
@@ -280,58 +278,6 @@ TEST(DifferentialMachineTest, AllBackendsProduceIdenticalPageContents) {
   }
 }
 
-// Superblock frame packing changes the ring geometry (quantized footprints,
-// co-resident frames, padded zero entries) but none of the data-path or
-// bookkeeping contracts: the three compressed backends must still agree on
-// every page byte and every vm.* / ccache.* counter — including the new
-// ccache.superblock.* family — and every machine must still end with the page
-// contents of an unmodified one.
-TEST(DifferentialMachineTest, SuperblockPackingKeepsBackendsIdentical) {
-  const std::vector<MachineRun> runs = {
-      RunOne("clustered+sb", true, CompressedSwapKind::kClustered, /*superblock=*/true),
-      RunOne("fixed+sb", true, CompressedSwapKind::kFixedOffset, /*superblock=*/true),
-      RunOne("lfs+sb", true, CompressedSwapKind::kLfs, /*superblock=*/true),
-      RunOne("std", false, CompressedSwapKind::kClustered),
-  };
-
-  const MachineRun& gold = runs[0];
-  for (size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].pages.size(), gold.pages.size());
-    for (size_t p = 0; p < gold.pages.size(); ++p) {
-      ASSERT_EQ(runs[r].pages[p], gold.pages[p])
-          << "page " << p << " differs between " << gold.name << " and " << runs[r].name;
-    }
-  }
-
-  std::map<std::string, double> baseline;
-  for (const auto& [name, value] : gold.snapshot) {
-    if (IsComparedMetric(name)) {
-      baseline[name] = value;
-    }
-  }
-  EXPECT_GT(baseline.at("vm.faults_from_swap"), 0.0)
-      << "workload never reached the backing store; the comparison is vacuous";
-  // Packing actually engaged: quantization pads every non-frame-sized entry.
-  EXPECT_GT(baseline.at("ccache.superblock.pad_bytes"), 0.0);
-  EXPECT_GT(baseline.at("ccache.superblock.packed_inserts"), 0.0);
-
-  for (size_t r = 1; r < 3; ++r) {
-    std::map<std::string, double> other;
-    for (const auto& [name, value] : runs[r].snapshot) {
-      if (IsComparedMetric(name)) {
-        other[name] = value;
-      }
-    }
-    ASSERT_EQ(other.size(), baseline.size()) << runs[r].name;
-    for (const auto& [name, value] : baseline) {
-      ASSERT_TRUE(other.contains(name)) << runs[r].name << " lacks " << name;
-      EXPECT_EQ(other.at(name), value)
-          << name << " diverges: " << gold.name << "=" << value << " " << runs[r].name
-          << "=" << other.at(name);
-    }
-  }
-}
-
 // The degenerate tier stack (tiers.enabled, empty tier list) interposes the
 // TierStack between the ccache and the configured layout but adds no device
 // tiers. It must be a perfect no-op: final page bytes and the ENTIRE metric
@@ -354,12 +300,10 @@ TEST(DifferentialMachineTest, DegenerateTierStackIsByteIdentical) {
     double write_batch_failures = 0.0;
     for (const auto& backend : kBackends) {
       SCOPED_TRACE(std::string(backend.name) + (faults ? " with faults" : ""));
-      const MachineRun plain = RunOne(backend.name, true, backend.kind,
-                                      /*superblock_packing=*/false,
-                                      /*degenerate_tiers=*/false, faults);
+      const MachineRun plain =
+          RunOne(backend.name, true, backend.kind, /*degenerate_tiers=*/false, faults);
       const MachineRun tiered = RunOne(std::string(backend.name) + "+tiers", true,
-                                       backend.kind, /*superblock_packing=*/false,
-                                       /*degenerate_tiers=*/true, faults);
+                                       backend.kind, /*degenerate_tiers=*/true, faults);
 
       ASSERT_EQ(tiered.pages.size(), plain.pages.size());
       for (size_t p = 0; p < plain.pages.size(); ++p) {

@@ -438,20 +438,11 @@ TEST(PipelineMachineTest, PrefetchHitsDeliverExactBytes) {
 // The CRC check runs when a page is issued, not when it is hit: a ring entry
 // whose payload fails its checksum never enters the buffer, and its demand
 // fault rediscovers the damage on the section-12 ladder. The control case (no
-// flipped bit) shows the same stride does buffer the page. With checksums off
-// nothing refuses the damaged image at issue: it is buffered, fails to decode
-// at the hit, and is dropped as a miss before the fault takes the same ladder.
+// flipped bit) shows the same stride does buffer the page.
 TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
-  struct Case {
-    const char* name;
-    bool corrupt;
-    bool checksums;
-  };
-  for (const Case c : {Case{"control", false, true}, Case{"corrupt", true, true},
-                       Case{"corrupt, checksums off", true, false}}) {
-    SCOPED_TRACE(c.name);
+  for (const bool corrupt : {false, true}) {
+    SCOPED_TRACE(corrupt ? "corrupt" : "control");
     MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
-    config.integrity.checksums = c.checksums;
     config.pipeline.enabled = true;
     config.pipeline.prefetch = true;
     config.pipeline.prefetch_per_fault = 1;
@@ -483,25 +474,24 @@ TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
     }
     ASSERT_GE(target, 3u) << "no run of cached pages to walk";
     const PageKey key{segment, target};
-    if (c.corrupt) {
+    if (corrupt) {
       // Bit 1 of the container byte: the image can neither match its CRC nor
       // decode.
       ccache.CorruptPayloadBitForTest(key, 1);
     }
-    const bool refused = c.corrupt && c.checksums;
 
     PipelineEngine& engine = *machine.pipeline();
     std::vector<uint8_t> out(kPageSize);
     for (uint32_t p = target - 3; p < target; ++p) {
       heap.ReadBytes(uint64_t{p} * kPageSize, out);
       ASSERT_EQ(out, reference[p]) << "page " << p;
-      if (refused) {
+      if (corrupt) {
         EXPECT_FALSE(engine.buffered(key)) << "after faulting page " << p;
       }
     }
     ASSERT_TRUE(engine.predictor().stride_confirmed(segment));
     ASSERT_TRUE(cached(target)) << "the target left the ring before its fault";
-    EXPECT_EQ(engine.buffered(key), !refused);
+    EXPECT_EQ(engine.buffered(key), !corrupt);
 
     const VmStats before = machine.pager().stats();
     const uint64_t misses_before = engine.stats().misses;
@@ -509,12 +499,12 @@ TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
     EXPECT_EQ(out, reference[target]);
     const VmStats& vm = machine.pager().stats();
     EXPECT_EQ(vm.faults - before.faults, 1u);
-    EXPECT_EQ(vm.faults_prefetch_hit - before.faults_prefetch_hit, c.corrupt ? 0u : 1u);
-    EXPECT_EQ(engine.stats().misses - misses_before, c.corrupt && !refused ? 1u : 0u);
+    EXPECT_EQ(vm.faults_prefetch_hit - before.faults_prefetch_hit, corrupt ? 0u : 1u);
+    EXPECT_EQ(engine.stats().misses - misses_before, 0u);
     EXPECT_FALSE(engine.buffered(key));
-    EXPECT_EQ(vm.pages_recovered - before.pages_recovered, c.corrupt ? 1u : 0u);
+    EXPECT_EQ(vm.pages_recovered - before.pages_recovered, corrupt ? 1u : 0u);
     EXPECT_EQ(vm.pages_lost, 0u);
-    EXPECT_EQ(ccache.stats().checksum_mismatches, c.corrupt ? 1u : 0u);
+    EXPECT_EQ(ccache.stats().checksum_mismatches, corrupt ? 1u : 0u);
 
     machine.DrainPipeline();
     const PrefetchStats& ps = engine.stats();

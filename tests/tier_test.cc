@@ -44,7 +44,6 @@ struct StackHarness {
     stack = std::make_unique<TierStack>(
         &clock, std::make_unique<ClusteredSwapLayout>(&fs, ClusteredSwapLayout::Options{}),
         std::move(options));
-    stack->SetVerifyChecksums(true);
   }
 
   // Writes one image per batch, the way the ccache cleaner trickles pages out.
