@@ -39,7 +39,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
 
   disk_ = std::make_unique<DiskDevice>(&clock_, MakeTiming(config_),
                                        config_.costs.io_setup_overhead);
-  disk_->SetRetryPolicy(config_.retry);
   if (config_.fault_injection.enabled) {
     const FaultInjectionOptions& fi = config_.fault_injection;
     injector_ = std::make_unique<FaultInjector>(fi.seed);
@@ -75,80 +74,80 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
   // copies and Mount never reads, yet every writeback lands there first.
   CC_EXPECTS(!(config_.durability.enabled && config_.tiers.enabled &&
                !config_.tiers.tiers.empty()));
-  if (config_.use_compression_cache) {
-    std::unique_ptr<CompressedSwapBackend> inner;
-    switch (config_.compressed_swap) {
-      case CompressedSwapKind::kClustered: {
-        // Fault batching rides the clustered layout's demand reads: the
-        // pipeline's batch window becomes read widening (one disk op).
-        auto layout = std::make_unique<ClusteredSwapLayout>(
-            fs_.get(),
-            ClusteredSwapLayout::Options{
-                config_.allow_block_spanning, config_.durability.enabled,
-                config_.pipeline.enabled
-                    ? uint64_t{config_.pipeline.fault_batch_window}
-                    : 0});
-        clustered_swap_ = layout.get();
-        inner = std::move(layout);
-        break;
-      }
-      case CompressedSwapKind::kFixedOffset: {
-        auto layout = std::make_unique<FixedCompressedSwapLayout>(
-            fs_.get(), FixedCompressedSwapLayout::Options{config_.durability.enabled});
-        fixed_cswap_ = layout.get();
-        inner = std::move(layout);
-        break;
-      }
-      case CompressedSwapKind::kLfs: {
-        // The LFS segment buffer takes its frames from the pool up front — the
-        // "significant memory for buffers" the paper holds against this design.
-        LfsSwapLayout::Options lfs_options;
-        lfs_options.durable = config_.durability.enabled;
-        lfs_options.checkpoint_interval = config_.durability.lfs_checkpoint_interval;
-        auto layout = std::make_unique<LfsSwapLayout>(fs_.get(), this, lfs_options);
-        lfs_swap_ = layout.get();
-        inner = std::move(layout);
-        break;
-      }
+  // The unmodified machine pages whole raw pages to the fixed-offset layout.
+  const CompressedSwapKind swap_kind = config_.use_compression_cache
+                                           ? config_.compressed_swap
+                                           : CompressedSwapKind::kFixedOffset;
+  std::unique_ptr<CompressedSwapBackend> inner;
+  switch (swap_kind) {
+    case CompressedSwapKind::kClustered: {
+      // Fault batching rides the clustered layout's demand reads: the
+      // pipeline's batch window becomes read widening (one disk op).
+      auto layout = std::make_unique<ClusteredSwapLayout>(
+          fs_.get(),
+          ClusteredSwapLayout::Options{
+              config_.allow_block_spanning, config_.durability.enabled,
+              config_.pipeline.enabled ? uint64_t{config_.pipeline.fault_batch_window} : 0});
+      clustered_swap_ = layout.get();
+      inner = std::move(layout);
+      break;
     }
-    if (config_.tiers.enabled) {
-      // Tier stack: the configured layout becomes the stack's bottom tier and
-      // the flash-class device tiers sit in front of it, behind the same
-      // CompressedSwapBackend contract. With an empty tier list the stack is
-      // degenerate and forwards verbatim.
-      auto stack = std::make_unique<TierStack>(&clock_, std::move(inner), config_.tiers);
-      tier_stack_ = stack.get();
-      inner = std::move(stack);
+    case CompressedSwapKind::kFixedOffset: {
+      auto layout = std::make_unique<FixedSwapLayout>(
+          fs_.get(), FixedSwapLayout::Options{config_.durability.enabled});
+      fixed_swap_ = layout.get();
+      inner = std::move(layout);
+      break;
     }
-    if (config_.pipeline.enabled) {
-      // Write-behind decorator: every layout write becomes a submitted
-      // background batch; reads barrier on in-flight pages.
-      auto behind = std::make_unique<WriteBehindBackend>(
-          std::move(inner), &clock_,
-          std::max<uint32_t>(1, config_.pipeline.write_behind_depth));
-      write_behind_ = behind.get();
-      cswap_ = std::move(behind);
-    } else {
-      cswap_ = std::move(inner);
+    case CompressedSwapKind::kLfs: {
+      // The LFS segment buffer takes its frames from the pool up front — the
+      // "significant memory for buffers" the paper holds against this design.
+      LfsSwapLayout::Options lfs_options;
+      lfs_options.durable = config_.durability.enabled;
+      lfs_options.checkpoint_interval = config_.durability.lfs_checkpoint_interval;
+      auto layout = std::make_unique<LfsSwapLayout>(fs_.get(), this, lfs_options);
+      lfs_swap_ = layout.get();
+      inner = std::move(layout);
+      break;
     }
+  }
+  if (config_.tiers.enabled) {
+    // Tier stack: the configured layout becomes the stack's bottom tier and
+    // the flash-class device tiers sit in front of it, behind the same
+    // CompressedSwapBackend contract. With an empty tier list the stack is
+    // degenerate and forwards verbatim.
+    auto stack = std::make_unique<TierStack>(&clock_, std::move(inner), config_.tiers);
+    tier_stack_ = stack.get();
+    inner = std::move(stack);
+  }
+  if (config_.pipeline.enabled) {
+    // Write-behind decorator: every layout write becomes a submitted
+    // background batch; reads barrier on in-flight pages.
+    auto behind = std::make_unique<WriteBehindBackend>(
+        std::move(inner), &clock_, std::max<uint32_t>(1, config_.pipeline.write_behind_depth));
+    write_behind_ = behind.get();
+    cswap_ = std::move(behind);
+  } else {
+    cswap_ = std::move(inner);
+  }
 #ifndef NDEBUG
-    // Layout identity: the typed alias must be the same object the owning
-    // pointer (or its decorator) holds (guards against a future construction
-    // path forgetting to set the alias).
-    CompressedSwapBackend* layout_backend =
-        write_behind_ != nullptr ? write_behind_->inner() : cswap_.get();
-    if (tier_stack_ != nullptr) {
-      CC_ASSERT(layout_backend == static_cast<CompressedSwapBackend*>(tier_stack_));
-      layout_backend = tier_stack_->bottom_backend();
-    }
-    CC_ASSERT(static_cast<CompressedSwapBackend*>(clustered_swap_) == layout_backend ||
-              static_cast<CompressedSwapBackend*>(fixed_cswap_) == layout_backend ||
-              static_cast<CompressedSwapBackend*>(lfs_swap_) == layout_backend);
-    CC_ASSERT((clustered_swap_ != nullptr) + (fixed_cswap_ != nullptr) +
-                  (lfs_swap_ != nullptr) ==
-              1);
+  // Layout identity: the typed alias must be the same object the owning
+  // pointer (or its decorator) holds (guards against a future construction
+  // path forgetting to set the alias).
+  CompressedSwapBackend* layout_backend =
+      write_behind_ != nullptr ? write_behind_->inner() : cswap_.get();
+  if (tier_stack_ != nullptr) {
+    CC_ASSERT(layout_backend == static_cast<CompressedSwapBackend*>(tier_stack_));
+    layout_backend = tier_stack_->bottom_backend();
+  }
+  CC_ASSERT(static_cast<CompressedSwapBackend*>(clustered_swap_) == layout_backend ||
+            static_cast<CompressedSwapBackend*>(fixed_swap_) == layout_backend ||
+            static_cast<CompressedSwapBackend*>(lfs_swap_) == layout_backend);
+  CC_ASSERT((clustered_swap_ != nullptr) + (fixed_swap_ != nullptr) + (lfs_swap_ != nullptr) ==
+            1);
 #endif
 
+  if (config_.use_compression_cache) {
     CcacheOptions cc_options;
     cc_options.max_slots = config_.ccache_max_frames != 0 ? config_.ccache_max_frames
                                                           : pool_.total_frames();
@@ -162,7 +161,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     if (injector_ != nullptr) {
       ccache_->SetFaultInjector(injector_.get());
     }
-    pager_->AttachCompressionCache(ccache_.get(), cswap_.get());
     if (config_.compress_file_cache) {
       buffer_cache_->SetCompressionCache(ccache_.get());
     }
@@ -185,10 +183,8 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
       }
       ChargeMetadataBytes(boot_bytes);
     }
-  } else {
-    fixed_swap_ = std::make_unique<FixedSwapLayout>(fs_.get());
-    pager_->AttachFixedSwap(fixed_swap_.get());
   }
+  pager_->Attach(cswap_.get(), ccache_.get());
 
   // The buffer cache and pager publish the age of an LRU front that only moves
   // toward the present (evicting the front exposes a younger entry; touching
@@ -253,9 +249,7 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     if (ccache_ != nullptr) {
       ccache_->SetTracer(tracer_.get());
     }
-    if (cswap_ != nullptr) {
-      cswap_->SetTracer(tracer_.get());
-    }
+    cswap_->SetTracer(tracer_.get());
   }
 
   if (recover_from != nullptr) {
@@ -266,7 +260,7 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
 void Machine::RecoverFrom(Machine& crashed) {
   const uint64_t start_ns = clock_.Now().nanos();
   recovery_.mounts = 1;
-  if (cswap_ != nullptr && config_.durability.enabled) {
+  if (config_.durability.enabled) {
     const CompressedSwapBackend::MountStats mount = cswap_->Mount();
     recovery_.journal_replays = mount.journal_replays;
     recovery_.checkpoint_loads = mount.checkpoint_loads;
@@ -290,7 +284,7 @@ void Machine::RecoverFrom(Machine& crashed) {
       if (old_seg->page(p).state == PageState::kUntouched) {
         continue;
       }
-      if (cswap_ != nullptr && cswap_->Contains(PageKey{seg->id(), p})) {
+      if (cswap_->Contains(PageKey{seg->id(), p})) {
         pager_->RestoreSwappedPage(*seg, p);
         ++recovery_.pages_recovered;
       } else {
@@ -303,25 +297,23 @@ void Machine::RecoverFrom(Machine& crashed) {
   // Purge resurrected backend entries no restored page claims (frees whose
   // journal record never became durable): they would otherwise trip the
   // vm <-> backing orphan audit and leak blocks.
-  if (cswap_ != nullptr) {
-    std::vector<PageKey> orphans;
-    cswap_->ForEachPage([&](PageKey key) {
-      bool claimed = false;
-      if (!IsFileKey(key) && key.segment < pager_->num_segments()) {
-        Segment* seg = pager_->GetSegment(key.segment);
-        if (!seg->torn_down() && key.page < seg->num_pages()) {
-          claimed = seg->page(key.page).state == PageState::kSwapped;
-        }
+  std::vector<PageKey> orphans;
+  cswap_->ForEachPage([&](PageKey key) {
+    bool claimed = false;
+    if (!IsFileKey(key) && key.segment < pager_->num_segments()) {
+      Segment* seg = pager_->GetSegment(key.segment);
+      if (!seg->torn_down() && key.page < seg->num_pages()) {
+        claimed = seg->page(key.page).state == PageState::kSwapped;
       }
-      if (!claimed) {
-        orphans.push_back(key);
-      }
-    });
-    for (const PageKey key : orphans) {
-      cswap_->Invalidate(key);
     }
-    recovery_.orphans_discarded = orphans.size();
+    if (!claimed) {
+      orphans.push_back(key);
+    }
+  });
+  for (const PageKey key : orphans) {
+    cswap_->Invalidate(key);
   }
+  recovery_.orphans_discarded = orphans.size();
   recovery_.mount_ns = clock_.Now().nanos() - start_ns;
 }
 
@@ -371,11 +363,8 @@ void Machine::BindAllMetrics() {
       // Sums every tier backend's detections (the plain accessor below would
       // only see the outermost decorator's counter).
       total += static_cast<double>(tier_stack_->total_checksum_mismatches());
-    } else if (cswap_ != nullptr) {
+    } else {
       total += static_cast<double>(cswap_->checksum_mismatches());
-    }
-    if (fixed_swap_ != nullptr) {
-      total += static_cast<double>(fixed_swap_->checksum_mismatches());
     }
     return total;
   });
@@ -418,12 +407,7 @@ void Machine::BindAllMetrics() {
   if (ccache_ != nullptr) {
     ccache_->BindMetrics(&metrics_);
   }
-  if (cswap_ != nullptr) {
-    cswap_->BindMetrics(&metrics_);
-  }
-  if (fixed_swap_ != nullptr) {
-    fixed_swap_->BindMetrics(&metrics_);
-  }
+  cswap_->BindMetrics(&metrics_);
   if (pipeline_ != nullptr) {
     pipeline_->BindMetrics(&metrics_);
   }
@@ -493,12 +477,7 @@ void Machine::RegisterAuditChecks() {
   if (ccache_ != nullptr) {
     ccache_->RegisterAuditChecks(&auditor_);
   }
-  if (cswap_ != nullptr) {
-    cswap_->RegisterAuditChecks(&auditor_);
-  }
-  if (fixed_swap_ != nullptr) {
-    fixed_swap_->RegisterAuditChecks(&auditor_);
-  }
+  cswap_->RegisterAuditChecks(&auditor_);
   if (pipeline_ != nullptr) {
     pipeline_->RegisterAuditChecks(&auditor_);
   }
@@ -513,12 +492,7 @@ void Machine::ResetStats() {
   if (ccache_ != nullptr) {
     ccache_->ResetStats();
   }
-  if (cswap_ != nullptr) {
-    cswap_->ResetStats();
-  }
-  if (fixed_swap_ != nullptr) {
-    fixed_swap_->ResetStats();
-  }
+  cswap_->ResetStats();
   if (pipeline_ != nullptr) {
     pipeline_->ResetStats();
   }
@@ -651,43 +625,39 @@ std::string Machine::Report() const {
         static_cast<unsigned long long>(cs.entries_dropped),
         static_cast<unsigned long long>(cs.invalidations));
     out += buf;
-    if (const auto* clustered = clustered_swap_; clustered != nullptr) {
-      const auto& sw = clustered->stats();
-      std::snprintf(buf, sizeof(buf),
-                    "cswap: %llu batches, %llu pages written, %llu read, "
-                    "%llu payload bytes, %llu fragment bytes, %llu blocks reused\n",
-                    static_cast<unsigned long long>(sw.batches_written),
-                    static_cast<unsigned long long>(sw.pages_written),
-                    static_cast<unsigned long long>(sw.pages_read),
-                    static_cast<unsigned long long>(sw.payload_bytes_written),
-                    static_cast<unsigned long long>(sw.fragment_bytes_written),
-                    static_cast<unsigned long long>(sw.blocks_reused));
-      out += buf;
-    } else if (const auto* fixed = fixed_cswap_; fixed != nullptr) {
-      const auto& sw = fixed->stats();
-      std::snprintf(buf, sizeof(buf),
-                    "fcswap: %llu pages written, %llu read, %llu payload bytes\n",
-                    static_cast<unsigned long long>(sw.pages_written),
-                    static_cast<unsigned long long>(sw.pages_read),
-                    static_cast<unsigned long long>(sw.payload_bytes_written));
-      out += buf;
-    } else if (const auto* lfs = lfs_swap_; lfs != nullptr) {
-      const auto& sw = lfs->stats();
-      std::snprintf(buf, sizeof(buf),
-                    "lfs: %llu pages written, %llu read (%llu from buffer), "
-                    "%llu segments written, %llu cleaned, %llu live pages copied\n",
-                    static_cast<unsigned long long>(sw.pages_written),
-                    static_cast<unsigned long long>(sw.pages_read),
-                    static_cast<unsigned long long>(sw.reads_from_buffer),
-                    static_cast<unsigned long long>(sw.segments_written),
-                    static_cast<unsigned long long>(sw.segments_cleaned),
-                    static_cast<unsigned long long>(sw.live_pages_copied));
-      out += buf;
-    }
-  } else {
-    std::snprintf(buf, sizeof(buf), "fixed swap: %llu pages written, %llu pages read\n",
-                  static_cast<unsigned long long>(fixed_swap_->pages_written()),
-                  static_cast<unsigned long long>(fixed_swap_->pages_read()));
+  }
+
+  if (const auto* clustered = clustered_swap_; clustered != nullptr) {
+    const auto& sw = clustered->stats();
+    std::snprintf(buf, sizeof(buf),
+                  "cswap: %llu batches, %llu pages written, %llu read, "
+                  "%llu payload bytes, %llu fragment bytes, %llu blocks reused\n",
+                  static_cast<unsigned long long>(sw.batches_written),
+                  static_cast<unsigned long long>(sw.pages_written),
+                  static_cast<unsigned long long>(sw.pages_read),
+                  static_cast<unsigned long long>(sw.payload_bytes_written),
+                  static_cast<unsigned long long>(sw.fragment_bytes_written),
+                  static_cast<unsigned long long>(sw.blocks_reused));
+    out += buf;
+  } else if (const auto* fixed = fixed_swap_; fixed != nullptr) {
+    const auto& sw = fixed->stats();
+    std::snprintf(buf, sizeof(buf),
+                  "fixed swap: %llu pages written, %llu read, %llu payload bytes\n",
+                  static_cast<unsigned long long>(sw.pages_written),
+                  static_cast<unsigned long long>(sw.pages_read),
+                  static_cast<unsigned long long>(sw.payload_bytes_written));
+    out += buf;
+  } else if (const auto* lfs = lfs_swap_; lfs != nullptr) {
+    const auto& sw = lfs->stats();
+    std::snprintf(buf, sizeof(buf),
+                  "lfs: %llu pages written, %llu read (%llu from buffer), "
+                  "%llu segments written, %llu cleaned, %llu live pages copied\n",
+                  static_cast<unsigned long long>(sw.pages_written),
+                  static_cast<unsigned long long>(sw.pages_read),
+                  static_cast<unsigned long long>(sw.reads_from_buffer),
+                  static_cast<unsigned long long>(sw.segments_written),
+                  static_cast<unsigned long long>(sw.segments_cleaned),
+                  static_cast<unsigned long long>(sw.live_pages_copied));
     out += buf;
   }
 

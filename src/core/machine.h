@@ -25,7 +25,6 @@
 #include "util/metrics.h"
 #include "util/trace.h"
 #include "swap/clustered_swap.h"
-#include "swap/fixed_compressed_swap.h"
 #include "swap/fixed_swap.h"
 #include "swap/lfs_swap.h"
 #include "swap/write_behind_backend.h"
@@ -43,6 +42,7 @@ enum class BackingKind {
 };
 
 // Backing-store layout for compressed pages (paper section 4.3's alternatives).
+// The unmodified machine always pages to the fixed-offset layout.
 enum class CompressedSwapKind {
   kClustered,    // 1 KB fragments, 32 KB batches, GC — the paper's design
   kFixedOffset,  // fixed page offsets, partial-block writes — the rejected ideal
@@ -71,9 +71,9 @@ struct FaultInjectionOptions {
   std::vector<uint64_t> power_fail_nth_sectors;
 };
 
-// Crash consistency: when enabled, the compressed-swap backends keep durable
-// on-disk metadata (a CRC'd intent journal for the clustered and fixed-offset
-// layouts; segment summaries plus rotating checkpoints for LFS) so
+// Crash consistency: when enabled, the swap layout of either machine keeps
+// durable on-disk metadata (a CRC'd intent journal for the clustered and
+// fixed-offset layouts; segment summaries plus rotating checkpoints for LFS) so
 // Machine::Recover can rebuild the swap state after a simulated power failure.
 // Off by default — the journal costs extra small writes per mutation.
 struct DurabilityOptions {
@@ -142,11 +142,10 @@ struct MachineConfig {
   // turn periodic auditing on for an entire test suite without code changes.
   size_t audit_interval = 0;
 
-  // Robustness knobs: fault injection, bounded disk retry, durable swap
-  // metadata (crash recovery). Page integrity (a CRC-32C on every compressed
-  // image, verified on every read) is always on.
+  // Robustness knobs: fault injection and durable swap metadata (crash
+  // recovery). The disk retries with its default RetryPolicy. Page integrity
+  // (a CRC-32C on every stored image, verified on every read) is always on.
   FaultInjectionOptions fault_injection;
-  RetryPolicy retry;
   DurabilityOptions durability;
 
   // Async pipelined I/O: write-behind swap batches, decompress-ahead
@@ -221,14 +220,14 @@ class Machine : public FrameSource {
   DiskDevice& disk() { return *disk_; }
   MemoryArbiter& arbiter() { return arbiter_; }
   CompressionCache* ccache() { return ccache_.get(); }  // null in std mode
-  CompressedSwapBackend* compressed_swap() { return cswap_.get(); }  // null in std mode
-  // Typed views of the configured compressed-swap layout, stored at
-  // construction (exactly one is non-null in cc mode, all null in std mode) —
-  // for stats access without downcasting.
+  // The backing store the pager pages to (outermost decorator included).
+  CompressedSwapBackend* compressed_swap() { return cswap_.get(); }
+  // Typed views of the configured swap layout, stored at construction
+  // (exactly one is non-null; the std machine's is always fixed_swap()) — for
+  // stats access without downcasting.
   ClusteredSwapLayout* clustered_swap() { return clustered_swap_; }
-  FixedCompressedSwapLayout* fixed_compressed_swap() { return fixed_cswap_; }
+  FixedSwapLayout* fixed_swap() { return fixed_swap_; }
   LfsSwapLayout* lfs_swap() { return lfs_swap_; }
-  FixedSwapLayout* fixed_swap() { return fixed_swap_.get(); }  // null in cc mode
   // Non-null only when MachineConfig::pipeline.enabled; write_behind() is then
   // the same object as compressed_swap() (the decorator wraps the layout).
   WriteBehindBackend* write_behind() { return write_behind_; }
@@ -353,16 +352,15 @@ class Machine : public FrameSource {
   std::unique_ptr<BufferCache> buffer_cache_;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<CompressedSwapBackend> cswap_;
-  // Typed aliases of cswap_ set by the construction switch; at most one is
-  // non-null and it always equals cswap_.get() (asserted in Debug builds).
+  // Typed aliases of the layout at the bottom of the cswap_ chain, set by the
+  // construction switch; exactly one is non-null (asserted in Debug builds).
   ClusteredSwapLayout* clustered_swap_ = nullptr;
-  FixedCompressedSwapLayout* fixed_cswap_ = nullptr;
+  FixedSwapLayout* fixed_swap_ = nullptr;
   LfsSwapLayout* lfs_swap_ = nullptr;
   // Alias of cswap_ when it is the write-behind decorator (pipeline enabled).
   WriteBehindBackend* write_behind_ = nullptr;
   // Alias into the cswap_ chain when MachineConfig::tiers.enabled.
   TierStack* tier_stack_ = nullptr;
-  std::unique_ptr<FixedSwapLayout> fixed_swap_;
   std::unique_ptr<CompressionCache> ccache_;
 
   uint64_t metadata_bytes_charged_ = 0;

@@ -197,10 +197,7 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
       wire::PutU32(payload, img.key.page);
       wire::PutU64(payload, start_frag + p.rel_frag);
       wire::PutU32(payload, p.frag_count);
-      wire::PutU32(payload, static_cast<uint32_t>(img.bytes.size()));
-      wire::PutU8(payload, img.is_compressed ? 1 : 0);
-      wire::PutU32(payload, img.original_size);
-      wire::PutU32(payload, img.checksum);
+      StoredImage::Of(img).Encode(payload);
     }
     if (journal_->Append(kRecBatch, payload) != IoStatus::kOk) {
       ++io_failures_;
@@ -223,13 +220,7 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
       ReleaseLocation(it->second);
       locations_.erase(it);
     }
-    Location loc;
-    loc.frag_start = start_frag + p.rel_frag;
-    loc.frag_count = p.frag_count;
-    loc.byte_size = static_cast<uint32_t>(img.bytes.size());
-    loc.is_compressed = img.is_compressed;
-    loc.original_size = img.original_size;
-    loc.checksum = img.checksum;
+    const Location loc{start_frag + p.rel_frag, p.frag_count, StoredImage::Of(img)};
     AddLiveFrags(loc);
     const bool loc_ok = locations_.emplace(img.key, loc).second;
     const bool frag_ok = by_frag_start_.emplace(loc.frag_start, img.key).second;
@@ -265,34 +256,20 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
   std::vector<uint8_t> staging(blocks * kFsBlockSize);
   ReadResult result;
   result.blocks_read = blocks;
-  result.is_compressed = loc.is_compressed;
-  result.original_size = loc.original_size;
-  result.checksum = loc.checksum;
   if (fs_->Read(file_, first_block * kFsBlockSize, staging) != IoStatus::kOk) {
     ++io_failures_;
     result.status = IoStatus::kFailed;
     return result;
   }
   const uint64_t skip = (loc.frag_start - first_block * kFragsPerBlock) * kSwapFragmentSize;
-  result.bytes.assign(staging.begin() + static_cast<ptrdiff_t>(skip),
-                      staging.begin() + static_cast<ptrdiff_t>(skip + loc.byte_size));
-  if (loc.checksum != 0) {
-    // One CRC pass serves both the verdict and the trace record (the old code
-    // recomputed it while building the mismatch event's arguments).
-    const uint32_t actual = Crc32(result.bytes);
-    if (actual != loc.checksum) {
-      ++checksum_mismatches_;
-      result.status = IoStatus::kCorrupt;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kChecksumMismatch, fs_->disk()->clock()->Now(), key,
-                        loc.checksum, actual);
-      }
-    }
+  if (!TakeImage(loc.image, staging, skip, result) && tracer_ != nullptr) {
+    tracer_->Record(TraceEventKind::kChecksumMismatch, fs_->disk()->clock()->Now(), key,
+                    loc.image.checksum, Crc32(result.bytes));
   }
   ++stats_.pages_read;
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kSwapReadPage, fs_->disk()->clock()->Now(), key,
-                    loc.byte_size, blocks);
+                    loc.image.byte_size, blocks);
   }
 
   if (collect_coresidents) {
@@ -308,22 +285,16 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
       if (other.frag_start + other.frag_count > range_end) {
         continue;  // only whole pages come along for free
       }
-      const uint64_t off = (other.frag_start - range_start) * kSwapFragmentSize;
-      SwapPageImage img;
-      img.key = pos->second;
-      img.is_compressed = other.is_compressed;
-      img.original_size = other.original_size;
-      img.checksum = other.checksum;
-      img.bytes.assign(staging.begin() + static_cast<ptrdiff_t>(off),
-                       staging.begin() + static_cast<ptrdiff_t>(off + other.byte_size));
+      const StoredImage::Slice co = other.image.SliceFrom(
+          staging, (other.frag_start - range_start) * kSwapFragmentSize);
       // A coresident is a free bonus; a corrupt one is worse than none (it
       // would seed the ccache with a bad image), so drop it. Its on-disk copy
       // stays and a direct fault on it goes through the full recovery path.
-      if (img.checksum != 0 && Crc32(img.bytes) != img.checksum) {
+      if (!co.verified) {
         ++coresidents_dropped_;
         continue;
       }
-      result.coresidents.push_back(std::move(img));
+      result.coresidents.push_back(other.image.ImageOf(pos->second, co.bytes));
       ++stats_.coresident_pages_returned;
     }
   }
@@ -388,10 +359,7 @@ CompressedSwapBackend::MountStats ClusteredSwapLayout::Mount() {
         Location loc;
         loc.frag_start = r.U64();
         loc.frag_count = r.U32();
-        loc.byte_size = r.U32();
-        loc.is_compressed = r.U8() != 0;
-        loc.original_size = r.U32();
-        loc.checksum = r.U32();
+        loc.image = StoredImage::Decode(r);
         if (r.ok()) {
           locations_[key] = loc;  // the newest committed copy wins
         }
@@ -415,12 +383,13 @@ CompressedSwapBackend::MountStats ClusteredSwapLayout::Mount() {
   std::vector<PageKey> dropped;
   std::vector<uint8_t> buf;
   for (const auto& [key, loc] : locations_) {
-    bool ok = loc.frag_count > 0 && loc.byte_size > 0 && loc.byte_size <= kPageSize &&
-              loc.byte_size <= static_cast<uint64_t>(loc.frag_count) * kSwapFragmentSize;
+    const uint32_t size = loc.image.byte_size;
+    bool ok = loc.frag_count > 0 && size > 0 && size <= kPageSize &&
+              size <= static_cast<uint64_t>(loc.frag_count) * kSwapFragmentSize;
     if (ok) {
-      buf.resize(loc.byte_size);
+      buf.resize(size);
       ok = fs_->Read(file_, loc.frag_start * kSwapFragmentSize, buf) == IoStatus::kOk &&
-           (loc.checksum == 0 || Crc32(buf) == loc.checksum);
+           loc.image.SliceFrom(buf, 0).verified;
     }
     if (!ok) {
       dropped.push_back(key);
@@ -520,8 +489,8 @@ void ClusteredSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
         return "location of page at fragment " + std::to_string(loc.frag_start) +
                " is missing from the position index";
       }
-      if (loc.byte_size == 0 || loc.byte_size > kPageSize) {
-        return "stored size " + std::to_string(loc.byte_size) + " at fragment " +
+      if (loc.image.byte_size == 0 || loc.image.byte_size > kPageSize) {
+        return "stored size " + std::to_string(loc.image.byte_size) + " at fragment " +
                std::to_string(loc.frag_start) + " is outside (0, page size]";
       }
       for (uint32_t i = 0; i < loc.frag_count; ++i) {

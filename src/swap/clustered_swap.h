@@ -122,10 +122,7 @@ class ClusteredSwapLayout : public CompressedSwapBackend {
   struct Location {
     uint64_t frag_start = 0;
     uint32_t frag_count = 0;
-    uint32_t byte_size = 0;
-    bool is_compressed = true;
-    uint32_t original_size = kPageSize;
-    uint32_t checksum = 0;  // fragment metadata; 0 = none recorded
+    StoredImage image;  // fragment metadata
   };
 
   // Journal record types (payload layouts in clustered_swap.cc).

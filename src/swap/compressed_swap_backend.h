@@ -1,11 +1,13 @@
-// Interface over backing-store layouts for compressed pages, so the paper's
-// section-4.3 design alternatives can be swapped against each other:
+// Interface over backing-store layouts, so the paper's section-4.3 design
+// alternatives can be swapped against each other:
 //   * ClusteredSwapLayout — the paper's implemented design (1 KB fragments,
 //     32 KB batched writes, explicit location map, block-reuse GC);
-//   * FixedCompressedSwapLayout — the paper's rejected "ideal": keep each page at
-//     its fixed swap-file offset and transfer only the compressed bytes, which
-//     runs into the file system's whole-block semantics (a 2 KB write becomes a
-//     4 KB read plus a 4 KB write).
+//   * FixedSwapLayout — each page at its fixed swap-file offset. Unmodified
+//     Sprite's backing store (whole raw pages) and the paper's rejected
+//     "ideal" for compressed pages (transfer only the compressed bytes, which
+//     runs into the file system's whole-block semantics: a 2 KB write becomes
+//     a 4 KB read plus a 4 KB write);
+//   * LfsSwapLayout — a Sprite-LFS-style log with segment cleaning.
 #ifndef COMPCACHE_SWAP_COMPRESSED_SWAP_BACKEND_H_
 #define COMPCACHE_SWAP_COMPRESSED_SWAP_BACKEND_H_
 
@@ -15,11 +17,14 @@
 #include <vector>
 
 #include "disk/disk_device.h"
+#include "util/assert.h"
+#include "util/checksum.h"
 #include "util/io_status.h"
 #include "util/metrics.h"
 #include "util/time_types.h"
 #include "util/trace.h"
 #include "util/units.h"
+#include "util/wire.h"
 #include "vm/page_key.h"
 
 namespace compcache {
@@ -32,9 +37,58 @@ struct SwapPageImage {
   std::vector<uint8_t> bytes;  // compressed bitstream, or raw page if !is_compressed
   bool is_compressed = true;
   uint32_t original_size = kPageSize;
-  // CRC-32C of `bytes`, carried in fragment metadata and verified at read time.
-  // 0 means "not recorded": readers skip verification for such images.
+  // CRC-32C of `bytes`, carried in the layout's metadata and verified at read
+  // time.
   uint32_t checksum = 0;
+};
+
+// What a layout records about one stored image, in memory and in its durable
+// metadata (journal records, LFS summaries and checkpoints).
+struct StoredImage {
+  uint32_t byte_size = 0;
+  bool is_compressed = true;
+  uint32_t original_size = kPageSize;
+  uint32_t checksum = 0;  // CRC-32C of the stored bytes
+
+  static StoredImage Of(const SwapPageImage& img) {
+    return {static_cast<uint32_t>(img.bytes.size()), img.is_compressed, img.original_size,
+            img.checksum};
+  }
+
+  // Wire form, 13 bytes little-endian: size u32, compressed u8, original
+  // size u32, CRC u32.
+  void Encode(std::vector<uint8_t>& out) const {
+    wire::PutU32(out, byte_size);
+    wire::PutU8(out, is_compressed ? 1 : 0);
+    wire::PutU32(out, original_size);
+    wire::PutU32(out, checksum);
+  }
+  static StoredImage Decode(wire::Reader& r) {
+    StoredImage image;
+    image.byte_size = r.U32();
+    image.is_compressed = r.U8() != 0;
+    image.original_size = r.U32();
+    image.checksum = r.U32();
+    return image;
+  }
+
+  // The image's bytes, which start at `offset` in `buf`, and whether they
+  // match the recorded CRC.
+  struct Slice {
+    std::span<const uint8_t> bytes;
+    bool verified = false;
+  };
+  Slice SliceFrom(std::span<const uint8_t> buf, size_t offset) const {
+    CC_EXPECTS(offset + byte_size <= buf.size());
+    const auto bytes = buf.subspan(offset, byte_size);
+    return {bytes, Crc32(bytes) == checksum};
+  }
+
+  // A write-ready image of `bytes` under this record's facts.
+  SwapPageImage ImageOf(PageKey key, std::span<const uint8_t> bytes) const {
+    return {key, std::vector<uint8_t>(bytes.begin(), bytes.end()), is_compressed,
+            original_size, checksum};
+  }
 };
 
 class CompressedSwapBackend {
@@ -81,7 +135,7 @@ class CompressedSwapBackend {
     std::vector<uint8_t> bytes;
     bool is_compressed = true;
     uint32_t original_size = kPageSize;
-    uint32_t checksum = 0;  // as stored; 0 when the image carried none
+    uint32_t checksum = 0;  // as stored
     // Other whole pages that happened to live in the blocks read (only the
     // clustered layouts produce these). Corrupt coresidents are dropped, never
     // returned.
@@ -136,6 +190,23 @@ class CompressedSwapBackend {
   virtual void SetTracer(EventTracer* tracer) { (void)tracer; }
 
  protected:
+  // Fills `result` with `image`, whose bytes start at `offset` in `buf`. A
+  // copy that fails its CRC is still returned, marked kCorrupt and counted.
+  // Returns whether the copy verified.
+  bool TakeImage(const StoredImage& image, std::span<const uint8_t> buf, size_t offset,
+                 ReadResult& result) {
+    const StoredImage::Slice slice = image.SliceFrom(buf, offset);
+    result.bytes.assign(slice.bytes.begin(), slice.bytes.end());
+    result.is_compressed = image.is_compressed;
+    result.original_size = image.original_size;
+    result.checksum = image.checksum;
+    if (!slice.verified) {
+      ++checksum_mismatches_;
+      result.status = IoStatus::kCorrupt;
+    }
+    return slice.verified;
+  }
+
   void ResetBaseCounters() {
     checksum_mismatches_ = 0;
     io_failures_ = 0;

@@ -1,84 +1,94 @@
-// The unmodified Sprite backing store: "When a page is written to backing store, it
-// is written to a 'swap file' corresponding to the segment containing the page, at
-// an offset corresponding to the location of the page within the segment. This
-// fixed mapping of pages to file blocks makes it trivial to locate a page on the
-// backing store." (paper section 4.3)
+// The fixed-offset backing store, shared by both machines.
+//
+// Unmodified Sprite: "When a page is written to backing store, it is written to
+// a 'swap file' corresponding to the segment containing the page, at an offset
+// corresponding to the location of the page within the segment. This fixed
+// mapping of pages to file blocks makes it trivial to locate a page on the
+// backing store." The unmodified machine stores whole raw pages here.
+//
+// With the compression cache it is the paper's rejected alternative: "Ideally,
+// the system would keep each compressed page in the same location in its swap
+// file as without the compression cache, but transfer just the amount of data
+// occupied by the compressed page. Unfortunately ... the file system enforces
+// transfers in multiples of a whole file system block. ... if a page were
+// compressed from 4 Kbytes to 2 Kbytes, a 2-Kbyte write would result in a
+// 4-Kbyte read and a 4-Kbyte write rather than only the expected 2 Kbyte
+// write!" (paper section 4.3)
+//
+// Either way only the image's bytes are written at the page's fixed offset, so
+// the file system's whole-block semantics bite exactly as described. Combine
+// with FileSystem::Options::allow_partial_block_write to evaluate the paper's
+// "modify the file system" alternative.
 #ifndef COMPCACHE_SWAP_FIXED_SWAP_H_
 #define COMPCACHE_SWAP_FIXED_SWAP_H_
 
-#include <functional>
-#include <span>
+#include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "fs/file_system.h"
-#include "util/io_status.h"
-#include "util/metrics.h"
-#include "vm/page_key.h"
+#include "swap/compressed_swap_backend.h"
+#include "swap/swap_journal.h"
 
 namespace compcache {
 
-class InvariantAuditor;
+struct FixedSwapStats {
+  uint64_t pages_written = 0;
+  uint64_t pages_read = 0;
+  uint64_t payload_bytes_written = 0;
+};
 
-class FixedSwapLayout {
+class FixedSwapLayout : public CompressedSwapBackend {
  public:
-  explicit FixedSwapLayout(FileSystem* fs);
+  struct Options {
+    // Durable mode: an intent record (previous + new slot metadata, CRC'd) is
+    // journaled *before* each in-place slot overwrite, so Mount() can classify
+    // a crash-straddling write as new / old / torn by reading the slot back.
+    bool durable = false;
+  };
 
-  // Writes one whole page at its fixed offset in the segment's swap file,
-  // recording its checksum. On kFailed a previously written copy (if any)
-  // stays authoritative.
-  IoStatus WritePage(PageKey key, std::span<const uint8_t> page);
+  FixedSwapLayout(FileSystem* fs, Options options);
+  explicit FixedSwapLayout(FileSystem* fs) : FixedSwapLayout(fs, Options{}) {}
 
-  // Reads one whole page. The page must have been written before. Returns
-  // kCorrupt when the stored bytes no longer match the recorded checksum
-  // (the bytes are returned anyway).
-  IoStatus ReadPage(PageKey key, std::span<uint8_t> out);
+  IoStatus WriteBatch(std::span<const SwapPageImage> pages) override;
+  bool Contains(PageKey key) const override { return images_.contains(key); }
+  DiskDevice* device() override { return fs_->disk(); }
+  ReadResult ReadPage(PageKey key, bool collect_coresidents) override;
+  void Invalidate(PageKey key) override;
+  void ForEachPage(const std::function<void(PageKey)>& fn) const override;
+  void RegisterAuditChecks(InvariantAuditor* auditor) override;
 
-  bool Contains(PageKey key) const { return written_.contains(key); }
+  // Durable mode only: replays the intent journal and resolves each page's
+  // slot by CRC — the new image if the overwrite completed, the previous one
+  // if it never started, dropped if the slot is torn (in-place overwrite
+  // cannot preserve the old copy, the cost of a fixed mapping).
+  MountStats Mount() override;
 
-  // Forgets a page's copy. The fixed layout normally keeps stale copies (they
-  // are overwritten in place), so this is only for segment teardown, where the
-  // page's key will never be written again.
-  void Invalidate(PageKey key) { written_.erase(key); }
-
-  // Calls `fn` once per page with a recorded copy (order unspecified).
-  void ForEachPage(const std::function<void(PageKey)>& fn) const {
-    for (const auto& [key, crc] : written_) {
-      fn(key);
-    }
+  const FixedSwapStats& stats() const { return stats_; }
+  void ResetStats() override {
+    stats_ = FixedSwapStats{};
+    ResetBaseCounters();
   }
-
-  // Registers the layout's (minimal) consistency checks with the auditor.
-  void RegisterAuditChecks(InvariantAuditor* auditor);
-
-  uint64_t pages_written() const { return pages_written_; }
-  uint64_t pages_read() const { return pages_read_; }
-
-  // Zeroes event counters; recorded pages are untouched.
-  void ResetStats() {
-    pages_written_ = 0;
-    pages_read_ = 0;
-    checksum_mismatches_ = 0;
-    io_failures_ = 0;
-  }
-
-  // Same counters as CompressedSwapBackend.
-  uint64_t checksum_mismatches() const { return checksum_mismatches_; }
-  uint64_t io_failures() const { return io_failures_; }
 
   // Publishes counters as "swap.fixed.*" gauges.
-  void BindMetrics(MetricRegistry* registry);
+  void BindMetrics(MetricRegistry* registry) override;
 
  private:
+  // Journal record types (payload layouts in fixed_swap.cc).
+  static constexpr uint8_t kRecIntent = 1;
+  static constexpr uint8_t kRecFree = 2;
+
   FileId SwapFileFor(uint32_t segment);
+  static uint64_t OffsetOf(PageKey key) {
+    return static_cast<uint64_t>(key.page) * kPageSize;
+  }
 
   FileSystem* fs_;
+  Options options_;
+  std::unique_ptr<SwapJournal> journal_;  // non-null only in durable mode
   std::unordered_map<uint32_t, FileId> swap_files_;
-  // Written pages and the CRC-32C recorded at write time.
-  std::unordered_map<PageKey, uint32_t, PageKeyHash> written_;
-  uint64_t pages_written_ = 0;
-  uint64_t pages_read_ = 0;
-  uint64_t checksum_mismatches_ = 0;
-  uint64_t io_failures_ = 0;
+  std::unordered_map<PageKey, StoredImage, PageKeyHash> images_;
+  FixedSwapStats stats_;
 };
 
 }  // namespace compcache

@@ -66,8 +66,8 @@ void LfsSwapLayout::ReleaseLocation(PageKey key) {
     return;
   }
   const Location& loc = it->second;
-  CC_ASSERT(live_bytes_[loc.segment] >= loc.byte_size);
-  live_bytes_[loc.segment] -= loc.byte_size;
+  CC_ASSERT(live_bytes_[loc.segment] >= loc.image.byte_size);
+  live_bytes_[loc.segment] -= loc.image.byte_size;
   members_[loc.segment].erase(loc.offset);
   locations_.erase(it);
 }
@@ -140,10 +140,7 @@ IoStatus LfsSwapLayout::FlushOpenSegment() {
     wire::PutU32(payload, key.segment);
     wire::PutU32(payload, key.page);
     wire::PutU32(payload, loc.offset);
-    wire::PutU32(payload, loc.byte_size);
-    wire::PutU8(payload, loc.is_compressed ? 1 : 0);
-    wire::PutU32(payload, loc.original_size);
-    wire::PutU32(payload, loc.checksum);
+    loc.image.Encode(payload);
   }
   std::vector<uint8_t> frame;
   wire::PutU32(frame, kSummaryMagic);
@@ -191,10 +188,7 @@ bool LfsSwapLayout::WriteCheckpoint() {
       wire::PutU32(payload, key.page);
       wire::PutU32(payload, loc.segment);
       wire::PutU32(payload, loc.offset);
-      wire::PutU32(payload, loc.byte_size);
-      wire::PutU8(payload, loc.is_compressed ? 1 : 0);
-      wire::PutU32(payload, loc.original_size);
-      wire::PutU32(payload, loc.checksum);
+      loc.image.Encode(payload);
     }
   }
   std::vector<uint8_t> frame;
@@ -237,16 +231,10 @@ IoStatus LfsSwapLayout::AppendImage(const SwapPageImage& img, bool count_as_writ
   }
   ReleaseLocation(img.key);  // the old copy (if any) becomes segment garbage
 
-  Location loc;
-  loc.segment = open_segment_;
-  loc.offset = open_fill_;
-  loc.byte_size = static_cast<uint32_t>(img.bytes.size());
-  loc.is_compressed = img.is_compressed;
-  loc.original_size = img.original_size;
-  loc.checksum = img.checksum;
+  const Location loc{open_segment_, open_fill_, StoredImage::Of(img)};
   std::memcpy(open_buffer_.data() + open_fill_, img.bytes.data(), img.bytes.size());
   open_fill_ += static_cast<uint32_t>(img.bytes.size());
-  live_bytes_[loc.segment] += loc.byte_size;
+  live_bytes_[loc.segment] += loc.image.byte_size;
   members_[loc.segment].emplace(loc.offset, img.key);
   locations_[img.key] = loc;
   if (count_as_write) {
@@ -302,13 +290,9 @@ bool LfsSwapLayout::CleanOneSegment() {
     std::vector<std::pair<uint32_t, PageKey>> live(members_[victim].begin(),
                                                    members_[victim].end());
     for (const auto& [offset, key] : live) {
-      const Location loc = locations_.at(key);
-      SwapPageImage img;
-      img.key = key;
-      img.is_compressed = loc.is_compressed;
-      img.original_size = loc.original_size;
-      img.checksum = loc.checksum;
-      img.bytes.assign(segment.begin() + offset, segment.begin() + offset + loc.byte_size);
+      const StoredImage image = locations_.at(key).image;
+      const SwapPageImage img = image.ImageOf(
+          key, std::span<const uint8_t>(segment).subspan(offset, image.byte_size));
       if (AppendImage(img, /*count_as_write=*/false) != IoStatus::kOk) {
         // The copy stalled mid-segment; pages already moved are fine, the rest
         // stay live in the victim, which therefore cannot be freed yet.
@@ -378,42 +362,27 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
   CC_EXPECTS(it != locations_.end());
   const Location loc = it->second;
   ReadResult result;
-  result.is_compressed = loc.is_compressed;
-  result.original_size = loc.original_size;
-  result.checksum = loc.checksum;
-  result.bytes.resize(loc.byte_size);
   ++stats_.pages_read;
-
-  const auto verify = [&] {
-    if (loc.checksum != 0 && Crc32(result.bytes) != loc.checksum) {
-      ++checksum_mismatches_;
-      result.status = IoStatus::kCorrupt;
-    }
-  };
 
   if (loc.segment == open_segment_) {
     // Still in the write buffer: no I/O at all.
-    std::memcpy(result.bytes.data(), open_buffer_.data() + loc.offset, loc.byte_size);
     ++stats_.reads_from_buffer;
-    verify();
+    TakeImage(loc.image, open_buffer_, loc.offset, result);
     return result;
   }
 
   // Block-aligned read of the covering blocks, like the other layouts.
   const uint64_t seg_base = static_cast<uint64_t>(loc.segment) * SegmentBytes();
   const uint64_t first_block = loc.offset / kFsBlockSize;
-  const uint64_t last_block = (loc.offset + loc.byte_size - 1) / kFsBlockSize;
+  const uint64_t last_block = (loc.offset + loc.image.byte_size - 1) / kFsBlockSize;
   std::vector<uint8_t> staging((last_block - first_block + 1) * kFsBlockSize);
   if (fs_->Read(file_, seg_base + first_block * kFsBlockSize, staging) != IoStatus::kOk) {
     ++io_failures_;
     result.status = IoStatus::kFailed;
-    result.bytes.clear();
     return result;
   }
   result.blocks_read = last_block - first_block + 1;
-  std::memcpy(result.bytes.data(), staging.data() + (loc.offset - first_block * kFsBlockSize),
-              loc.byte_size);
-  verify();
+  TakeImage(loc.image, staging, loc.offset - first_block * kFsBlockSize, result);
 
   if (collect_coresidents) {
     const uint64_t range_start = first_block * kFsBlockSize;
@@ -424,21 +393,16 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
         continue;
       }
       const Location& other = locations_.at(pos->second);
-      if (other.offset + other.byte_size > range_end) {
+      if (other.offset + other.image.byte_size > range_end) {
         continue;
       }
-      SwapPageImage img;
-      img.key = pos->second;
-      img.is_compressed = other.is_compressed;
-      img.original_size = other.original_size;
-      img.checksum = other.checksum;
-      img.bytes.assign(staging.begin() + (other.offset - range_start),
-                       staging.begin() + (other.offset - range_start) + other.byte_size);
-      if (img.checksum != 0 && Crc32(img.bytes) != img.checksum) {
+      const StoredImage::Slice slice =
+          other.image.SliceFrom(staging, other.offset - range_start);
+      if (!slice.verified) {
         ++coresidents_dropped_;  // never seed the ccache with a bad image
         continue;
       }
-      result.coresidents.push_back(std::move(img));
+      result.coresidents.push_back(other.image.ImageOf(pos->second, slice.bytes));
     }
   }
   return result;
@@ -504,10 +468,7 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
       Location loc;
       loc.segment = p.U32();
       loc.offset = p.U32();
-      loc.byte_size = p.U32();
-      loc.is_compressed = p.U8() != 0;
-      loc.original_size = p.U32();
-      loc.checksum = p.U32();
+      loc.image = StoredImage::Decode(p);
       map[key] = loc;
     }
     if (!p.ok()) {
@@ -583,10 +544,7 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
       rec.key.page = p.U32();
       rec.loc.segment = s;  // adds always describe the summary's own segment
       rec.loc.offset = p.U32();
-      rec.loc.byte_size = p.U32();
-      rec.loc.is_compressed = p.U8() != 0;
-      rec.loc.original_size = p.U32();
-      rec.loc.checksum = p.U32();
+      rec.loc.image = StoredImage::Decode(p);
       sum.adds.push_back(rec);
     }
     if (!p.ok()) {
@@ -616,15 +574,15 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
   std::vector<uint8_t> buf;
   for (auto it = locations_.begin(); it != locations_.end();) {
     const Location& loc = it->second;
-    bool ok = loc.segment < options_.log_segments && loc.byte_size > 0 &&
-              loc.byte_size <= kPageSize &&
-              static_cast<uint64_t>(loc.offset) + loc.byte_size <= DataBytes();
+    const uint32_t size = loc.image.byte_size;
+    bool ok = loc.segment < options_.log_segments && size > 0 && size <= kPageSize &&
+              static_cast<uint64_t>(loc.offset) + size <= DataBytes();
     if (ok) {
-      buf.assign(loc.byte_size, 0);
+      buf.assign(size, 0);
       ok = fs_->Read(file_,
                      static_cast<uint64_t>(loc.segment) * SegmentBytes() + loc.offset,
                      buf) == IoStatus::kOk &&
-           (loc.checksum == 0 || Crc32(buf) == loc.checksum);
+           loc.image.SliceFrom(buf, 0).verified;
     }
     if (ok) {
       ++it;
@@ -646,7 +604,7 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
   pending_free_.clear();
   pending_dels_.clear();
   for (const auto& [key, loc] : locations_) {
-    live_bytes_[loc.segment] += loc.byte_size;
+    live_bytes_[loc.segment] += loc.image.byte_size;
     members_[loc.segment].emplace(loc.offset, key);
     segment_is_free_[loc.segment] = 0;
   }
@@ -736,10 +694,10 @@ void LfsSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
         return "location points at segment " + std::to_string(loc.segment) +
                " beyond the log";
       }
-      if (loc.byte_size == 0) {
+      if (loc.image.byte_size == 0) {
         return "location in segment " + std::to_string(loc.segment) + " has zero size";
       }
-      recount[loc.segment] += loc.byte_size;
+      recount[loc.segment] += loc.image.byte_size;
       const auto& mem = members_[loc.segment];
       const auto it = mem.find(loc.offset);
       if (it == mem.end() || !(it->second == key)) {

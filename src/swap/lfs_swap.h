@@ -103,10 +103,7 @@ class LfsSwapLayout : public CompressedSwapBackend {
   struct Location {
     uint32_t segment = 0;
     uint32_t offset = 0;  // byte offset within the segment
-    uint32_t byte_size = 0;
-    bool is_compressed = true;
-    uint32_t original_size = kPageSize;
-    uint32_t checksum = 0;  // 0 = none recorded
+    StoredImage image;
   };
 
   uint64_t SegmentBytes() const {

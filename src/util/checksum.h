@@ -9,8 +9,6 @@
 // bytewise 256-entry table everywhere else. Both compute the same CRC, so a
 // stored checksum never depends on the host. The simulator charges checksum
 // work zero virtual time; the choice moves host time only.
-// By convention a stored checksum of 0 means "no checksum recorded" and readers
-// skip verification; Crc32() therefore never returns 0 for any input.
 #ifndef COMPCACHE_UTIL_CHECKSUM_H_
 #define COMPCACHE_UTIL_CHECKSUM_H_
 
@@ -32,8 +30,8 @@ bool Crc32cHardwareAvailable();
 
 }  // namespace internal
 
-// CRC-32C of `data`. Never returns 0 (0 is reserved for "absent"): the rare
-// input whose true CRC is 0 maps to 1, a one-in-four-billion detection loss.
+// CRC-32C of `data`, except that the rare input whose true CRC is 0 maps to 1
+// (a one-in-four-billion detection loss kept so stored values stay the same).
 uint32_t Crc32(std::span<const uint8_t> data);
 
 }  // namespace compcache

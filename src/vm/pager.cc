@@ -11,27 +11,29 @@
 
 namespace compcache {
 
+namespace {
+
+// Safety valve on recursive eviction cascades (insert -> frame alloc -> arbiter
+// -> evict -> insert ...); beyond this depth the pager refuses and the arbiter
+// falls back to another memory consumer.
+constexpr int kMaxEvictionDepth = 8;
+
+}  // namespace
+
 Pager::Pager(Clock* clock, const CostModel* costs, FrameSource* frames, VmOptions options)
     : clock_(clock), costs_(costs), frames_(frames), options_(options) {
   CC_EXPECTS(clock_ != nullptr && costs_ != nullptr && frames_ != nullptr);
 }
 
-void Pager::AttachCompressionCache(CompressionCache* ccache, CompressedSwapBackend* cswap) {
-  CC_EXPECTS(ccache != nullptr && cswap != nullptr);
-  CC_EXPECTS(fixed_swap_ == nullptr);
+void Pager::Attach(CompressedSwapBackend* swap, CompressionCache* ccache) {
+  CC_EXPECTS(swap != nullptr && swap_ == nullptr);
+  swap_ = swap;
   ccache_ = ccache;
-  cswap_ = cswap;
-}
-
-void Pager::AttachFixedSwap(FixedSwapLayout* swap) {
-  CC_EXPECTS(swap != nullptr);
-  CC_EXPECTS(ccache_ == nullptr);
-  fixed_swap_ = swap;
 }
 
 Segment* Pager::CreateSegment(size_t num_pages) {
   CC_EXPECTS(num_pages > 0);
-  CC_EXPECTS(ccache_ != nullptr || fixed_swap_ != nullptr);
+  CC_EXPECTS(swap_ != nullptr);
   segments_.push_back(
       std::make_unique<Segment>(static_cast<uint32_t>(segments_.size()), num_pages));
   segments_.back()->set_owner_pid(current_pid_);
@@ -70,11 +72,7 @@ void Pager::DropStaleCopies(PageEntry& entry) {
     entry.has_ccache_copy = false;
   }
   if (entry.has_backing_copy) {
-    if (cswap_ != nullptr) {
-      cswap_->Invalidate(entry.key);
-    }
-    // Fixed layout: the stale copy is simply overwritten in place on the next
-    // pageout; only the validity flag changes.
+    swap_->Invalidate(entry.key);
     entry.has_backing_copy = false;
   }
 }
@@ -208,54 +206,50 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   }
 
   if (source == PageState::kSwapped && !lost && !prefetched) {
-    if (cswap_ != nullptr) {
-      auto result = cswap_->ReadPage(entry.key, options_.insert_coresidents);
-      if (result.status != IoStatus::kOk) {
-        // Unreadable (retries exhausted) or failed its stored checksum; there
-        // is no rung left below the backing store.
-        lost = true;
-      } else if (result.is_compressed) {
-        // Store the compressed image in the cache first (paper 4.1), then
-        // decompress for the faulting process.
-        if (!ccache_->Contains(entry.key)) {
-          ccache_->InsertCompressedClean(entry.key, result.bytes, result.original_size);
-          entry.has_ccache_copy = ccache_->Contains(entry.key);
-        }
-        if (!ccache_->DecompressImage(result.bytes, frame_data)) {
-          // Undecodable despite a matching (or absent) checksum; never keep a
-          // cache entry seeded from a bad image.
-          if (entry.has_ccache_copy) {
-            ccache_->Invalidate(entry.key);
-            entry.has_ccache_copy = false;
-          }
-          lost = true;
-        }
-      } else {
-        CC_ASSERT(result.bytes.size() == frame_data.size());
-        std::memcpy(frame_data.data(), result.bytes.data(), result.bytes.size());
-        clock_->Advance(costs_->CopyCost(result.bytes.size()), TimeCategory::kCopy);
+    auto result = swap_->ReadPage(entry.key, options_.insert_coresidents);
+    if (result.status != IoStatus::kOk) {
+      // Unreadable (retries exhausted) or failed its stored checksum; there
+      // is no rung left below the backing store.
+      lost = true;
+    } else if (result.is_compressed) {
+      // Store the compressed image in the cache first (paper 4.1), then
+      // decompress for the faulting process. Only a ccache writes compressed
+      // images, so one exists here.
+      if (!ccache_->Contains(entry.key)) {
+        ccache_->InsertCompressedClean(entry.key, result.bytes, result.original_size);
+        entry.has_ccache_copy = ccache_->Contains(entry.key);
       }
-      if (!lost) {
-        // Pages that came along for free in the same blocks join the cache too
-        // (backends have already dropped any coresident that failed its CRC).
-        for (const SwapPageImage& co : result.coresidents) {
-          PageEntry& other = EntryFor(co.key);
-          if (other.state == PageState::kSwapped && co.is_compressed &&
-              !ccache_->Contains(co.key)) {
-            ccache_->InsertCompressedClean(co.key, co.bytes, co.original_size);
-            other.has_ccache_copy = true;
-            other.state = PageState::kCompressed;
-            ++stats_.coresidents_inserted;
-          }
+      if (!ccache_->DecompressImage(result.bytes, frame_data)) {
+        // Undecodable despite a matching checksum; never keep a cache entry
+        // seeded from a bad image.
+        if (entry.has_ccache_copy) {
+          ccache_->Invalidate(entry.key);
+          entry.has_ccache_copy = false;
         }
+        lost = true;
       }
     } else {
-      CC_ASSERT(fixed_swap_ != nullptr);
-      if (fixed_swap_->ReadPage(entry.key, frame_data) != IoStatus::kOk) {
-        lost = true;
+      CC_ASSERT(result.bytes.size() == frame_data.size());
+      std::memcpy(frame_data.data(), result.bytes.data(), result.bytes.size());
+      if (ccache_ != nullptr) {
+        // The unmodified machine reads straight into the frame; the ccache
+        // machine stages the image and pays for the copy.
+        clock_->Advance(costs_->CopyCost(result.bytes.size()), TimeCategory::kCopy);
       }
     }
     if (!lost) {
+      // Pages that came along for free in the same blocks join the cache too
+      // (backends have already dropped any coresident that failed its CRC).
+      for (const SwapPageImage& co : result.coresidents) {
+        PageEntry& other = EntryFor(co.key);
+        if (other.state == PageState::kSwapped && co.is_compressed &&
+            !ccache_->Contains(co.key)) {
+          ccache_->InsertCompressedClean(co.key, co.bytes, co.original_size);
+          other.has_ccache_copy = true;
+          other.state = PageState::kCompressed;
+          ++stats_.coresidents_inserted;
+        }
+      }
       ++stats_.faults_from_swap;
       fault_kind = TraceEventKind::kFaultFromSwap;
       entry.has_backing_copy = true;
@@ -320,9 +314,7 @@ void Pager::MarkPageLost(PageEntry& entry, std::span<uint8_t> frame_data) {
     entry.has_ccache_copy = false;
   }
   if (entry.has_backing_copy) {
-    if (cswap_ != nullptr) {
-      cswap_->Invalidate(entry.key);
-    }
+    swap_->Invalidate(entry.key);
     entry.has_backing_copy = false;
   }
   entry.dirty = true;
@@ -348,20 +340,20 @@ bool Pager::EvictResident(PageEntry& entry) {
 
   const auto frame_data = frames_->FrameData(entry.frame);
 
-  if (ccache_ != nullptr) {
-    if (!entry.dirty && (entry.has_ccache_copy || entry.has_backing_copy)) {
-      // A consistent copy already exists; the frame can simply be dropped.
-      entry.state =
-          entry.has_ccache_copy ? PageState::kCompressed : PageState::kSwapped;
-      ++stats_.evictions_clean_drop;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kEvictCleanDrop, clock_->Now(), entry.key);
-      }
-    } else {
-      // Dirty (or never-stored) page: stale copies were invalidated when it was
-      // dirtied, so compress it now. The scratch scope keeps outcome.bytes
-      // alive until the insertion completes (including any nested reclaim).
-      CC_ASSERT(!entry.has_ccache_copy && !entry.has_backing_copy);
+  if (!entry.dirty && (entry.has_ccache_copy || entry.has_backing_copy)) {
+    // A consistent copy already exists; the frame can simply be dropped.
+    entry.state = entry.has_ccache_copy ? PageState::kCompressed : PageState::kSwapped;
+    ++stats_.evictions_clean_drop;
+    if (tracer_ != nullptr) {
+      tracer_->Record(TraceEventKind::kEvictCleanDrop, clock_->Now(), entry.key);
+    }
+  } else {
+    // Dirty (or never-stored) page: stale copies were invalidated when it was
+    // dirtied. With a ccache, compress it now; the scratch scope keeps
+    // outcome.bytes alive until the insertion completes (including any nested
+    // reclaim).
+    CC_ASSERT(!entry.has_ccache_copy && !entry.has_backing_copy);
+    if (ccache_ != nullptr) {
       ScratchArena::Scope scratch(ccache_->arena());
       auto outcome = ccache_->CompressPage(frame_data);
       if (outcome.keep) {
@@ -384,61 +376,53 @@ bool Pager::EvictResident(PageEntry& entry) {
         entry.pinned = false;
         return true;  // frame already freed
       }
-      // Below the 4:3 threshold: store uncompressed on the backing store.
-      SwapPageImage img;
-      img.key = entry.key;
-      img.is_compressed = false;
-      img.original_size = static_cast<uint32_t>(frame_data.size());
-      img.bytes.assign(frame_data.begin(), frame_data.end());
-      img.checksum = Crc32(img.bytes);
-      clock_->Advance(costs_->CopyCost(img.bytes.size()), TimeCategory::kCopy);
-      if (cswap_->WriteBatch(std::span<const SwapPageImage>(&img, 1)) != IoStatus::kOk) {
-        // Pageout failed after retries: the only valid copy is the resident
-        // one, so the page cannot leave memory. Re-admit it and let the
-        // arbiter pick a different victim. Re-stamp the age to match the MRU
-        // position — keeping the ancient stamp would let an old age drift back
-        // to the LRU front and make vm's published age regress.
-        ++stats_.evictions_failed;
-        entry.age_ns = static_cast<uint64_t>(clock_->Now().nanos());
-        lru_.PushMru(entry);
-        entry.pinned = false;
-        return false;
-      }
-      entry.has_backing_copy = true;
-      entry.state = PageState::kSwapped;
-      ++stats_.evictions_raw_swap;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kEvictRawSwap, clock_->Now(), entry.key);
-      }
     }
-  } else {
-    // Unmodified system: synchronous pageout of dirty pages to the fixed layout.
-    if (entry.dirty || !entry.has_backing_copy) {
-      if (fixed_swap_->WritePage(entry.key, frame_data) != IoStatus::kOk) {
-        ++stats_.evictions_failed;
-        entry.age_ns = static_cast<uint64_t>(clock_->Now().nanos());  // matches MRU slot
-        lru_.PushMru(entry);
-        entry.pinned = false;
-        return false;
-      }
-      entry.has_backing_copy = true;
-      ++stats_.evictions_std_write;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kEvictStdWrite, clock_->Now(), entry.key);
-      }
-    } else {
-      ++stats_.evictions_clean_drop;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kEvictCleanDrop, clock_->Now(), entry.key);
-      }
+    if (!PageOutRaw(entry, frame_data)) {
+      return false;
     }
-    entry.state = PageState::kSwapped;
   }
 
   entry.dirty = false;
   frames_->FreeFrame(entry.frame);
   entry.frame = FrameId{};
   entry.pinned = false;
+  return true;
+}
+
+bool Pager::PageOutRaw(PageEntry& entry, std::span<const uint8_t> frame_data) {
+  SwapPageImage img;
+  img.key = entry.key;
+  img.is_compressed = false;
+  img.original_size = static_cast<uint32_t>(frame_data.size());
+  img.bytes.assign(frame_data.begin(), frame_data.end());
+  img.checksum = Crc32(img.bytes);
+  if (ccache_ != nullptr) {
+    // The unmodified machine writes straight from the frame; the ccache
+    // machine stages the page and pays for the copy.
+    clock_->Advance(costs_->CopyCost(img.bytes.size()), TimeCategory::kCopy);
+  }
+  if (swap_->WriteBatch(std::span<const SwapPageImage>(&img, 1)) != IoStatus::kOk) {
+    // Pageout failed after retries: the only valid copy is the resident one,
+    // so the page cannot leave memory. Re-admit it and let the arbiter pick a
+    // different victim. Re-stamp the age to match the MRU position — keeping
+    // the ancient stamp would let an old age drift back to the LRU front and
+    // make vm's published age regress.
+    ++stats_.evictions_failed;
+    entry.age_ns = static_cast<uint64_t>(clock_->Now().nanos());
+    lru_.PushMru(entry);
+    entry.pinned = false;
+    return false;
+  }
+  entry.has_backing_copy = true;
+  entry.state = PageState::kSwapped;
+  // The same write is the unmodified system's synchronous pageout, or a page
+  // that failed the ccache's 4:3 threshold.
+  ++(ccache_ != nullptr ? stats_.evictions_raw_swap : stats_.evictions_std_write);
+  if (tracer_ != nullptr) {
+    tracer_->Record(ccache_ != nullptr ? TraceEventKind::kEvictRawSwap
+                                       : TraceEventKind::kEvictStdWrite,
+                    clock_->Now(), entry.key);
+  }
   return true;
 }
 
@@ -462,12 +446,7 @@ void Pager::TeardownSegment(Segment& segment) {
     // one exists: a partially persisted write batch can leave the backend
     // holding a copy the page table never learned about, and teardown is the
     // last chance to release those blocks.
-    if (cswap_ != nullptr) {
-      cswap_->Invalidate(e.key);
-    }
-    if (fixed_swap_ != nullptr) {
-      fixed_swap_->Invalidate(e.key);
-    }
+    swap_->Invalidate(e.key);
     const PageKey key = e.key;
     e = PageEntry{};
     e.key = key;
@@ -511,7 +490,7 @@ uint64_t Pager::OldestAge() const {
 }
 
 bool Pager::ReleaseOldest() {
-  if (eviction_depth_ >= options_.max_eviction_depth) {
+  if (eviction_depth_ >= kMaxEvictionDepth) {
     return false;
   }
   // Find the oldest un-pinned resident page (LRU-to-MRU scan; pinned pages are
@@ -580,10 +559,9 @@ void Pager::OnEntryLost(PageKey key) {
   }
 }
 
-void Pager::RegisterAuditChecks(InvariantAuditor* auditor) {
+void Pager::RegisterAuditChecks(InvariantAuditor* auditor) const {
   CC_EXPECTS(auditor != nullptr);
-  // Reporting mirror of CheckInvariants: per-state flag rules plus the
-  // resident-count / LRU-size balance.
+  // Per-state flag rules plus the resident-count / LRU-size balance.
   auditor->Register("vm", "page-states", [this]() -> std::optional<std::string> {
     size_t resident = 0;
     for (const auto& segment : segments_) {
@@ -639,85 +617,40 @@ void Pager::RegisterAuditChecks(InvariantAuditor* auditor) {
   // Two-way coherence with the backing store. Forward: a claimed backing copy
   // must exist. Reverse: every backend page must be claimed by a page-table
   // entry — an orphan is a leaked location (and, for the clustered/LFS
-  // layouts, leaked blocks). The fixed (std) layout keeps stale copies by
-  // design, so only the forward direction applies to it.
+  // layouts, leaked blocks).
   auditor->Register("vm", "swap-coherent", [this]() -> std::optional<std::string> {
     for (const auto& segment : segments_) {
       for (uint32_t p = 0; p < segment->num_pages(); ++p) {
         const PageEntry& e = segment->page(p);
-        if (!e.has_backing_copy) {
-          continue;
-        }
-        const bool present = cswap_ != nullptr    ? cswap_->Contains(e.key)
-                             : fixed_swap_ != nullptr ? fixed_swap_->Contains(e.key)
-                                                      : false;
-        if (!present) {
+        if (e.has_backing_copy && !swap_->Contains(e.key)) {
           return "segment " + std::to_string(segment->id()) + " page " + std::to_string(p) +
                  " claims a backing copy the backend does not hold";
         }
       }
     }
-    if (cswap_ != nullptr) {
-      std::optional<std::string> orphan;
-      cswap_->ForEachPage([&](PageKey key) {
-        if (orphan.has_value() || IsFileKey(key)) {
-          return;
-        }
-        if (key.segment >= segments_.size()) {
-          orphan = "backend holds a page for unknown segment " + std::to_string(key.segment);
-          return;
-        }
-        const PageEntry& e = segments_[key.segment]->page(key.page);
-        if (!e.has_backing_copy) {
-          orphan = "backend holds an orphaned copy of segment " +
-                   std::to_string(key.segment) + " page " + std::to_string(key.page) +
-                   " (leaked location)";
-        }
-      });
-      if (orphan.has_value()) {
-        return orphan;
+    std::optional<std::string> orphan;
+    swap_->ForEachPage([&](PageKey key) {
+      if (orphan.has_value() || IsFileKey(key)) {
+        return;
       }
-    }
-    return std::nullopt;
+      if (key.segment >= segments_.size()) {
+        orphan = "backend holds a page for unknown segment " + std::to_string(key.segment);
+        return;
+      }
+      const PageEntry& e = segments_[key.segment]->page(key.page);
+      if (!e.has_backing_copy) {
+        orphan = "backend holds an orphaned copy of segment " + std::to_string(key.segment) +
+                 " page " + std::to_string(key.page) + " (leaked location)";
+      }
+    });
+    return orphan;
   });
 }
 
 void Pager::CheckInvariants() const {
-  size_t resident = 0;
-  for (const auto& segment : segments_) {
-    for (uint32_t p = 0; p < segment->num_pages(); ++p) {
-      const PageEntry& e = segment->page(p);
-      switch (e.state) {
-        case PageState::kUntouched:
-          CC_ASSERT(!e.frame.valid() && !e.dirty);
-          CC_ASSERT(!e.has_ccache_copy && !e.has_backing_copy);
-          break;
-        case PageState::kResident:
-          CC_ASSERT(e.frame.valid());
-          ++resident;
-          if (e.dirty) {
-            CC_ASSERT(!e.has_ccache_copy && !e.has_backing_copy);
-          }
-          break;
-        case PageState::kCompressed:
-          CC_ASSERT(!e.frame.valid());
-          CC_ASSERT(e.has_ccache_copy);
-          CC_ASSERT(ccache_ != nullptr && ccache_->Contains(e.key));
-          break;
-        case PageState::kSwapped:
-          CC_ASSERT(!e.frame.valid());
-          CC_ASSERT(!e.has_ccache_copy);
-          CC_ASSERT(e.has_backing_copy);
-          break;
-      }
-      if (e.has_ccache_copy) {
-        CC_ASSERT(ccache_ != nullptr && ccache_->Contains(e.key));
-      } else if (ccache_ != nullptr && e.state != PageState::kResident) {
-        CC_ASSERT(!ccache_->Contains(e.key));
-      }
-    }
-  }
-  CC_ASSERT(resident == lru_.size());
+  InvariantAuditor auditor;
+  RegisterAuditChecks(&auditor);
+  auditor.RunAll();
 }
 
 }  // namespace compcache

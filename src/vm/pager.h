@@ -9,10 +9,10 @@
 //
 // Eviction policy: "LRU pages are compressed to make room for new pages"; pages
 // that fail the 4:3 threshold are written to the backing store uncompressed. In
-// the unmodified configuration (no compression cache attached) eviction writes
-// dirty pages synchronously to the fixed-layout swap file — the paper's "two disk
-// seeks for each fault, one to write a page out and another to retrieve the page
-// faulted upon".
+// the unmodified configuration (no compression cache attached) every dirty page
+// takes that same uncompressed pageout, synchronously, to the fixed-offset
+// layout — the paper's "two disk seeks for each fault, one to write a page out
+// and another to retrieve the page faulted upon".
 #ifndef COMPCACHE_VM_PAGER_H_
 #define COMPCACHE_VM_PAGER_H_
 
@@ -25,7 +25,6 @@
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "swap/compressed_swap_backend.h"
-#include "swap/fixed_swap.h"
 #include "util/intrusive_lru.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -108,11 +107,6 @@ struct VmOptions {
   // Insert compressed pages that arrive "for free" in a swap block read into the
   // compression cache (the clustering benefit the paper describes).
   bool insert_coresidents = true;
-
-  // Safety valve on recursive eviction cascades (insert -> frame alloc -> arbiter
-  // -> evict -> insert ...); beyond this depth the pager refuses and the arbiter
-  // falls back to another memory consumer.
-  int max_eviction_depth = 8;
 };
 
 struct VmStats {
@@ -139,11 +133,10 @@ class Pager : public CcacheEvents {
  public:
   Pager(Clock* clock, const CostModel* costs, FrameSource* frames, VmOptions options = {});
 
-  // Wire exactly one backing configuration before creating segments:
-  //   compression-cache mode: ccache + clustered swap;
-  //   unmodified ("std") mode: fixed swap only.
-  void AttachCompressionCache(CompressionCache* ccache, CompressedSwapBackend* cswap);
-  void AttachFixedSwap(FixedSwapLayout* swap);
+  // Wires the backing store, and the compression cache in front of it, once
+  // before creating segments. `ccache` is null on the unmodified ("std")
+  // machine.
+  void Attach(CompressedSwapBackend* swap, CompressionCache* ccache);
 
   Segment* CreateSegment(size_t num_pages);
   Segment* GetSegment(uint32_t id);
@@ -209,13 +202,11 @@ class Pager : public CcacheEvents {
   size_t resident_pages() const { return lru_.size(); }
   const VmStats& stats() const { return stats_; }
   void ResetStats();
-  bool uses_compression_cache() const { return ccache_ != nullptr; }
 
-  // Invariants: the per-page-state flag rules of CheckInvariants (as reporting
-  // checks rather than aborts), resident count == LRU size, and two-way
-  // vm <-> backing-store coherence: every page claiming a backing copy is in
-  // the backend, and every backend page is claimed (orphans are leaks).
-  void RegisterAuditChecks(InvariantAuditor* auditor);
+  // Invariants: the per-page-state flag rules, resident count == LRU size, and
+  // two-way vm <-> backing-store coherence: every page claiming a backing copy
+  // is in the backend, and every backend page is claimed (orphans are leaks).
+  void RegisterAuditChecks(InvariantAuditor* auditor) const;
 
   // --- observability ---
   // Publishes every VmStats counter as a "vm.*" gauge reading the struct (so the
@@ -225,7 +216,8 @@ class Pager : public CcacheEvents {
   // Records fault/evict events; pass nullptr to disable.
   void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
 
-  // Validates page-state/bookkeeping invariants (test hook).
+  // Runs the checks RegisterAuditChecks publishes and aborts on the first
+  // violation (test hook).
   void CheckInvariants() const;
 
  private:
@@ -235,6 +227,10 @@ class Pager : public CcacheEvents {
   // Evicts one resident page. Returns false when the required pageout write
   // failed — the page is re-admitted to the LRU and stays resident.
   bool EvictResident(PageEntry& entry);
+  // Writes the page uncompressed to the backing store: the unmodified
+  // machine's pageout, and the ccache machine's for pages failing the
+  // threshold. On failure the page is re-admitted at MRU and false returned.
+  bool PageOutRaw(PageEntry& entry, std::span<const uint8_t> frame_data);
   // Last rung of the degradation ladder: no valid copy of the page survives.
   // Zero-fills the frame, drops dead copies, and aborts the owning segment.
   void MarkPageLost(PageEntry& entry, std::span<uint8_t> frame_data);
@@ -244,9 +240,8 @@ class Pager : public CcacheEvents {
   FrameSource* frames_;
   VmOptions options_;
 
-  CompressionCache* ccache_ = nullptr;
-  CompressedSwapBackend* cswap_ = nullptr;
-  FixedSwapLayout* fixed_swap_ = nullptr;
+  CompressedSwapBackend* swap_ = nullptr;
+  CompressionCache* ccache_ = nullptr;  // null on the unmodified machine
   PagePrefetcher* prefetcher_ = nullptr;
 
   std::vector<std::unique_ptr<Segment>> segments_;

@@ -29,7 +29,7 @@
 #include "disk/disk_model.h"
 #include "fs/file_system.h"
 #include "swap/clustered_swap.h"
-#include "swap/fixed_compressed_swap.h"
+#include "swap/fixed_swap.h"
 #include "swap/lfs_swap.h"
 #include "swap/swap_journal.h"
 #include "tests/test_util.h"
@@ -324,9 +324,9 @@ std::unique_ptr<CompressedSwapBackend> MakeDurableBackend(BackendKind kind,
       return std::make_unique<ClusteredSwapLayout>(fs, options);
     }
     case BackendKind::kFixedOffset: {
-      FixedCompressedSwapLayout::Options options;
+      FixedSwapLayout::Options options;
       options.durable = true;
-      return std::make_unique<FixedCompressedSwapLayout>(fs, options);
+      return std::make_unique<FixedSwapLayout>(fs, options);
     }
     case BackendKind::kLfs: {
       LfsSwapLayout::Options options;
@@ -595,11 +595,21 @@ bool IsAllZero(std::span<const uint8_t> page) {
   return std::all_of(page.begin(), page.end(), [](uint8_t b) { return b == 0; });
 }
 
-MachineConfig CrashConfig(CompressedSwapKind kind) {
+// One cell of the machine-level grid: the unmodified machine, or a ccache
+// machine over one compressed-swap layout.
+struct MachineCell {
+  const char* name;
+  bool use_ccache;
+  CompressedSwapKind kind;
+};
+
+void PrintTo(const MachineCell& cell, std::ostream* os) { *os << cell.name; }
+
+MachineConfig CrashConfig(MachineCell cell) {
   // 2 MiB leaves room for the LFS backend's 512 KB segment buffer; the
   // 640-page (2.5 MiB) working set still forces steady eviction traffic.
-  MachineConfig config = SmallConfig(/*use_ccache=*/true, /*memory_bytes=*/2 * kMiB);
-  config.compressed_swap = kind;
+  MachineConfig config = SmallConfig(cell.use_ccache, /*memory_bytes=*/2 * kMiB);
+  config.compressed_swap = cell.kind;
   config.durability.enabled = true;
   config.durability.lfs_checkpoint_interval = 2;
   config.fault_injection.enabled = true;
@@ -622,15 +632,15 @@ void CrashWorkload(Machine& machine, Segment* segment,
   }
 }
 
-class MachineCrashGrid : public ::testing::TestWithParam<CompressedSwapKind> {};
+class MachineCrashGrid : public ::testing::TestWithParam<MachineCell> {};
 
 TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
-  const CompressedSwapKind kind = GetParam();
+  const MachineCell cell = GetParam();
 
   // Dry run: how many power-fail crash points does the workload expose?
   uint64_t total_sectors = 0;
   {
-    Machine machine(CrashConfig(kind));
+    Machine machine(CrashConfig(cell));
     Segment* segment = machine.pager().CreateSegment(kMachinePages);
     std::vector<uint32_t> versions(kMachinePages, 0);
     CrashWorkload(machine, segment, &versions);
@@ -645,7 +655,7 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
   for (uint64_t crash_sector = stride / 2 + 1; crash_sector <= total_sectors;
        crash_sector += stride) {
     SCOPED_TRACE("crash at sector " + std::to_string(crash_sector));
-    MachineConfig config = CrashConfig(kind);
+    MachineConfig config = CrashConfig(cell);
     config.fault_injection.power_fail_nth_sectors = {crash_sector};
 
     Machine machine(config);
@@ -738,23 +748,19 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
   EXPECT_GT(grid_recovered, 0u) << "grid never recovered a single page";
 }
 
-std::string MachineGridName(const ::testing::TestParamInfo<CompressedSwapKind>& info) {
-  switch (info.param) {
-    case CompressedSwapKind::kClustered:
-      return "clustered";
-    case CompressedSwapKind::kFixedOffset:
-      return "fixed_offset";
-    case CompressedSwapKind::kLfs:
-      return "lfs";
-  }
-  return "unknown";
+std::string MachineGridName(const ::testing::TestParamInfo<MachineCell>& info) {
+  return info.param.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, MachineCrashGrid,
-                         ::testing::Values(CompressedSwapKind::kClustered,
-                                           CompressedSwapKind::kFixedOffset,
-                                           CompressedSwapKind::kLfs),
-                         MachineGridName);
+// The unmodified machine pages raw pages to the fixed-offset layout, so its
+// cell proves that layout's journal on whole-block overwrites.
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, MachineCrashGrid,
+    ::testing::Values(MachineCell{"clustered", true, CompressedSwapKind::kClustered},
+                      MachineCell{"fixed_offset", true, CompressedSwapKind::kFixedOffset},
+                      MachineCell{"lfs", true, CompressedSwapKind::kLfs},
+                      MachineCell{"std", false, CompressedSwapKind::kFixedOffset}),
+    MachineGridName);
 
 // A machine with durability off must not pay for any of this: no journal
 // files, no summary blocks, byte-identical results to the seed configuration.
@@ -777,7 +783,7 @@ TEST(MachineCrash, DurabilityOffWritesNoJournalFiles) {
 // Recover on an LFS machine that crashed before any checkpoint existed must
 // still mount (empty checkpoint, roll-forward from summaries alone).
 TEST(MachineCrash, LfsRecoversFromSummariesWithoutACheckpoint) {
-  MachineConfig config = CrashConfig(CompressedSwapKind::kLfs);
+  MachineConfig config = CrashConfig({"lfs", true, CompressedSwapKind::kLfs});
   config.durability.lfs_checkpoint_interval = 1000;  // never checkpoint
 
   uint64_t total_sectors = 0;

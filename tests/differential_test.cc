@@ -20,7 +20,7 @@
 #include "sim/clock.h"
 #include "swap/clustered_swap.h"
 #include "swap/compressed_swap_backend.h"
-#include "swap/fixed_compressed_swap.h"
+#include "swap/fixed_swap.h"
 #include "swap/lfs_swap.h"
 #include "tests/test_util.h"
 #include "util/checksum.h"
@@ -41,7 +41,7 @@ struct BackendStack {
         backend = std::make_unique<ClusteredSwapLayout>(&fs, ClusteredSwapLayout::Options{});
         break;
       case CompressedSwapKind::kFixedOffset:
-        backend = std::make_unique<FixedCompressedSwapLayout>(&fs);
+        backend = std::make_unique<FixedSwapLayout>(&fs);
         break;
       case CompressedSwapKind::kLfs:
         // nullptr frames: unit-test mode, no buffer charge.

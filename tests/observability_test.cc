@@ -89,10 +89,17 @@ TEST_P(ObservabilityModeTest, RegistryAgreesWithStructCounters) {
     EXPECT_EQ(Metric(machine, "ccache.kept_ratio_pct.count"),
               static_cast<double>(cs.kept_ratio_pct.count()));
   } else {
+    const FixedSwapStats& fs = machine.fixed_swap()->stats();
+    EXPECT_GT(fs.pages_written, 0u);
     EXPECT_EQ(Metric(machine, "swap.fixed.pages_written"),
-              static_cast<double>(machine.fixed_swap()->pages_written()));
-    EXPECT_EQ(Metric(machine, "swap.fixed.pages_read"),
-              static_cast<double>(machine.fixed_swap()->pages_read()));
+              static_cast<double>(fs.pages_written));
+    EXPECT_EQ(Metric(machine, "swap.fixed.pages_read"), static_cast<double>(fs.pages_read));
+    // The unmodified machine stores whole raw pages.
+    EXPECT_EQ(Metric(machine, "swap.fixed.payload_bytes_written"),
+              static_cast<double>(fs.pages_written * kPageSize));
+    double live = 0;
+    machine.fixed_swap()->ForEachPage([&](PageKey) { ++live; });
+    EXPECT_EQ(Metric(machine, "swap.fixed.live_pages"), live);
   }
 
   // Arbiter gauges: the sum of per-consumer reclaims matches the structs.

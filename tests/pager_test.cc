@@ -5,6 +5,7 @@
 #include "compress/pagegen.h"
 #include "core/machine.h"
 #include "tests/test_util.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 #include "vm/heap.h"
 
@@ -203,7 +204,7 @@ TEST(PagerStdTest, EvictionWritesSynchronously) {
     heap.WriteBytes(p * kPageSize, page);
   }
   EXPECT_GT(machine.pager().stats().evictions_std_write, 0u);
-  EXPECT_GT(machine.fixed_swap()->pages_written(), 0u);
+  EXPECT_GT(machine.fixed_swap()->stats().pages_written, 0u);
   EXPECT_EQ(machine.pager().stats().evictions_compressed, 0u);
 }
 
@@ -217,14 +218,14 @@ TEST(PagerStdTest, CleanPagesDropFree) {
   }
   // Second sequential pass is read-only: evictions of re-read pages need no
   // write (a valid swap copy exists).
-  const uint64_t writes_after_init = machine.fixed_swap()->pages_written();
+  const uint64_t writes_after_init = machine.fixed_swap()->stats().pages_written;
   for (uint64_t p = 0; p < pages; ++p) {
     (void)heap.Load<uint32_t>(p * kPageSize);
   }
   EXPECT_GT(machine.pager().stats().evictions_clean_drop, 0u);
   // Only the pages dirtied at init that had not yet been paged out can add
   // writes; re-read pages must not.
-  EXPECT_LE(machine.fixed_swap()->pages_written(), writes_after_init + pages);
+  EXPECT_LE(machine.fixed_swap()->stats().pages_written, writes_after_init + pages);
 }
 
 TEST(PagerLruTest, LruVictimIsOldest) {
@@ -278,6 +279,42 @@ TEST(PagerLruTest, VictimSkipsPinnedAndAdvisedPagesAtTheLruFront) {
   EXPECT_FALSE(pager.ReleaseOldest());
   segment.page(0).pinned = false;
   pager.CheckInvariants();
+}
+
+// ---------- CheckInvariants runs the registered audit checks ----------
+
+TEST(PagerDeathTest, CheckInvariantsAbortsOnASwappedPageWithoutItsCopy) {
+  Machine machine(SmallConfig(false));
+  Heap heap = machine.NewHeap(8 * kPageSize);
+  heap.Store<uint32_t>(0, 1);
+  ASSERT_TRUE(machine.pager().ReleaseOldest());
+  PageEntry& entry = heap.segment()->page(0);
+  ASSERT_EQ(entry.state, PageState::kSwapped);
+  machine.pager().CheckInvariants();  // healthy
+
+  entry.has_backing_copy = false;
+  EXPECT_DEATH(machine.pager().CheckInvariants(), "page-states");
+  entry.has_backing_copy = true;
+  machine.pager().CheckInvariants();
+}
+
+TEST(PagerDeathTest, CheckInvariantsAbortsOnAnUnclaimedBackendCopy) {
+  Machine machine(SmallConfig(true));
+  Heap heap = machine.NewHeap(8 * kPageSize);
+  heap.Store<uint32_t>(0, 1);
+  machine.pager().CheckInvariants();  // healthy
+
+  // Page 5 was never touched, yet the backend now holds a copy of it: a leak.
+  SwapPageImage img;
+  img.key = PageKey{heap.segment()->id(), 5};
+  img.bytes = MakePageBytes(ContentClass::kRandom, 7);
+  img.is_compressed = false;
+  img.checksum = Crc32(img.bytes);
+  ASSERT_EQ(machine.compressed_swap()->WriteBatch(std::span<const SwapPageImage>(&img, 1)),
+            IoStatus::kOk);
+  EXPECT_DEATH(machine.pager().CheckInvariants(), "swap-coherent");
+  machine.compressed_swap()->Invalidate(img.key);
+  machine.pager().CheckInvariants();
 }
 
 }  // namespace

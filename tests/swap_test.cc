@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "swap/clustered_swap.h"
-#include "swap/fixed_compressed_swap.h"
 #include "swap/fixed_swap.h"
 #include "swap/lfs_swap.h"
 #include "tests/test_util.h"
@@ -37,7 +37,29 @@ class SwapTest : public ::testing::Test {
     img.bytes = MakeBytes(n, seed);
     img.is_compressed = true;
     img.original_size = kPageSize;
+    img.checksum = Crc32(img.bytes);
     return img;
+  }
+
+  // A whole uncompressed page, as the unmodified machine pages out.
+  SwapPageImage MakeRawImage(PageKey key, uint64_t seed) {
+    SwapPageImage img = MakeImage(key, kPageSize, seed);
+    img.is_compressed = false;
+    return img;
+  }
+
+  // Flips one stored byte of `file` at `offset`, then reads `key` back: the
+  // layout must return it as corrupt and count exactly one mismatch.
+  void ExpectFlippedByteCaught(CompressedSwapBackend& swap, PageKey key,
+                               const std::string& file, uint64_t offset) {
+    const FileId id = fs_.OpenOrCreate(file);
+    std::vector<uint8_t> byte(1);
+    ASSERT_EQ(fs_.Read(id, offset, byte), IoStatus::kOk);
+    byte[0] ^= 0x40;
+    ASSERT_EQ(fs_.Write(id, offset, byte), IoStatus::kOk);
+    const uint64_t before = swap.checksum_mismatches();
+    EXPECT_EQ(swap.ReadPage(key, false).status, IoStatus::kCorrupt) << file;
+    EXPECT_EQ(swap.checksum_mismatches(), before + 1) << file;
   }
 
   Clock clock_;
@@ -45,45 +67,44 @@ class SwapTest : public ::testing::Test {
   FileSystem fs_;
 };
 
-// ---------- FixedSwapLayout ----------
+// ---------- FixedSwapLayout, raw pages (the unmodified machine) ----------
 
 TEST_F(SwapTest, FixedRoundTrip) {
   FixedSwapLayout swap(&fs_);
-  const PageKey key{0, 5};
-  const auto page = MakeBytes(kPageSize, 1);
-  EXPECT_FALSE(swap.Contains(key));
-  swap.WritePage(key, page);
-  EXPECT_TRUE(swap.Contains(key));
-  std::vector<uint8_t> out(kPageSize);
-  swap.ReadPage(key, out);
-  EXPECT_EQ(out, page);
+  const SwapPageImage img = MakeRawImage(PageKey{0, 5}, 1);
+  EXPECT_FALSE(swap.Contains(img.key));
+  ASSERT_EQ(swap.WriteBatch(std::span<const SwapPageImage>(&img, 1)), IoStatus::kOk);
+  EXPECT_TRUE(swap.Contains(img.key));
+  auto r = swap.ReadPage(img.key, false);
+  EXPECT_EQ(r.status, IoStatus::kOk);
+  EXPECT_FALSE(r.is_compressed);
+  EXPECT_EQ(r.bytes, img.bytes);
 }
 
 TEST_F(SwapTest, FixedMappingIsStable) {
   FixedSwapLayout swap(&fs_);
-  const PageKey key{0, 7};
-  const auto v1 = MakeBytes(kPageSize, 2);
-  const auto v2 = MakeBytes(kPageSize, 3);
-  swap.WritePage(key, v1);
-  const uint64_t writes_v1 = fs_.stats().bytes_transferred_written;
-  swap.WritePage(key, v2);  // overwrites in place
-  EXPECT_EQ(fs_.stats().bytes_transferred_written, writes_v1 * 2);
-  std::vector<uint8_t> out(kPageSize);
-  swap.ReadPage(key, out);
-  EXPECT_EQ(out, v2);
+  const SwapPageImage v1 = MakeRawImage(PageKey{0, 7}, 2);
+  const SwapPageImage v2 = MakeRawImage(PageKey{0, 7}, 3);
+  swap.WriteBatch(std::span<const SwapPageImage>(&v1, 1));
+  fs_.ResetStats();
+  const uint64_t write_ops = device_.stats().write_ops;
+  swap.WriteBatch(std::span<const SwapPageImage>(&v2, 1));  // overwrites in place
+  // A raw page covers its whole block: one block write, no read-modify-write.
+  EXPECT_EQ(device_.stats().write_ops, write_ops + 1);
+  EXPECT_EQ(fs_.stats().bytes_transferred_written, kFsBlockSize);
+  EXPECT_EQ(fs_.stats().rmw_reads, 0u);
+  EXPECT_EQ(swap.ReadPage(v2.key, false).bytes, v2.bytes);
 }
 
 TEST_F(SwapTest, FixedSegmentsGetSeparateFiles) {
   FixedSwapLayout swap(&fs_);
-  const auto a = MakeBytes(kPageSize, 4);
-  const auto b = MakeBytes(kPageSize, 5);
-  swap.WritePage(PageKey{0, 0}, a);
-  swap.WritePage(PageKey{1, 0}, b);
-  std::vector<uint8_t> out(kPageSize);
-  swap.ReadPage(PageKey{0, 0}, out);
-  EXPECT_EQ(out, a);
-  swap.ReadPage(PageKey{1, 0}, out);
-  EXPECT_EQ(out, b);
+  const std::vector<SwapPageImage> batch{MakeRawImage(PageKey{0, 0}, 4),
+                                         MakeRawImage(PageKey{1, 0}, 5)};
+  swap.WriteBatch(batch);
+  EXPECT_EQ(swap.ReadPage(PageKey{0, 0}, false).bytes, batch[0].bytes);
+  EXPECT_EQ(swap.ReadPage(PageKey{1, 0}, false).bytes, batch[1].bytes);
+  EXPECT_EQ(fs_.FileSize(fs_.OpenOrCreate("swap.seg0")), kPageSize);
+  EXPECT_EQ(fs_.FileSize(fs_.OpenOrCreate("swap.seg1")), kPageSize);
 }
 
 // ---------- ClusteredSwapLayout ----------
@@ -243,6 +264,7 @@ TEST_F(SwapTest, RawUncompressedImages) {
   img.bytes = MakeBytes(kPageSize, 123);
   img.is_compressed = false;
   img.original_size = kPageSize;
+  img.checksum = Crc32(img.bytes);
   swap.WriteBatch(std::span<const SwapPageImage>(&img, 1));
   auto r = swap.ReadPage(img.key, false);
   EXPECT_FALSE(r.is_compressed);
@@ -295,12 +317,10 @@ TEST_F(SwapTest, ClusteredCorruptCoresidentIsDroppedAndCounted) {
   MetricRegistry registry;
   swap.BindMetrics(&registry);
 
-  // Four single-fragment pages sharing one block, each with a stored CRC.
+  // Four single-fragment pages sharing one block.
   std::vector<SwapPageImage> batch;
   for (uint32_t i = 0; i < 4; ++i) {
-    auto img = MakeImage(PageKey{0, i}, 900, 700 + i);
-    img.checksum = Crc32(img.bytes);
-    batch.push_back(std::move(img));
+    batch.push_back(MakeImage(PageKey{0, i}, 900, 700 + i));
   }
   swap.WriteBatch(batch);
 
@@ -373,11 +393,10 @@ TEST_F(SwapTest, ClusteredReadaheadBoundedAtDeviceEnd) {
   }
 }
 
-
-// ---------- FixedCompressedSwapLayout (the paper's rejected alternative) ----------
+// ---------- FixedSwapLayout, compressed pages (the paper's rejected alternative) ----------
 
 TEST_F(SwapTest, FixedCompressedRoundTrip) {
-  FixedCompressedSwapLayout swap(&fs_);
+  FixedSwapLayout swap(&fs_);
   SwapPageImage img = MakeImage(PageKey{0, 3}, 2000, 500);
   swap.WriteBatch(std::span<const SwapPageImage>(&img, 1));
   EXPECT_TRUE(swap.Contains(img.key));
@@ -387,11 +406,10 @@ TEST_F(SwapTest, FixedCompressedRoundTrip) {
 }
 
 TEST_F(SwapTest, FixedCompressedPartialWriteTriggersRmw) {
-  FixedCompressedSwapLayout swap(&fs_);
+  FixedSwapLayout swap(&fs_);
   // Prime the page's block with a full write, then rewrite smaller: the second
   // write is partial, so Sprite semantics force a read-modify-write.
-  SwapPageImage full = MakeImage(PageKey{0, 0}, kPageSize, 501);
-  full.is_compressed = false;
+  const SwapPageImage full = MakeRawImage(PageKey{0, 0}, 501);
   swap.WriteBatch(std::span<const SwapPageImage>(&full, 1));
   fs_.ResetStats();
 
@@ -406,7 +424,7 @@ TEST_F(SwapTest, FixedCompressedPartialWriteTriggersRmw) {
 }
 
 TEST_F(SwapTest, FixedCompressedKeepsFixedMapping) {
-  FixedCompressedSwapLayout swap(&fs_);
+  FixedSwapLayout swap(&fs_);
   std::vector<SwapPageImage> batch;
   for (uint32_t p = 0; p < 4; ++p) {
     batch.push_back(MakeImage(PageKey{0, p}, 1000 + p * 300, 510 + p));
@@ -422,11 +440,46 @@ TEST_F(SwapTest, FixedCompressedKeepsFixedMapping) {
 }
 
 TEST_F(SwapTest, FixedCompressedInvalidate) {
-  FixedCompressedSwapLayout swap(&fs_);
+  FixedSwapLayout swap(&fs_);
   SwapPageImage img = MakeImage(PageKey{2, 7}, 1500, 530);
   swap.WriteBatch(std::span<const SwapPageImage>(&img, 1));
   swap.Invalidate(img.key);
   EXPECT_FALSE(swap.Contains(img.key));
+}
+
+// ---------- read verification, every layout ----------
+
+// A byte flipped on disk behind a layout's back must surface as kCorrupt and
+// one counted mismatch, whichever layout stored the image.
+TEST_F(SwapTest, EveryLayoutCatchesAFlippedStoredByte) {
+  {
+    ClusteredSwapLayout swap(&fs_);
+    const SwapPageImage img = MakeImage(PageKey{0, 0}, 1500, 540);
+    swap.WriteBatch(std::span<const SwapPageImage>(&img, 1));
+    ExpectFlippedByteCaught(swap, img.key, "cswap", 100);
+  }
+  {
+    FixedSwapLayout swap(&fs_);
+    const std::vector<SwapPageImage> batch{MakeRawImage(PageKey{3, 0}, 541),
+                                           MakeImage(PageKey{3, 1}, 1500, 542)};
+    swap.WriteBatch(batch);
+    ExpectFlippedByteCaught(swap, batch[0].key, "swap.seg3", 100);
+    ExpectFlippedByteCaught(swap, batch[1].key, "swap.seg3", kPageSize + 100);
+  }
+  {
+    LfsSwapLayout::Options options;
+    options.segment_blocks = 4;
+    options.log_segments = 16;
+    LfsSwapLayout swap(&fs_, nullptr, options);
+    std::vector<SwapPageImage> images;
+    for (uint32_t i = 0; i < 12; ++i) {  // 12 x 2 KB: segment 0 fills and flushes
+      images.push_back(MakeImage(PageKey{0, i}, 2048, 550 + i));
+    }
+    swap.WriteBatch(images);
+    ASSERT_GT(swap.stats().segments_written, 0u);
+    ExpectFlippedByteCaught(swap, images[0].key, "lfs_swap", 100);
+    EXPECT_EQ(swap.stats().reads_from_buffer, 0u);  // the read hit the disk
+  }
 }
 
 
