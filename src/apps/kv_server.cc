@@ -26,14 +26,15 @@ KvServer::KvServer(KvServerOptions options)
 }
 
 void KvServer::StoreValue(uint64_t key, uint32_t value_bytes) {
-  io_buf_.assign(kHeaderBytes + value_bytes, 0);
+  // The header and FillPage write every byte of the record.
+  CC_EXPECTS(kHeaderBytes + value_bytes <= io_buf_.size());
+  const std::span<uint8_t> record(io_buf_.data(), kHeaderBytes + value_bytes);
   const uint32_t version = versions_[key] + 1;
-  std::memcpy(io_buf_.data(), &key, sizeof(key));
-  std::memcpy(io_buf_.data() + 8, &version, sizeof(version));
-  std::memcpy(io_buf_.data() + 12, &value_bytes, sizeof(value_bytes));
-  FillPage(std::span<uint8_t>(io_buf_.data() + kHeaderBytes, value_bytes),
-           options_.value_content, content_rng_);
-  heap_->WriteBytes(SlotAddr(key), io_buf_);
+  std::memcpy(record.data(), &key, sizeof(key));
+  std::memcpy(record.data() + 8, &version, sizeof(version));
+  std::memcpy(record.data() + 12, &value_bytes, sizeof(value_bytes));
+  FillPage(record.subspan(kHeaderBytes), options_.value_content, content_rng_);
+  heap_->WriteBytes(SlotAddr(key), record);
   versions_[key] = version;
   sizes_[key] = value_bytes;
 }
@@ -52,8 +53,7 @@ void KvServer::ServeOne(Machine& machine) {
   const uint64_t key = req.key;
   if (req.is_get) {
     const uint32_t size = sizes_[key];
-    io_buf_.resize(kHeaderBytes + size);
-    heap_->ReadBytes(SlotAddr(key), io_buf_);
+    heap_->ReadBytes(SlotAddr(key), std::span<uint8_t>(io_buf_.data(), kHeaderBytes + size));
     uint64_t stored_key = 0;
     uint32_t stored_version = 0;
     uint32_t stored_bytes = 0;
@@ -99,7 +99,7 @@ bool KvServer::Step(Machine& machine) {
       heap_.emplace(machine.NewHeap(keys * options_.slot_bytes));
       versions_.assign(keys, 0);
       sizes_.assign(keys, 0);
-      io_buf_.reserve(options_.slot_bytes);
+      io_buf_.resize(options_.slot_bytes);
 
       MetricRegistry& m = machine.metrics();
       const std::string& p = options_.metrics_prefix;

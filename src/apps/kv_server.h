@@ -90,7 +90,7 @@ class KvServer : public App {
   std::optional<Heap> heap_;
   KvWorkload workload_;
   Rng content_rng_{0};  // payload fill draws, separate from the request stream
-  std::vector<uint8_t> io_buf_;
+  std::vector<uint8_t> io_buf_;  // one slot; each request uses its record's prefix
   // Host-side bookkeeping mirrored by the simulated heap, for get validation.
   std::vector<uint32_t> versions_;
   std::vector<uint32_t> sizes_;

@@ -689,7 +689,8 @@ bool CompressionCache::SubmitBatch(std::span<const SwapPageImage> batch) {
 bool CompressionCache::WriteOldestDirtyBatch() {
   std::vector<SwapPageImage> batch;
   uint64_t payload = 0;
-  for (const Entry& e : entries_) {
+  for (size_t i = FirstDirtyIndex(); i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
     if (!e.valid || !e.dirty) {
       continue;
     }
@@ -704,6 +705,17 @@ bool CompressionCache::WriteOldestDirtyBatch() {
   return !batch.empty() && SubmitBatch(batch);
 }
 
+size_t CompressionCache::FirstDirtyIndex() const {
+  // Head reclamation may have dropped the entries up to and past the cursor.
+  first_dirty_seq_ = std::max(first_dirty_seq_, base_seq_);
+  auto i = static_cast<size_t>(first_dirty_seq_ - base_seq_);
+  while (i < entries_.size() && !(entries_[i].valid && entries_[i].dirty)) {
+    ++i;
+  }
+  first_dirty_seq_ = base_seq_ + i;
+  return i;
+}
+
 size_t CompressionCache::CleanPrefixFrames() const {
   uint64_t prefix_end = tail_off_;
   for (const Entry& e : entries_) {
@@ -716,20 +728,9 @@ size_t CompressionCache::CleanPrefixFrames() const {
 }
 
 bool CompressionCache::CleanPrefixReaches(size_t target) const {
-  const auto frames_to = [this](uint64_t off) {
-    return static_cast<size_t>(off / kPageSize - head_off_ / kPageSize);
-  };
-  // The prefix ends at the first dirty entry, so it covers at least every
-  // clean or invalid entry before it.
-  for (const Entry& e : entries_) {
-    if (e.valid && e.dirty) {
-      return frames_to(e.header_off) >= target;
-    }
-    if (frames_to(e.end_off()) >= target) {
-      return true;
-    }
-  }
-  return frames_to(tail_off_) >= target;
+  const size_t i = FirstDirtyIndex();
+  const uint64_t prefix_end = i < entries_.size() ? entries_[i].header_off : tail_off_;
+  return static_cast<size_t>(prefix_end / kPageSize - head_off_ / kPageSize) >= target;
 }
 
 size_t CompressionCache::CleanTarget() const {
@@ -865,14 +866,23 @@ void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) const {
     }
     return std::nullopt;
   });
-  // Cleaner verdict: the early-exit walk RunCleaner uses agrees with a full
+  // Cleaner verdict: the first-dirty cursor RunCleaner answers from points at
+  // the entry a full scan finds, and its verdict agrees with a full
   // CleanPrefixFrames() scan at the live clean target, and at the targets on
   // either side of the prefix's true length.
   auditor->Register("ccache", "cleaner-verdict", [this]() -> std::optional<std::string> {
+    const auto dirty = std::find_if(entries_.begin(), entries_.end(),
+                                    [](const Entry& e) { return e.valid && e.dirty; });
+    const auto scanned = static_cast<size_t>(dirty - entries_.begin());
+    if (const size_t cursor = FirstDirtyIndex(); cursor != scanned) {
+      return "first-dirty cursor at entry " + std::to_string(cursor) + " of " +
+             std::to_string(entries_.size()) + " but a full scan finds entry " +
+             std::to_string(scanned);
+    }
     const size_t frames = CleanPrefixFrames();
     for (const size_t target : {CleanTarget(), frames, frames + 1}) {
       if (CleanPrefixReaches(target) != (frames >= target)) {
-        return "early-exit cleaner verdict disagrees with a full scan: clean prefix of " +
+        return "cursor cleaner verdict disagrees with a full scan: clean prefix of " +
                std::to_string(frames) + " frames against a target of " + std::to_string(target);
       }
     }

@@ -243,7 +243,7 @@ class CompressionCache {
   // Invariants: ring occupancy — [head, tail] fits the ring's capacity less
   // its one-page anti-alias slack, the contiguous entry chain spans exactly
   // [head, tail], and per-slot live-byte accounting matches a recount — the
-  // cleaner's early-exit verdict against a full prefix scan, plus index
+  // cleaner's first-dirty cursor against a full prefix scan, plus index
   // coherence: every index key maps to exactly the valid entry bearing that
   // key (no double-maps), and valid entries == index size.
   void RegisterAuditChecks(InvariantAuditor* auditor) const;
@@ -348,10 +348,14 @@ class CompressionCache {
   // Returns false when there was nothing dirty.
   bool WriteOldestDirtyBatch();
 
-  // Frames worth of clean/invalid prefix at the head (reclaimable without I/O).
+  // Index in entries_ of the oldest valid dirty entry, entries_.size() when
+  // none: amortized O(1) from first_dirty_seq_.
+  size_t FirstDirtyIndex() const;
+  // Frames worth of clean/invalid prefix at the head (reclaimable without I/O),
+  // by a full scan: the audit's reference for the cursor.
   size_t CleanPrefixFrames() const;
-  // CleanPrefixFrames() >= target, walking the ring only until the answer is
-  // known: the cleaner's per-fault test.
+  // CleanPrefixFrames() >= target, answered from the cursor: the cleaner's
+  // per-fault test.
   bool CleanPrefixReaches(size_t target) const;
   // Clean-prefix frames below which the cleaner writes a batch: an eighth of
   // the mapped ring, but at least kCleanFramesTarget.
@@ -388,6 +392,11 @@ class CompressionCache {
   // Append order; contiguous: entry[i+1].header_off == entry[i].end_off().
   std::deque<Entry> entries_;
   uint64_t base_seq_ = 0;      // sequence number of entries_.front()
+  // No entry below this sequence number is valid and dirty. An entry is dirty
+  // only from AppendEntry until SubmitBatch or Invalidate, appends go to the
+  // tail, and head reclamation only drops entries, so FirstDirtyIndex() only
+  // ever moves it forward (clamped to base_seq_).
+  mutable uint64_t first_dirty_seq_ = 0;
   std::unordered_map<PageKey, uint64_t, PageKeyHash> index_;  // key -> sequence number
 
   // Adaptive-disable state (see AdaptiveCompressionOptions).

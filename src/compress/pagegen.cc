@@ -1,5 +1,7 @@
 #include "compress/pagegen.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "compress/lzrw1.h"
@@ -10,7 +12,7 @@ namespace compcache {
 namespace {
 
 // A compact English-like word pool. Word frequency follows a Zipf-ish pattern via
-// the skewed index draw in PickWord().
+// the skewed index draw in AppendWordStream().
 constexpr std::string_view kWords[] = {
     "the",      "of",       "and",      "to",        "in",       "that",    "is",
     "was",      "for",      "with",     "memory",    "page",     "cache",   "disk",
@@ -25,40 +27,70 @@ constexpr std::string_view kWords[] = {
 };
 constexpr size_t kNumWords = sizeof(kWords) / sizeof(kWords[0]);
 
-std::string_view PickWord(Rng& rng, bool zipf) {
-  if (zipf) {
+// Every word with its trailing space fits one 16-byte store.
+constexpr size_t kWordStore = 16;
+static_assert(std::ranges::all_of(kWords,
+                                  [](std::string_view w) { return w.size() < kWordStore; }));
+
+struct alignas(kWordStore) PaddedWord {
+  uint8_t bytes[kWordStore] = {};  // the word, one space, zero padding
+  size_t length = 0;               // word plus space
+};
+
+constexpr std::array<PaddedWord, kNumWords> PadWords() {
+  std::array<PaddedWord, kNumWords> table{};
+  for (size_t i = 0; i < kNumWords; ++i) {
+    const std::string_view w = kWords[i];
+    for (size_t c = 0; c < w.size(); ++c) {
+      table[i].bytes[c] = static_cast<uint8_t>(w[c]);
+    }
+    table[i].bytes[w.size()] = ' ';
+    table[i].length = w.size() + 1;
+  }
+  return table;
+}
+constexpr std::array<PaddedWord, kNumWords> kPaddedWords = PadWords();
+
+constexpr size_t kMaxRepeatWindow = 4;
+
+// Space-separated words, truncated at the end of the page. With a repeat
+// window, 60% of words re-use one of the last `repeat_window` fresh draws.
+void AppendWordStream(std::span<uint8_t> page, Rng& rng, size_t repeat_window) {
+  CC_EXPECTS(repeat_window <= kMaxRepeatWindow);
+  uint8_t recent[kMaxRepeatWindow] = {};  // oldest first
+  size_t recent_count = 0;
+  const auto next_word = [&]() -> const PaddedWord& {
+    if (recent_count > 0 && rng.Chance(0.6)) {
+      return kPaddedWords[recent[rng.Below(recent_count)]];  // a recently used word
+    }
     // Squaring a uniform draw skews toward low indices (frequent words).
     const double u = rng.NextDouble();
-    const auto idx = static_cast<size_t>(u * u * static_cast<double>(kNumWords));
-    return kWords[idx < kNumWords ? idx : kNumWords - 1];
-  }
-  return kWords[rng.Below(kNumWords)];
-}
+    const size_t idx =
+        std::min(static_cast<size_t>(u * u * static_cast<double>(kNumWords)), kNumWords - 1);
+    if (repeat_window > 0) {
+      if (recent_count == repeat_window) {
+        std::memmove(recent, recent + 1, repeat_window - 1);
+        --recent_count;
+      }
+      recent[recent_count++] = static_cast<uint8_t>(idx);
+    }
+    return kPaddedWords[idx];
+  };
 
-void AppendWordStream(std::span<uint8_t> page, Rng& rng, bool zipf, size_t repeat_window) {
+  uint8_t* const out = page.data();
+  const size_t size = page.size();
   size_t pos = 0;
-  std::vector<std::string_view> recent;
-  while (pos < page.size()) {
-    std::string_view w;
-    if (repeat_window > 0 && !recent.empty() && rng.Chance(0.6)) {
-      w = recent[rng.Below(recent.size())];  // repeat a recently used word
-    } else {
-      w = PickWord(rng, zipf);
-      if (repeat_window > 0) {
-        recent.push_back(w);
-        if (recent.size() > repeat_window) {
-          recent.erase(recent.begin());
-        }
-      }
-    }
-    for (char ch : w) {
-      if (pos >= page.size()) {
-        return;
-      }
-      page[pos++] = static_cast<uint8_t>(ch);
-    }
-    if (pos < page.size()) {
-      page[pos++] = ' ';
+  // Whole words: one 16-byte store each, the padding overwritten by the next.
+  while (size - pos >= kWordStore) {
+    const PaddedWord& w = next_word();
+    std::memcpy(out + pos, w.bytes, kWordStore);
+    pos += w.length;
+  }
+  // The tail: the last words byte by byte, cut off at the end of the page.
+  while (pos < size) {
+    const PaddedWord& w = next_word();
+    for (size_t c = 0; c < w.length && pos < size; ++c) {
+      out[pos++] = w.bytes[c];
     }
   }
 }
@@ -110,10 +142,10 @@ void FillPage(std::span<uint8_t> page, ContentClass cls, Rng& rng) {
       return;
     }
     case ContentClass::kRepetitiveText:
-      AppendWordStream(page, rng, /*zipf=*/true, /*repeat_window=*/4);
+      AppendWordStream(page, rng, /*repeat_window=*/4);
       return;
     case ContentClass::kText:
-      AppendWordStream(page, rng, /*zipf=*/true, /*repeat_window=*/0);
+      AppendWordStream(page, rng, /*repeat_window=*/0);
       return;
     case ContentClass::kShuffledWords: {
       // Distinct word-like strings of near-random letters emulate the unsorted
@@ -153,6 +185,12 @@ void FillPage(std::span<uint8_t> page, ContentClass cls, Rng& rng) {
       return;
   }
 }
+
+namespace internal {
+
+std::span<const std::string_view> TextWords() { return kWords; }
+
+}  // namespace internal
 
 double MeasureLzrw1Ratio(std::span<const uint8_t> data) {
   CC_EXPECTS(!data.empty());

@@ -32,6 +32,14 @@ std::string_view ContentClassName(ContentClass c);
 // Fills `page` with content of the given class. Deterministic given the Rng state.
 void FillPage(std::span<uint8_t> page, ContentClass cls, Rng& rng);
 
+namespace internal {
+
+// The word pool the text classes draw from, most frequent first. Exposed so
+// tests can hold FillPage to a byte-at-a-time reference.
+std::span<const std::string_view> TextWords();
+
+}  // namespace internal
+
 // Measures the LZRW1 compression ratio (original/compressed) of a buffer.
 double MeasureLzrw1Ratio(std::span<const uint8_t> data);
 

@@ -45,8 +45,9 @@ class FramePool {
   size_t free_frames() const { return free_list_.size(); }
   size_t used_frames() const { return total_ - free_list_.size(); }
 
-  // Returns a zeroed frame, or nullopt when memory is exhausted (the caller then
-  // asks the memory arbiter to reclaim and retries).
+  // Returns a frame, or nullopt when memory is exhausted (the caller then asks
+  // the memory arbiter to reclaim and retries). The frame keeps whatever its
+  // last owner left in it: the caller writes every byte before reading it.
   std::optional<FrameId> TryAllocate() {
     if (free_list_.empty()) {
       return std::nullopt;
@@ -55,8 +56,6 @@ class FramePool {
     free_list_.pop_back();
     CC_ASSERT(is_free_[id.value]);
     is_free_[id.value] = false;
-    auto data = Data(id);
-    std::fill(data.begin(), data.end(), uint8_t{0});
     return id;
   }
 

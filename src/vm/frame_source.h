@@ -4,6 +4,12 @@
 // implementation (core::Machine) invokes the memory arbiter, which reclaims the
 // globally oldest page among the three consumers (with the paper's biases) and
 // retries. That is exactly Sprite's allocate-by-comparing-ages discipline.
+//
+// A frame comes back holding whatever its last owner left in it. Every consumer
+// writes each byte it will read: a fault fills the whole frame by decoding,
+// copying or (for a zero-fill fault) zeroing it, ring appends and prefetch
+// images write the bytes they later read back, and the buffer cache fills a
+// block from the ccache or disk unless the write that caused the miss covers it.
 #ifndef COMPCACHE_VM_FRAME_SOURCE_H_
 #define COMPCACHE_VM_FRAME_SOURCE_H_
 
@@ -18,11 +24,11 @@ class FrameSource {
  public:
   virtual ~FrameSource() = default;
 
-  // Returns a zeroed frame, reclaiming from other consumers if necessary. Aborts
-  // only if the machine is genuinely wedged (nothing reclaimable anywhere).
+  // Returns a frame, reclaiming from other consumers if necessary. Aborts only
+  // if the machine is genuinely wedged (nothing reclaimable anywhere).
   virtual FrameId AllocateFrame() = 0;
 
-  // Returns a zeroed frame only if one is free right now — never reclaims.
+  // Returns a frame only if one is free right now — never reclaims.
   // Speculative consumers (the decompress-ahead buffer) use this so that
   // betting on a prediction can only spend idle memory, not steal live pages
   // from the demand-driven consumers.

@@ -174,7 +174,8 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
 
   if (source == PageState::kUntouched) {
     // Zero-fill. No copy exists anywhere, so the page is born dirty: eviction
-    // must preserve it.
+    // must preserve it. The frame still holds its last owner's bytes.
+    std::memset(frame_data.data(), 0, frame_data.size());
     ++stats_.faults_zero_fill;
     entry.dirty = true;
   }

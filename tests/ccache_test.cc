@@ -351,6 +351,35 @@ TEST_F(AdaptiveCcacheTest, StaysEnabledOnCompressibleWork) {
   EXPECT_EQ(cache_->stats().adaptive_skips, 0u);
 }
 
+// The cleaner answers from a first-dirty cursor. Head reclamation can drop the
+// very entry the cursor points at; a dirty entry appended afterwards must
+// still end the clean prefix, and the cleaner must find it.
+TEST_F(CcacheTest, DirtyAppendAfterHeadReclaimDropsTheCursorEntryEndsTheCleanPrefix) {
+  const PageKey head{0, 0};
+  ASSERT_TRUE(cache_->CompressAndInsert(head, MakePage(ContentClass::kText, 700), true));
+  for (uint32_t i = 1; i <= 6; ++i) {
+    ScratchArena::Scope scope(cache_->arena());
+    const auto outcome = cache_->CompressPage(MakePage(ContentClass::kText, 700 + i));
+    ASSERT_TRUE(outcome.keep && !outcome.zero);
+    cache_->InsertCompressedClean(PageKey{0, i}, outcome.bytes, kPageSize);
+  }
+  cache_->CheckInvariants();  // the cursor now rests on the dirty head entry
+
+  ASSERT_TRUE(cache_->ReleaseOldest());  // writes the head entry, then drops it
+  ASSERT_FALSE(cache_->Contains(head));
+  ASSERT_EQ(events_.cleaned.size(), 1u);
+  ASSERT_EQ(events_.cleaned[0].page, head.page);
+  cache_->CheckInvariants();  // nothing dirty is left
+
+  const PageKey late{0, 99};
+  ASSERT_TRUE(cache_->CompressAndInsert(late, MakePage(ContentClass::kText, 799), true));
+  cache_->CheckInvariants();
+  cache_->RunCleaner(/*pool_free_frames=*/0);  // a short clean prefix: write it
+  EXPECT_EQ(events_.cleaned.back().page, late.page);
+  EXPECT_FALSE(cache_->EntryInfoFor(late)->dirty);
+  cache_->CheckInvariants();
+}
+
 // Property test: random operation sequences keep invariants and never lose data.
 TEST_F(CcacheTest, RandomOperationsKeepInvariants) {
   Rng rng(777);
@@ -387,11 +416,10 @@ TEST_F(CcacheTest, RandomOperationsKeepInvariants) {
     } else {
       cache_->ReleaseOldest();
     }
-    if (op % 50 == 0) {
-      cache_->CheckInvariants();
-    }
+    // Every operation: the cleaner-verdict audit holds the first-dirty cursor
+    // to a full scan after each clean, invalidation and head reclaim.
+    cache_->CheckInvariants();
   }
-  cache_->CheckInvariants();
 
   // Every tracked page is recoverable from cache or swap.
   std::vector<uint8_t> out(kPageSize);

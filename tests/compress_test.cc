@@ -6,7 +6,9 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compress/adaptive.h"
@@ -750,6 +752,68 @@ TEST(PagegenTest, CompressibilityOrdering) {
   }
   for (size_t i = 1; i < sizes.size(); ++i) {
     EXPECT_LE(sizes[i - 1], sizes[i] * 1.05) << "class order " << i;
+  }
+}
+
+// The text classes' word stream as FillPage wrote it one byte at a time:
+// the same draws from the same pool, each word and its space truncated at
+// the end of the span.
+void ReferenceWordStream(std::span<uint8_t> page, Rng& rng, size_t repeat_window) {
+  const std::span<const std::string_view> words = internal::TextWords();
+  size_t pos = 0;
+  std::vector<std::string_view> recent;
+  while (pos < page.size()) {
+    std::string_view w;
+    if (repeat_window > 0 && !recent.empty() && rng.Chance(0.6)) {
+      w = recent[rng.Below(recent.size())];
+    } else {
+      const double u = rng.NextDouble();
+      const auto idx = static_cast<size_t>(u * u * static_cast<double>(words.size()));
+      w = words[idx < words.size() ? idx : words.size() - 1];
+      if (repeat_window > 0) {
+        recent.push_back(w);
+        if (recent.size() > repeat_window) {
+          recent.erase(recent.begin());
+        }
+      }
+    }
+    for (const char ch : w) {
+      if (pos >= page.size()) {
+        return;
+      }
+      page[pos++] = static_cast<uint8_t>(ch);
+    }
+    if (pos < page.size()) {
+      page[pos++] = ' ';
+    }
+  }
+}
+
+TEST(PagegenTest, TextMatchesTheByteAtATimeReferenceAtEverySpanLength) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 48; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.insert(lengths.end(), {2032, 2048, 4096});
+  const std::pair<ContentClass, size_t> classes[] = {{ContentClass::kText, 0},
+                                                     {ContentClass::kRepetitiveText, 4}};
+  for (const auto& [content, repeat_window] : classes) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      for (const size_t n : lengths) {
+        // Exact-size heap blocks: ASan reports any store past the span.
+        const auto got = std::make_unique<uint8_t[]>(n);
+        const auto want = std::make_unique<uint8_t[]>(n);
+        Rng rng(seed);
+        Rng reference_rng(seed);
+        FillPage(std::span<uint8_t>(got.get(), n), content, rng);
+        ReferenceWordStream(std::span<uint8_t>(want.get(), n), reference_rng, repeat_window);
+        ASSERT_EQ(0, std::memcmp(got.get(), want.get(), n))
+            << ContentClassName(content) << ", seed " << seed << ", " << n << " bytes";
+        // The next draw matches only if both consumed the same number of draws.
+        ASSERT_EQ(rng.Next(), reference_rng.Next())
+            << ContentClassName(content) << ", seed " << seed << ", " << n << " bytes";
+      }
+    }
   }
 }
 

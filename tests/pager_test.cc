@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "compress/pagegen.h"
@@ -30,6 +32,38 @@ TEST_P(PagerModeTest, ZeroFillFirstTouch) {
     ASSERT_EQ(b, 0);
   }
   EXPECT_EQ(machine.pager().stats().faults_zero_fill, 1u);
+}
+
+// The pool hands frames out as their last owner left them, so a zero-fill
+// fault must zero its own frame.
+TEST_P(PagerModeTest, ZeroFillFaultOnARecycledFrameReadsZeros) {
+  MachineConfig config = SmallConfig(GetParam());
+  config.charge_metadata_overhead = false;  // no frame sits unwritten for life
+  Machine machine(config);
+  FramePool& pool = machine.frame_pool();
+  const uint64_t frames = pool.total_frames();
+
+  // Random pages through twice the pool: every frame ends up holding data.
+  Heap old_heap = machine.NewHeap(2 * frames * kPageSize);
+  for (uint64_t p = 0; p < 2 * frames; ++p) {
+    old_heap.WriteBytes(p * kPageSize, MakePageBytes(ContentClass::kRandom, 300 + p));
+  }
+  const auto all_zero = [](std::span<const uint8_t> bytes) {
+    return std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; });
+  };
+  for (uint32_t f = 0; f < frames; ++f) {
+    ASSERT_FALSE(all_zero(pool.Data(FrameId{f}))) << "frame " << f << " never held data";
+  }
+
+  const uint64_t zero_fills_before = machine.pager().stats().faults_zero_fill;
+  Heap fresh = machine.NewHeap(frames * kPageSize);
+  std::vector<uint8_t> out(kPageSize);
+  for (uint64_t p = 0; p < frames; ++p) {
+    fresh.ReadBytes(p * kPageSize, out);
+    ASSERT_TRUE(all_zero(out)) << "first touch of page " << p;
+  }
+  EXPECT_EQ(machine.pager().stats().faults_zero_fill - zero_fills_before, frames);
+  machine.pager().CheckInvariants();
 }
 
 TEST_P(PagerModeTest, DataSurvivesHeavyPaging) {
