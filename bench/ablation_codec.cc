@@ -2,14 +2,16 @@
 // different compression algorithms to be used for different types of data, in
 // order to get the best compression rates and/or throughput").
 //
-// Two measurements per codec, covering every registered codec plus the
-// adaptive per-page picker:
+// Three measurements, covering every registered codec plus the adaptive
+// per-page picker:
 //
 //   1. Host microbench: real (std::chrono) compress/decompress throughput and
 //      the compression ratio over a fixed mixed corpus (sparse numeric, text,
 //      pointer-array pages). These are the numbers the README codec table
 //      quotes and the numbers that back the cost model's bandwidth parameters.
-//   2. Simulated thrash sweep: the same 2x-memory thrashing workload run with
+//   2. LZRW1 hash-table size (paper section 4.4): the same host microbench of
+//      LZRW1 at 2^8 .. 2^18 table entries, trading table memory for ratio.
+//   3. Simulated thrash sweep: the same 2x-memory thrashing workload run with
 //      each codec over the three content classes, reporting *virtual* elapsed
 //      time — where the byte-oriented LZRW1 fails the 4:3 threshold on
 //      pointer arrays but the word-oriented WK keeps the pages in memory, and
@@ -17,8 +19,10 @@
 //
 // --json=<path> writes one row per codec with ratio_pct, compress_mbps,
 // decompress_mbps, and the three simulated cell times; the adaptive row also
-// carries the probe's pick counts. bench/check_bench_json.py enforces the
-// per-codec field set. --quick halves the work for smoke runs.
+// carries the probe's pick counts. One row per LZRW1 table size follows, with
+// lzrw1_hash_bits, table_kib, ratio_pct and compress_mbps.
+// bench/check_bench_json.py enforces the per-codec field set. --quick halves
+// the work for smoke runs.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +34,7 @@
 #include "apps/thrasher.h"
 #include "bench_json.h"
 #include "compress/adaptive.h"
+#include "compress/lzrw1.h"
 #include "compress/pagegen.h"
 #include "compress/registry.h"
 #include "core/machine.h"
@@ -198,6 +203,21 @@ int main(int argc, char** argv) {
   }
   std::printf("\n\n");
 
+  // --- LZRW1 hash-table size: table memory against ratio (paper 4.4) ---
+  constexpr unsigned kHashBits[] = {8, 10, 12, 14, 16, 18};
+  std::printf("LZRW1 hash-table size (same corpus)\n\n");
+  std::printf("%-10s %9s %9s %12s\n", "hash bits", "table KiB", "ratio%", "comp MB/s");
+  std::vector<HostResult> by_bits;
+  std::vector<size_t> table_kib;
+  for (const unsigned bits : kHashBits) {
+    Lzrw1 lzrw1(bits);
+    by_bits.push_back(MeasureHost(lzrw1, corpus, host_reps));
+    table_kib.push_back(lzrw1.hash_table_bytes() / 1024);
+    std::printf("%-10u %9zu %9.1f %12.1f\n", bits, table_kib.back(), by_bits.back().ratio_pct,
+                by_bits.back().compress_mbps);
+  }
+  std::printf("\n");
+
   // --- simulated thrash sweep: one independent machine per (codec, content)
   // cell, fanned across the pool; the table prints afterwards, in cell order.
   std::printf("Simulated thrashing (4 MB machine, 8 MB rw working set, %d pass%s)\n\n",
@@ -226,9 +246,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nNo single codec dominates: WK keeps the pointer-array pages LZRW1 rejects;\n"
-      "FPC wins on small-integer data; LZRW1 wins on text; BDI and dict need\n"
-      "low-cardinality 64-bit/word content (see the codec edge-content tests); the\n"
-      "adaptive picker tracks the best of its members per content class.\n");
+      "FPC wins on small-integer data; LZRW1 wins on text; the adaptive picker\n"
+      "tracks the best of its members per content class.\n");
 
   // --- JSON: one row per codec; adaptive carries its pick counts ---
   for (size_t i = 0; i < codecs.size(); ++i) {
@@ -255,6 +274,13 @@ int main(int argc, char** argv) {
     report.MergeMetrics(
         {{"wall_clock.compress_mbps." + codecs[i], host[i].compress_mbps},
          {"wall_clock.decompress_mbps." + codecs[i], host[i].decompress_mbps}});
+  }
+  for (size_t i = 0; i < std::size(kHashBits); ++i) {
+    report.AddRow()
+        .Set("lzrw1_hash_bits", static_cast<uint64_t>(kHashBits[i]))
+        .Set("table_kib", static_cast<uint64_t>(table_kib[i]))
+        .Set("ratio_pct", by_bits[i].ratio_pct)
+        .Set("compress_mbps", by_bits[i].compress_mbps);
   }
 
   // A representative machine run with the adaptive codec, so the JSON

@@ -14,16 +14,10 @@ constexpr size_t kProbeBytes = 256;
 
 const char* AdaptiveCodec::PickName(Pick pick) {
   switch (pick) {
-    case Pick::kZero:
-      return "zero";
     case Pick::kStore:
       return "store";
-    case Pick::kBdi:
-      return "bdi";
     case Pick::kFpc:
       return "fpc";
-    case Pick::kDict:
-      return "dict";
     case Pick::kLzrw1:
       return "lzrw1";
   }
@@ -34,9 +28,7 @@ size_t AdaptiveCodec::MaxCompressedSize(size_t n) const {
   // Two wrapper bytes over the largest member bound; the raw fallback keeps
   // the emitted size at n + 1 or less regardless.
   size_t worst = n + 1;
-  worst = std::max(worst, bdi_.MaxCompressedSize(n));
   worst = std::max(worst, fpc_.MaxCompressedSize(n));
-  worst = std::max(worst, dict_.MaxCompressedSize(n));
   worst = std::max(worst, lzrw1_.MaxCompressedSize(n));
   return worst + 2;
 }
@@ -45,70 +37,25 @@ AdaptiveCodec::Pick AdaptiveCodec::Probe(std::span<const uint8_t> src) const {
   const size_t probe = std::min(src.size(), kProbeBytes);
   const size_t words32 = probe / 4;
   if (words32 < 4) {
-    return Pick::kStore;  // too small for the probe (and for the fixed codecs)
+    return Pick::kStore;  // too small for the probe
   }
 
-  // One pass over the prefix gathering the signals each member exploits.
-  uint32_t distinct[DictCodec::kMaxEntries];
-  size_t distinct_count = 0;
-  bool dict_fits = true;
   size_t small_words = 0;  // zero or within a sign-extended 16-bit immediate
-  size_t printable = 0;
   for (size_t i = 0; i < words32; ++i) {
     uint32_t w;
     std::memcpy(&w, src.data() + i * 4, 4);
-    if (dict_fits) {
-      bool seen = false;
-      for (size_t d = 0; d < distinct_count; ++d) {
-        seen |= distinct[d] == w;
-      }
-      if (!seen) {
-        if (distinct_count == DictCodec::kMaxEntries) {
-          dict_fits = false;
-        } else {
-          distinct[distinct_count++] = w;
-        }
-      }
-    }
     const int32_t sw = static_cast<int32_t>(w);
     if (sw >= INT16_MIN && sw <= INT16_MAX) {
       ++small_words;
     }
   }
+  if (small_words * 4 >= words32 * 3) {
+    return Pick::kFpc;
+  }
+  size_t printable = 0;
   for (size_t i = 0; i < probe; ++i) {
     const uint8_t b = src[i];
     printable += (b >= 0x20 && b < 0x7F) || b == '\n' || b == '\t';
-  }
-
-  // BDI signal: 64-bit words that are small immediates or near a common base.
-  const size_t words64 = probe / 8;
-  size_t bdi_words = 0;
-  uint64_t base = 0;
-  bool have_base = false;
-  for (size_t i = 0; i < words64; ++i) {
-    uint64_t w;
-    std::memcpy(&w, src.data() + i * 8, 8);
-    const int64_t imm = static_cast<int64_t>(w);
-    if (imm >= INT16_MIN && imm <= INT16_MAX) {
-      ++bdi_words;
-      continue;
-    }
-    if (!have_base) {
-      base = w;
-      have_base = true;
-    }
-    const int64_t delta = static_cast<int64_t>(w - base);
-    bdi_words += delta >= INT16_MIN && delta <= INT16_MAX;
-  }
-
-  if (dict_fits) {
-    return Pick::kDict;
-  }
-  if (words64 > 0 && bdi_words == words64) {
-    return Pick::kBdi;
-  }
-  if (small_words * 4 >= words32 * 3) {
-    return Pick::kFpc;
   }
   if (printable * 100 >= probe * 55) {
     return Pick::kLzrw1;
@@ -119,38 +66,12 @@ AdaptiveCodec::Pick AdaptiveCodec::Probe(std::span<const uint8_t> src) const {
 size_t AdaptiveCodec::Compress(std::span<const uint8_t> src, std::span<uint8_t> dst) {
   const size_t n = src.size();
   CC_EXPECTS(dst.size() >= MaxCompressedSize(n));
-  if (n > 0 && IsZeroPage(src)) {
-    ++picks_[static_cast<size_t>(Pick::kZero)];
-    dst[0] = kContainerZeroPage;
-    return 1;
-  }
 
   const Pick pick = Probe(src);
   ++picks_[static_cast<size_t>(pick)];
-  uint8_t id = 0;
-  Codec* member = nullptr;
-  switch (pick) {
-    case Pick::kBdi:
-      id = kIdBdi;
-      member = &bdi_;
-      break;
-    case Pick::kFpc:
-      id = kIdFpc;
-      member = &fpc_;
-      break;
-    case Pick::kDict:
-      id = kIdDict;
-      member = &dict_;
-      break;
-    case Pick::kLzrw1:
-      id = kIdLzrw1;
-      member = &lzrw1_;
-      break;
-    default:
-      break;
-  }
-
-  if (member != nullptr) {
+  if (pick != Pick::kStore) {
+    const uint8_t id = pick == Pick::kFpc ? kIdFpc : kIdLzrw1;
+    Codec* member = MemberFor(id);
     sub_.resize(member->MaxCompressedSize(n));
     const size_t sub_size = member->Compress(src, sub_);
     if (2 + sub_size < n + 1) {
@@ -169,12 +90,8 @@ size_t AdaptiveCodec::Compress(std::span<const uint8_t> src, std::span<uint8_t> 
 
 Codec* AdaptiveCodec::MemberFor(uint8_t id) {
   switch (id) {
-    case kIdBdi:
-      return &bdi_;
     case kIdFpc:
       return &fpc_;
-    case kIdDict:
-      return &dict_;
     case kIdLzrw1:
       return &lzrw1_;
     default:

@@ -1,17 +1,16 @@
 // Per-page adaptive codec selection: a cheap content probe over the first few
-// hundred bytes of the page picks the member codec most likely to win —
-// dictionary coding for low-cardinality word streams, BDI for
-// pointer/numeric-array pages, FPC for small-integer data, LZRW1 for text,
-// raw store for high-entropy content — and all-zero pages short-circuit to
-// the shared zero-page marker before any probe runs. The probe reads a prefix
-// only, so selection cost stays far below even one full fixed-factor encode;
-// the bet is the paper's: page contents are homogeneous enough that a prefix
-// predicts the page.
+// hundred bytes of the page picks the member codec most likely to win — FPC
+// for small-integer data, LZRW1 for text, raw store for high-entropy content.
+// The probe reads a prefix only, so selection cost stays far below one full
+// encode; the bet is the paper's: page contents are homogeneous enough that a
+// prefix predicts the page. All-zero pages never reach a codec in the machine:
+// the compression cache's zero-page fast path stores them as the shared
+// marker first.
 //
-// Wire format: zero pages emit the bare marker and fallbacks emit the bare
-// raw container (both shared with every other codec); a compressed pick emits
-// [kContainerAdaptive][member id][member's own image], so decode is a
-// dispatch on one byte. Pick counts are exposed for the ablation benches.
+// Wire format: fallbacks emit the bare raw container (shared with every other
+// codec); a compressed pick emits [kContainerAdaptive][member id][member's own
+// image], so decode is a dispatch on one byte. Pick counts are exposed for the
+// ablation benches.
 #ifndef COMPCACHE_COMPRESS_ADAPTIVE_H_
 #define COMPCACHE_COMPRESS_ADAPTIVE_H_
 
@@ -19,9 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "compress/bdi.h"
 #include "compress/codec.h"
-#include "compress/dict.h"
 #include "compress/fpc.h"
 #include "compress/lzrw1.h"
 
@@ -32,10 +29,10 @@ inline constexpr uint8_t kContainerAdaptive = 0x03;
 
 class AdaptiveCodec : public Codec {
  public:
-  // Outcomes of the probe, indexing pick_counts(). The store/zero outcomes
-  // emit bare raw-container/marker images rather than the 0x03 wrapper.
-  enum class Pick : uint8_t { kZero = 0, kStore, kBdi, kFpc, kDict, kLzrw1 };
-  static constexpr size_t kNumPicks = 6;
+  // Outcomes of the probe, indexing pick_counts(). The store outcome emits
+  // the bare raw container rather than the 0x03 wrapper.
+  enum class Pick : uint8_t { kStore = 0, kFpc, kLzrw1 };
+  static constexpr size_t kNumPicks = 3;
   static const char* PickName(Pick pick);
 
   explicit AdaptiveCodec(unsigned lzrw_hash_bits = 12) : lzrw1_(lzrw_hash_bits) {}
@@ -50,18 +47,15 @@ class AdaptiveCodec : public Codec {
   const std::array<uint64_t, kNumPicks>& pick_counts() const { return picks_; }
 
  private:
-  // Member ids on the wire (after the kContainerAdaptive byte).
-  static constexpr uint8_t kIdBdi = 1;
+  // Member ids on the wire (after the kContainerAdaptive byte). Ids 1 and 3
+  // are unassigned; an image carrying one fails closed.
   static constexpr uint8_t kIdFpc = 2;
-  static constexpr uint8_t kIdDict = 3;
   static constexpr uint8_t kIdLzrw1 = 4;
 
   Pick Probe(std::span<const uint8_t> src) const;
   Codec* MemberFor(uint8_t id);
 
-  BdiCodec bdi_;
   FpcCodec fpc_;
-  DictCodec dict_;
   Lzrw1 lzrw1_;
   std::vector<uint8_t> sub_;  // member scratch for the chosen codec's image
   std::array<uint64_t, kNumPicks> picks_{};

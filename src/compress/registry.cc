@@ -1,56 +1,63 @@
 #include "compress/registry.h"
 
+#include <type_traits>
+
 #include "compress/adaptive.h"
-#include "compress/bdi.h"
-#include "compress/dict.h"
 #include "compress/fpc.h"
 #include "compress/lzrw1.h"
 #include "compress/lzrw1a.h"
 #include "compress/rle.h"
 #include "compress/store.h"
 #include "compress/wk.h"
-#include "compress/zero.h"
 #include "util/assert.h"
 
 namespace compcache {
+namespace {
+
+template <typename T>
+std::unique_ptr<Codec> Make(unsigned hash_bits) {
+  if constexpr (std::is_constructible_v<T, unsigned>) {
+    return std::make_unique<T>(hash_bits);
+  } else {
+    return std::make_unique<T>();
+  }
+}
+
+struct CodecEntry {
+  std::string_view name;
+  std::unique_ptr<Codec> (*make)(unsigned hash_bits);
+};
+
+// The one codec list: MakeCodec looks names up here and KnownCodecNames()
+// returns them in this order.
+constexpr CodecEntry kCodecs[] = {
+    {"adaptive", Make<AdaptiveCodec>},
+    {"fpc", Make<FpcCodec>},
+    {"lzrw1", Make<Lzrw1>},
+    {"lzrw1a", Make<Lzrw1a>},
+    {"rle", Make<RleCodec>},
+    {"store", Make<StoreCodec>},
+    {"wk", Make<WkCodec>},
+};
+
+}  // namespace
 
 std::unique_ptr<Codec> MakeCodec(std::string_view name, unsigned hash_bits) {
-  if (name == "adaptive") {
-    return std::make_unique<AdaptiveCodec>(hash_bits);
-  }
-  if (name == "bdi") {
-    return std::make_unique<BdiCodec>();
-  }
-  if (name == "dict") {
-    return std::make_unique<DictCodec>();
-  }
-  if (name == "fpc") {
-    return std::make_unique<FpcCodec>();
-  }
-  if (name == "lzrw1") {
-    return std::make_unique<Lzrw1>(hash_bits);
-  }
-  if (name == "lzrw1a") {
-    return std::make_unique<Lzrw1a>(hash_bits);
-  }
-  if (name == "rle") {
-    return std::make_unique<RleCodec>();
-  }
-  if (name == "store") {
-    return std::make_unique<StoreCodec>();
-  }
-  if (name == "wk") {
-    return std::make_unique<WkCodec>();
-  }
-  if (name == "zero") {
-    return std::make_unique<ZeroCodec>();
+  for (const CodecEntry& entry : kCodecs) {
+    if (entry.name == name) {
+      return entry.make(hash_bits);
+    }
   }
   std::fprintf(stderr, "unknown codec: %.*s\n", static_cast<int>(name.size()), name.data());
   std::abort();
 }
 
 std::vector<std::string> KnownCodecNames() {
-  return {"adaptive", "bdi", "dict", "fpc", "lzrw1", "lzrw1a", "rle", "store", "wk", "zero"};
+  std::vector<std::string> names;
+  for (const CodecEntry& entry : kCodecs) {
+    names.emplace_back(entry.name);
+  }
+  return names;
 }
 
 }  // namespace compcache

@@ -1,8 +1,7 @@
 // Name-based codec construction, so machine configurations and benchmark command
 // lines can select algorithms: the LZ family ("lzrw1", "lzrw1a"), the
-// significance-based family ("wk", "fpc"), fixed-factor hardware-style codecs
-// ("bdi", "dict"), the floors ("rle", "store", "zero"), and the per-page
-// adaptive picker ("adaptive").
+// significance-based family ("wk", "fpc"), the floors ("rle", "store"), and the
+// per-page adaptive picker ("adaptive").
 #ifndef COMPCACHE_COMPRESS_REGISTRY_H_
 #define COMPCACHE_COMPRESS_REGISTRY_H_
 

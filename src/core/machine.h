@@ -102,7 +102,7 @@ struct MachineConfig {
   bool use_compression_cache = true;
 
   // Any registry name; "adaptive" selects the per-page content-probe picker
-  // (store/zero/BDI/FPC/dict/LZRW1 chosen per eviction).
+  // (store/FPC/LZRW1 chosen per eviction).
   std::string codec = "lzrw1";
   unsigned codec_hash_bits = 12;  // 16 KB hash table, as measured in the paper
 

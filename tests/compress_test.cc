@@ -148,11 +148,11 @@ TEST_P(CodecEdgeContentTest, AcceptsZeroPageMarker) {
   EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
 }
 
-// Ratio classes on the content shapes the fixed-factor codecs are built
-// around. Every codec must round trip all three pages; the BDI/FPC/dict
-// assertions pin which *class* of output size each produces — catching a codec
-// that silently degrades to its fallback on the pattern it exists to exploit,
-// or one that claims compression on content it cannot represent.
+// Ratio classes on structured word patterns. Every codec must round trip all
+// three pages; the FPC and adaptive assertions pin which *class* of output
+// size each produces — catching a codec that silently degrades to its
+// fallback on the pattern it exists to exploit, or one that claims
+// compression on content it cannot represent.
 TEST_P(CodecEdgeContentTest, RatioClassesOnStructuredPatterns) {
   const std::string name = GetParam();
   auto codec = MakeCodec(name);
@@ -165,48 +165,45 @@ TEST_P(CodecEdgeContentTest, RatioClassesOnStructuredPatterns) {
     return buf.size();
   };
 
-  // One 32-bit word everywhere: a one-entry dictionary, BDI's repeated-word
-  // chunks. FPC has no repeated-arbitrary-word class (only repeated bytes), so
-  // this page forces its raw fallback.
+  // One 32-bit word everywhere. FPC has no repeated-arbitrary-word class
+  // (only repeated bytes), so this page forces its raw fallback; its bytes are
+  // mostly printable, so the adaptive probe hands it to LZRW1, which crushes
+  // the repetition.
   std::vector<uint8_t> same_word(kPageSize);
   for (size_t i = 0; i < kPageSize; i += 4) {
     const uint32_t w = 0x12345678u;
     std::memcpy(same_word.data() + i, &w, 4);
   }
   const size_t same = compressed_size(same_word);
-  if (name == "bdi" || name == "dict" || name == "adaptive") {
+  if (name == "adaptive") {
     EXPECT_LE(same, kPageSize / 7) << name << " should crush a single-word page";
   } else if (name == "fpc") {
     EXPECT_EQ(same, kPageSize + 1) << "no FPC class covers a repeated arbitrary word";
   }
 
   // Alternating small positive / small negative words: FPC's sign-extended
-  // 8-bit class (11 bits per word); viewed as 64-bit words the page is one
-  // repeated value (BDI's repeated-word class), and as a dictionary it has two
-  // entries.
+  // 8-bit class (11 bits per word), which the adaptive probe picks for
+  // small-integer pages.
   std::vector<uint8_t> alternating(kPageSize);
   for (size_t i = 0; i < kPageSize; i += 4) {
     const uint32_t w = (i % 8 == 0) ? 0x00000012u : 0xFFFFFFEDu;  // +18 / -19
     std::memcpy(alternating.data() + i, &w, 4);
   }
   const size_t alternating_size = compressed_size(alternating);
-  if (name == "fpc") {
+  if (name == "fpc" || name == "adaptive") {
     EXPECT_LE(alternating_size, kPageSize * 2 / 5)
-        << "alternating small values fit FPC's 8-bit sign-extended class";
-  } else if (name == "bdi" || name == "dict" || name == "adaptive") {
-    EXPECT_LE(alternating_size, kPageSize / 7) << name;
+        << name << ": alternating small values fit FPC's 8-bit sign-extended class";
   }
 
-  // Near-incompressible random bytes: the fixed-factor codecs have no partial
-  // wins to offer, so they must land exactly on the raw fallback (n + 1);
-  // every codec is bounded by it.
+  // Near-incompressible random bytes: FPC has no partial wins to offer, so it
+  // must land exactly on the raw fallback (n + 1); every codec is bounded by
+  // it.
   Rng rng(0xED6E);
   std::vector<uint8_t> random_page(kPageSize);
   FillPage(random_page, ContentClass::kRandom, rng);
   const size_t random_size = compressed_size(random_page);
   EXPECT_LE(random_size, kPageSize + 1);
-  if (name == "bdi" || name == "fpc" || name == "dict" || name == "adaptive" ||
-      name == "store" || name == "zero") {
+  if (name == "fpc" || name == "adaptive" || name == "store") {
     EXPECT_EQ(random_size, kPageSize + 1)
         << name << " should fall back to raw on random content";
   }
@@ -721,6 +718,26 @@ TEST(RegistryTest, KnownNamesConstruct) {
   }
 }
 
+// MakeCodec must hand hash_bits to every codec that takes it: a 256-entry
+// table finds fewer matches on text than the default 4096-entry one.
+TEST(RegistryTest, HashBitsReachTheLzrwFamily) {
+  Rng rng(4);
+  std::vector<uint8_t> text(8 * kPageSize);
+  FillPage(text, ContentClass::kText, rng);
+  const auto text_bytes = [&](std::string_view name, unsigned hash_bits) {
+    auto codec = MakeCodec(name, hash_bits);
+    std::vector<uint8_t> out(codec->MaxCompressedSize(kPageSize));
+    size_t total = 0;
+    for (size_t off = 0; off < text.size(); off += kPageSize) {
+      total += codec->Compress(std::span<const uint8_t>(text).subspan(off, kPageSize), out);
+    }
+    return total;
+  };
+  for (const std::string_view name : {"lzrw1", "lzrw1a", "adaptive"}) {
+    EXPECT_GT(text_bytes(name, 8), text_bytes(name, 12)) << name;
+  }
+}
+
 // ---------- pagegen ----------
 
 TEST(PagegenTest, DeterministicGivenSeed) {
@@ -887,6 +904,26 @@ TEST_P(CodecFuzzTest, MutatedImagesNeverCrashDecoder) {
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecFuzzTest, ::testing::ValuesIn(KnownCodecNames()),
                          [](const auto& param_info) { return param_info.param; });
 
+// ---------- adaptive picker ----------
+
+// Sparse numeric pages are FPC's content: every one must reach FPC through
+// the probe and stay under the paper's 4:3 threshold.
+TEST(AdaptiveTest, SendsEverySparseNumericPageToFpc) {
+  constexpr size_t kPages = 2048;
+  AdaptiveCodec codec;
+  const CompressionThreshold threshold(4, 3);
+  Rng rng(2026);
+  std::vector<uint8_t> page(kPageSize);
+  std::vector<uint8_t> out(codec.MaxCompressedSize(kPageSize));
+  size_t kept = 0;
+  for (size_t p = 0; p < kPages; ++p) {
+    FillPage(page, ContentClass::kSparseNumeric, rng);
+    kept += threshold.KeepCompressed(kPageSize, codec.Compress(page, out));
+  }
+  EXPECT_EQ(codec.pick_counts()[static_cast<size_t>(AdaptiveCodec::Pick::kFpc)], kPages);
+  EXPECT_EQ(kept, kPages);
+}
+
 // Exhaustive truncation of the adaptive 0x03 wrapper: a short image must fail
 // closed at *every* length — the wrapper dispatches to a member codec, and no
 // member may accept an image whose tail was cut off by a torn write.
@@ -903,7 +940,7 @@ TEST(AdaptiveWrapperTruncation, EveryShortImageFailsClosed) {
       std::vector<uint8_t> compressed(codec->MaxCompressedSize(page.size()));
       compressed.resize(codec->Compress(page, compressed));
       if (compressed.empty() || compressed[0] != kContainerAdaptive) {
-        continue;  // zero marker or raw fallback: no wrapper to truncate
+        continue;  // raw fallback: no wrapper to truncate
       }
       ++wrapped_images;
       for (size_t len = 0; len < compressed.size(); ++len) {
