@@ -774,16 +774,6 @@ void CompressionCache::CorruptPayloadBitForTest(PageKey key, size_t bit) {
   CopyIn(e->payload_off() + bit / 8, std::span<const uint8_t>(&byte, 1));
 }
 
-std::optional<std::vector<uint8_t>> CompressionCache::RawPayloadFor(PageKey key) const {
-  const Entry* e = Find(key);
-  if (e == nullptr) {
-    return std::nullopt;
-  }
-  std::vector<uint8_t> bytes(e->payload_size);
-  CopyOut(e->payload_off(), bytes);
-  return bytes;
-}
-
 void CompressionCache::ResetStats() {
   stats_ = CcacheStats{};
   stats_.frames_mapped_peak = mapped_count_;

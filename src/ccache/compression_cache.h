@@ -283,8 +283,6 @@ class CompressionCache {
     bool dirty = false;
   };
   std::optional<EntryInfo> EntryInfoFor(PageKey key) const;
-  // Raw compressed payload bytes of a live entry (no time charge; test hook).
-  std::optional<std::vector<uint8_t>> RawPayloadFor(PageKey key) const;
   // Flips one bit of a live entry's stored payload in the ring (test hook for
   // latent in-cache corruption; the recorded checksum is left untouched).
   void CorruptPayloadBitForTest(PageKey key, size_t bit);

@@ -165,8 +165,7 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
       buffer_cache_->SetCompressionCache(ccache_.get());
     }
     if (config_.pipeline.enabled) {
-      pipeline_ = std::make_unique<PipelineEngine>(&clock_, &config_.costs, this,
-                                                   ccache_.get(), write_behind_,
+      pipeline_ = std::make_unique<PipelineEngine>(&clock_, &config_.costs, this, ccache_.get(),
                                                    config_.pipeline);
       pipeline_->SetPager(pager_.get());
       pager_->SetPrefetcher(pipeline_.get());

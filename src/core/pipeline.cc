@@ -20,20 +20,17 @@ constexpr uint64_t kPredictorSeed = 1;
 
 PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
                                FrameSource* frames, CompressionCache* ccache,
-                               WriteBehindBackend* write_behind,
                                const PipelineOptions& options)
     : clock_(clock),
       costs_(costs),
       frames_(frames),
       ccache_(ccache),
-      write_behind_(write_behind),
       options_(options),
       predictor_(kPredictorSeed) {
   CC_EXPECTS(clock_ != nullptr);
   CC_EXPECTS(costs_ != nullptr);
   CC_EXPECTS(frames_ != nullptr);
   CC_EXPECTS(ccache_ != nullptr);
-  CC_EXPECTS(write_behind_ != nullptr);
   CC_EXPECTS(options_.prefetch_buffer_pages >= 1);
 }
 
@@ -88,11 +85,10 @@ void PipelineEngine::Flush() {
 
 void PipelineEngine::Invalidate(PageKey key) { Drop(key, /*count_miss=*/true); }
 
-std::optional<FaultOrigin> PipelineEngine::TryFill(PageKey key,
-                                                   std::span<uint8_t> out) {
+bool PipelineEngine::TryFill(PageKey key, std::span<uint8_t> out) {
   const auto it = buffer_.find(key);
   if (it == buffer_.end()) {
-    return std::nullopt;
+    return false;
   }
   const Entry entry = it->second;
   // The speculation may still be "running" on the background timeline; a
@@ -112,7 +108,7 @@ std::optional<FaultOrigin> PipelineEngine::TryFill(PageKey key,
     // Undecodable despite the issue-time CRC check (a damaged image whose CRC
     // still matched): a miss, and the demand fault takes the ladder.
     Drop(key, /*count_miss=*/true);
-    return std::nullopt;
+    return false;
   }
   clock_->Advance(costs_->CopyCost(out.size()), TimeCategory::kCopy);
   // The retained compressed copy just serviced a demand reference.
@@ -120,7 +116,7 @@ std::optional<FaultOrigin> PipelineEngine::TryFill(PageKey key,
   Drop(key, /*count_miss=*/false);
   ++stats_.hits;
   ++lifetime_hits_;
-  return FaultOrigin::kCcache;
+  return true;
 }
 
 bool PipelineEngine::IssueOne(PageKey key, bool batched) {
@@ -206,12 +202,12 @@ void PipelineEngine::IssueNeighbors(PageKey key) {
   }
 }
 
-void PipelineEngine::OnFault(PageKey key, FaultOrigin origin) {
+void PipelineEngine::OnFault(PageKey key, bool from_swap) {
   predictor_.RecordFault(key);
   if (!options_.prefetch) {
     return;
   }
-  if (origin == FaultOrigin::kSwap && options_.fault_batch_window > 0) {
+  if (from_swap && options_.fault_batch_window > 0) {
     IssueNeighbors(key);
   }
   if (options_.prefetch_per_fault == 0) {

@@ -35,7 +35,6 @@
 #include "ccache/compression_cache.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
-#include "swap/write_behind_backend.h"
 #include "util/audit.h"
 #include "util/metrics.h"
 #include "vm/fault_predictor.h"
@@ -78,8 +77,7 @@ struct PrefetchStats {
 class PipelineEngine : public PagePrefetcher {
  public:
   PipelineEngine(Clock* clock, const CostModel* costs, FrameSource* frames,
-                 CompressionCache* ccache, WriteBehindBackend* write_behind,
-                 const PipelineOptions& options);
+                 CompressionCache* ccache, const PipelineOptions& options);
   ~PipelineEngine() override;
 
   PipelineEngine(const PipelineEngine&) = delete;
@@ -90,8 +88,8 @@ class PipelineEngine : public PagePrefetcher {
   void SetPager(Pager* pager) { pager_ = pager; }
 
   // --- PagePrefetcher ---
-  std::optional<FaultOrigin> TryFill(PageKey key, std::span<uint8_t> out) override;
-  void OnFault(PageKey key, FaultOrigin origin) override;
+  bool TryFill(PageKey key, std::span<uint8_t> out) override;
+  void OnFault(PageKey key, bool from_swap) override;
   void Invalidate(PageKey key) override;
 
   // --- memory arbitration interface (consumer "prefetch") ---
@@ -138,7 +136,6 @@ class PipelineEngine : public PagePrefetcher {
   const CostModel* costs_;
   FrameSource* frames_;
   CompressionCache* ccache_;
-  WriteBehindBackend* write_behind_;
   Pager* pager_ = nullptr;
   PipelineOptions options_;
 

@@ -57,13 +57,8 @@ class Clock {
     return by_category_[static_cast<size_t>(category)];
   }
 
-  // Monotonically increasing logical tick, independent of modelled durations.
-  uint64_t NextTick() { return ++tick_; }
-  uint64_t CurrentTick() const { return tick_; }
-
  private:
   SimTime now_;
-  uint64_t tick_ = 0;
   std::array<SimDuration, static_cast<size_t>(TimeCategory::kCount)> by_category_{};
 };
 

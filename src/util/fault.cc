@@ -9,22 +9,6 @@
 
 namespace compcache {
 
-const char* FaultSiteName(FaultSite site) {
-  switch (site) {
-    case FaultSite::kDiskRead:
-      return "disk_read";
-    case FaultSite::kDiskWrite:
-      return "disk_write";
-    case FaultSite::kSectorCorruption:
-      return "sector_corruption";
-    case FaultSite::kCodecCorruption:
-      return "codec_corruption";
-    case FaultSite::kPowerFail:
-      return "power_fail";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(uint64_t seed) {
   // Independent stream per site: SplitMix64 inside Rng::Seed decorrelates the
   // nearby seed values.

@@ -46,8 +46,6 @@ enum class FaultSite : uint8_t {
 
 inline constexpr size_t kNumFaultSites = 5;
 
-const char* FaultSiteName(FaultSite site);
-
 struct FaultSchedule {
   // Per-operation fault probability in [0, 1].
   double probability = 0.0;

@@ -23,20 +23,6 @@ enum class IoStatus : uint8_t {
   kCorrupt,
 };
 
-inline bool IsOk(IoStatus status) { return status == IoStatus::kOk; }
-
-inline const char* IoStatusName(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kFailed:
-      return "failed";
-    case IoStatus::kCorrupt:
-      return "corrupt";
-  }
-  return "?";
-}
-
 }  // namespace compcache
 
 #endif  // COMPCACHE_UTIL_IO_STATUS_H_

@@ -111,9 +111,6 @@ class MetricRegistry {
   // free counts, clock time) stay on plain RegisterGauge.
   void RegisterCounterGauge(const std::string& name, GaugeFn fn);
 
-  bool IsCounterGauge(const std::string& name) const {
-    return counter_gauge_names_.contains(name);
-  }
   const std::set<std::string>& counter_gauge_names() const { return counter_gauge_names_; }
 
   // Registered histogram names (not the expanded .count/.mean/... fields).

@@ -6,10 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
-
-#include "util/assert.h"
 
 namespace compcache {
 
@@ -46,53 +42,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the edge
-// buckets so no sample is ever dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets) : lo_(lo), hi_(hi), counts_(buckets, 0) {
-    CC_EXPECTS(hi > lo);
-    CC_EXPECTS(buckets > 0);
-  }
-
-  void Add(double x) {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<int64_t>(t * static_cast<double>(counts_.size()));
-    idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<size_t>(idx)];
-    ++total_;
-  }
-
-  uint64_t total() const { return total_; }
-  size_t buckets() const { return counts_.size(); }
-  uint64_t count(size_t bucket) const { return counts_.at(bucket); }
-
-  double BucketLow(size_t bucket) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(bucket) / static_cast<double>(counts_.size());
-  }
-  double BucketHigh(size_t bucket) const { return BucketLow(bucket + 1); }
-
-  // Fraction of samples in buckets whose low edge is >= x.
-  double FractionAtOrAbove(double x) const {
-    if (total_ == 0) {
-      return 0.0;
-    }
-    uint64_t n = 0;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      if (BucketLow(i) >= x) {
-        n += counts_[i];
-      }
-    }
-    return static_cast<double>(n) / static_cast<double>(total_);
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace compcache

@@ -161,14 +161,11 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   // and the fault walks the ladder below.
   if (prefetcher_ != nullptr &&
       (source == PageState::kCompressed || source == PageState::kSwapped)) {
-    if (const auto origin = prefetcher_->TryFill(entry.key, frame_data)) {
+    if (prefetcher_->TryFill(entry.key, frame_data)) {
       prefetched = true;
       ++stats_.faults_prefetch_hit;
       fault_kind = TraceEventKind::kFaultPrefetchHit;
       entry.dirty = false;
-      if (*origin == FaultOrigin::kSwap) {
-        entry.has_backing_copy = true;
-      }
     }
   }
 
@@ -283,15 +280,7 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   // frames come from the arbiter, and the reclamation cascade they trigger
   // must never evict the very page being handed back to the app.
   if (prefetcher_ != nullptr && !IsFileKey(entry.key)) {
-    FaultOrigin origin = FaultOrigin::kZeroFill;
-    if (prefetched) {
-      origin = FaultOrigin::kPrefetch;
-    } else if (fault_kind == TraceEventKind::kFaultFromCcache) {
-      origin = FaultOrigin::kCcache;
-    } else if (fault_kind == TraceEventKind::kFaultFromSwap) {
-      origin = FaultOrigin::kSwap;
-    }
-    prefetcher_->OnFault(entry.key, origin);
+    prefetcher_->OnFault(entry.key, fault_kind == TraceEventKind::kFaultFromSwap);
   }
   entry.pinned = false;
 

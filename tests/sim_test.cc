@@ -33,14 +33,6 @@ TEST(ClockTest, DefaultCategoryIsCpu) {
   EXPECT_EQ(clock.TimeIn(TimeCategory::kCpu).nanos(), 7'000);
 }
 
-TEST(ClockTest, TicksAreMonotoneAndTimeFree) {
-  Clock clock;
-  const uint64_t t1 = clock.NextTick();
-  const uint64_t t2 = clock.NextTick();
-  EXPECT_GT(t2, t1);
-  EXPECT_EQ(clock.Now().nanos(), 0);  // ticks do not advance time
-}
-
 TEST(CostModelTest, DefaultRatiosMatchThePaper) {
   const CostModel costs;
   // Decompression about twice as fast as compression (Figure 1's caption).

@@ -129,35 +129,6 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_EQ(s.count(), 0u);
 }
 
-// ---------- Histogram ----------
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(-100.0);  // clamps into bucket 0
-  h.Add(100.0);   // clamps into bucket 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-}
-
-TEST(HistogramTest, FractionAtOrAbove) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(i + 0.5);
-  }
-  EXPECT_DOUBLE_EQ(h.FractionAtOrAbove(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.FractionAtOrAbove(0.0), 1.0);
-}
-
-TEST(HistogramTest, BucketEdges) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.BucketLow(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.BucketLow(9), 9.0);
-}
-
 // ---------- LruList ----------
 
 struct Node {
