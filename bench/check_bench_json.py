@@ -93,13 +93,15 @@ RULES = [
     ("ablation_pipeline", ("pipeline.batches_submitted",), ">=", 1),
     ("ablation_pipeline", ("prefetch.issued",), ">=", 1),
     # ablation_tier: an interior ccache DRAM share beats both degenerate
-    # machines, and the snapshot carries a tiered cell.
+    # machines, the snapshot carries a tiered cell, and every KV cell served
+    # its requests correctly.
     *(("ablation_tier", (f"tier.frontier.{f}",), ">", 0)
       for f in ("best_ms", "all_dram_ms", "all_ssd_ms", "best_split")),
     ("ablation_tier", ("tier.frontier.best_split",), "<", 1),
     ("ablation_tier", ("tier.frontier.best_ms",), "<", ("tier.frontier.all_dram_ms",)),
     ("ablation_tier", ("tier.frontier.best_ms",), "<", ("tier.frontier.all_ssd_ms",)),
     ("ablation_tier", (r"~^tier\.[a-z0-9_]+\.level$",), ">=", 0),
+    ("ablation_tier[axis=kv]", ("validation_failures",), "==", 0),
     # fig6_service covers every backend x mode cell; each row has a sane tail
     # and conserves requests; at the headline knee the pipelined p99 is no
     # worse than sync.

@@ -134,7 +134,8 @@ VALID = {
         {**MACHINE, **PIPELINE, "pipeline.curve.sync_ms": 8.8,
          "pipeline.curve.pipelined_ms": 2.5}),
     "ablation_tier": doc(
-        "ablation_tier", [{"axis": "kv", "split": "all_dram", "mean_ms": 1.6, "violations": 0}],
+        "ablation_tier", [{"axis": "kv", "split": "all_dram", "mean_ms": 1.6,
+                           "validation_failures": 0, "violations": 0}],
         {**MACHINE, **KV, **tiers(("ssd", 0, 4), ("disk", 4, 0)),
          "tier.frontier.best_ms": 1.15, "tier.frontier.all_dram_ms": 1.59,
          "tier.frontier.all_ssd_ms": 1.16, "tier.frontier.best_split": 0.125}),
@@ -317,6 +318,7 @@ MUTATIONS = [
     ("tier split no better than all-SSD", "ablation_tier",
      put("metrics", "tier.frontier.all_ssd_ms", 1.15)),
     ("tier lacks tier.*.level", "ablation_tier", put("metrics", "tier.*.level", DROP)),
+    ("tier kv row validation failure", "ablation_tier", put(0, "validation_failures", 3)),
 ]
 
 # Files that are not a JSON object at all.

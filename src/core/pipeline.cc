@@ -11,13 +11,6 @@
 
 namespace compcache {
 
-namespace {
-
-// Seed of the predictor's tie-break draws.
-constexpr uint64_t kPredictorSeed = 1;
-
-}  // namespace
-
 PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
                                FrameSource* frames, CompressionCache* ccache,
                                const PipelineOptions& options)
@@ -25,8 +18,7 @@ PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
       costs_(costs),
       frames_(frames),
       ccache_(ccache),
-      options_(options),
-      predictor_(kPredictorSeed) {
+      options_(options) {
   CC_EXPECTS(clock_ != nullptr);
   CC_EXPECTS(costs_ != nullptr);
   CC_EXPECTS(frames_ != nullptr);
@@ -36,21 +28,23 @@ PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
 
 PipelineEngine::~PipelineEngine() {
   // Frames go home; the final audit already ran with the buffer accounted for.
-  for (auto& [key, entry] : buffer_) {
+  for (const Entry& entry : buffer_) {
     frames_->FreeFrame(entry.frame);
   }
-  buffer_.clear();
-  order_.clear();
+}
+
+std::vector<PipelineEngine::Entry>::const_iterator PipelineEngine::Find(PageKey key) const {
+  return std::find_if(buffer_.begin(), buffer_.end(),
+                      [key](const Entry& entry) { return entry.key == key; });
 }
 
 void PipelineEngine::Drop(PageKey key, bool count_miss) {
-  const auto it = buffer_.find(key);
+  const auto it = Find(key);
   if (it == buffer_.end()) {
     return;
   }
-  frames_->FreeFrame(it->second.frame);
+  frames_->FreeFrame(it->frame);
   buffer_.erase(it);
-  order_.erase(std::find(order_.begin(), order_.end(), key));
   if (count_miss) {
     ++stats_.misses;
     ++lifetime_misses_;
@@ -58,19 +52,19 @@ void PipelineEngine::Drop(PageKey key, bool count_miss) {
 }
 
 void PipelineEngine::EvictOldest() {
-  CC_EXPECTS(!order_.empty());
-  Drop(order_.front(), /*count_miss=*/true);
+  CC_EXPECTS(!buffer_.empty());
+  Drop(buffer_.front().key, /*count_miss=*/true);
 }
 
 uint64_t PipelineEngine::OldestAge() const {
-  if (order_.empty()) {
+  if (buffer_.empty()) {
     return UINT64_MAX;
   }
-  return buffer_.at(order_.front()).age_ns;
+  return buffer_.front().age_ns;
 }
 
 bool PipelineEngine::ReleaseOldest() {
-  if (order_.empty()) {
+  if (buffer_.empty()) {
     return false;
   }
   EvictOldest();
@@ -78,7 +72,7 @@ bool PipelineEngine::ReleaseOldest() {
 }
 
 void PipelineEngine::Flush() {
-  while (!order_.empty()) {
+  while (!buffer_.empty()) {
     EvictOldest();
   }
 }
@@ -86,11 +80,11 @@ void PipelineEngine::Flush() {
 void PipelineEngine::Invalidate(PageKey key) { Drop(key, /*count_miss=*/true); }
 
 bool PipelineEngine::TryFill(PageKey key, std::span<uint8_t> out) {
-  const auto it = buffer_.find(key);
+  const auto it = Find(key);
   if (it == buffer_.end()) {
     return false;
   }
-  const Entry entry = it->second;
+  const Entry entry = *it;
   // The speculation may still be "running" on the background timeline; a
   // demand hit waits out the remainder (still far cheaper than redoing the
   // whole rung).
@@ -121,7 +115,7 @@ bool PipelineEngine::TryFill(PageKey key, std::span<uint8_t> out) {
 
 bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   CC_ASSERT(pager_ != nullptr);
-  if (IsFileKey(key) || buffer_.contains(key)) {
+  if (IsFileKey(key) || buffered(key)) {
     return false;
   }
   // Only pages living in the compression cache are worth decompressing
@@ -168,6 +162,7 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   // Decompression serializes on the background track.
   const SimTime start = std::max(background_busy_until_, clock_->Now());
   Entry entry;
+  entry.key = key;
   entry.frame = *frame;
   entry.image_size = *image_size;
   entry.ready_at = start + work;
@@ -175,8 +170,7 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   background_busy_until_ = entry.ready_at;
   stats_.background_time += work;
 
-  buffer_.emplace(key, entry);
-  order_.push_back(key);
+  buffer_.push_back(entry);
   ++stats_.issued;
   ++lifetime_issued_;
   if (batched) {
@@ -191,12 +185,12 @@ void PipelineEngine::IssueNeighbors(PageKey key) {
   // first. When the fault stream has a confirmed direction, only the leading
   // side — trailing neighbors of a directional walk are guaranteed-dead
   // guesses. Undirected streams probe both sides.
-  const int dir = predictor_.StrideDirection(key.segment);
+  const int64_t stride = predictor_.ConfirmedStride(key.segment);
   for (uint32_t d = 1; d <= options_.fault_batch_window; ++d) {
-    if (dir >= 0) {
+    if (stride >= 0) {
       IssueOne(PageKey{key.segment, key.page + d}, /*batched=*/true);
     }
-    if (dir <= 0 && key.page >= d) {
+    if (stride <= 0 && key.page >= d) {
       IssueOne(PageKey{key.segment, key.page - d}, /*batched=*/true);
     }
   }
@@ -210,19 +204,21 @@ void PipelineEngine::OnFault(PageKey key, bool from_swap) {
   if (from_swap && options_.fault_batch_window > 0) {
     IssueNeighbors(key);
   }
-  if (options_.prefetch_per_fault == 0) {
+  // Extrapolate a confirmed stride. Some candidates are already resident or
+  // buffered and are skipped, so up to twice prefetch_per_fault are tried.
+  const int64_t stride = predictor_.ConfirmedStride(key.segment);
+  if (stride == 0) {
     return;
   }
-  // Ask for a few extra candidates: some predictions are already resident or
-  // buffered and get filtered out.
-  const auto predicted =
-      predictor_.Predict(static_cast<size_t>(options_.prefetch_per_fault) * 2);
+  const uint64_t candidates = uint64_t{options_.prefetch_per_fault} * 2;
+  int64_t page = key.page;
   uint32_t issued = 0;
-  for (const PageKey candidate : predicted) {
-    if (issued >= options_.prefetch_per_fault) {
+  for (uint64_t i = 0; i < candidates && issued < options_.prefetch_per_fault; ++i) {
+    page += stride;
+    if (page < 0 || page > static_cast<int64_t>(UINT32_MAX)) {
       break;
     }
-    if (IssueOne(candidate, /*batched=*/false)) {
+    if (IssueOne(PageKey{key.segment, static_cast<uint32_t>(page)}, /*batched=*/false)) {
       ++issued;
     }
   }
@@ -260,11 +256,6 @@ void PipelineEngine::RegisterAuditChecks(InvariantAuditor* auditor) {
                                " != hits " + std::to_string(lifetime_hits_) +
                                " + misses " + std::to_string(lifetime_misses_) +
                                " + buffered " + std::to_string(buffer_.size());
-                      }
-                      if (buffer_.size() != order_.size()) {
-                        return "buffer holds " + std::to_string(buffer_.size()) +
-                               " entries but the age order lists " +
-                               std::to_string(order_.size());
                       }
                       if (buffer_.size() > options_.prefetch_buffer_pages) {
                         return "buffer exceeds its bound";

@@ -1,9 +1,11 @@
 // Decompress-ahead engine: the prefetching half of the async I/O pipeline.
 //
 // The engine watches the fault stream through the Pager's PagePrefetcher hook,
-// feeds it to a seeded stride+Markov predictor, and copies the CRC-verified
-// compressed images of predicted-next ccache entries into a small buffer of
-// arbiter-charged frames, one frame per entry. The codec runs only for the
+// feeds it to a per-segment stride detector, and, along a confirmed stride,
+// copies the CRC-verified compressed images of the next ccache entries into a
+// small buffer of arbiter-charged frames, one frame per entry; a stream with
+// no confirmed stride issues no guess. The buffer is one vector in issue
+// order, so the oldest entry is its front. The codec runs only for the
 // demand fault that consumes a buffered image: the hit decodes it straight
 // into the faulting frame, with no ring read and no disk, and the many guesses
 // that are never consumed are never decoded. Swapped-out pages are never read
@@ -29,8 +31,7 @@
 #define COMPCACHE_CORE_PIPELINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "ccache/compression_cache.h"
 #include "sim/clock.h"
@@ -102,7 +103,7 @@ class PipelineEngine : public PagePrefetcher {
   void Flush();
 
   size_t buffered_frames() const { return buffer_.size(); }
-  bool buffered(PageKey key) const { return buffer_.contains(key); }
+  bool buffered(PageKey key) const { return Find(key) != buffer_.end(); }
   const PrefetchStats& stats() const { return stats_; }
   FaultPredictor& predictor() { return predictor_; }
 
@@ -114,12 +115,14 @@ class PipelineEngine : public PagePrefetcher {
 
  private:
   struct Entry {
+    PageKey key;
     FrameId frame;
     uint32_t image_size = 0;  // compressed bytes at the frame's head; 0: zero page
     SimTime ready_at;         // speculation finishes on the background timeline
     uint64_t age_ns = 0;      // issue time, for the arbiter
   };
 
+  std::vector<Entry>::const_iterator Find(PageKey key) const;
   // Issues one speculative page if it is a sensible target; returns true when
   // an entry entered the buffer. `batched` marks fault-batching issues.
   bool IssueOne(PageKey key, bool batched);
@@ -140,8 +143,8 @@ class PipelineEngine : public PagePrefetcher {
   PipelineOptions options_;
 
   FaultPredictor predictor_;
-  std::unordered_map<PageKey, Entry, PageKeyHash> buffer_;
-  std::deque<PageKey> order_;  // issue order, oldest first
+  // Issue order, oldest first; at most prefetch_buffer_pages entries.
+  std::vector<Entry> buffer_;
   // Background timeline: speculative decompression is serialized on a single
   // virtual "spare cycles" track that never runs ahead of the app clock's past.
   SimTime background_busy_until_;

@@ -106,9 +106,9 @@ class CompressedSwapBackend {
   // exactly those of WriteBatch — but the device time accrues on the disk's
   // deferred timeline instead of the caller's clock. The returned ticket says
   // what happened and when the device finishes servicing it; the write-behind
-  // engine turns the latter into a completion event. Splitting "what happened"
-  // (submit) from "when it cost" (completion) is what keeps pipelined runs
-  // deterministic: outcomes never depend on queue depth.
+  // engine retires the batch once the clock passes the latter. Splitting
+  // "what happened" (submit) from "when it cost" (completion) is what keeps
+  // pipelined runs deterministic: outcomes never depend on queue depth.
   struct WriteTicket {
     IoStatus status = IoStatus::kOk;
     SimTime complete_at;      // when the device finishes the batch's requests

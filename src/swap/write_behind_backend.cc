@@ -1,6 +1,6 @@
 #include "swap/write_behind_backend.h"
 
-#include <limits>
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -18,35 +18,42 @@ WriteBehindBackend::WriteBehindBackend(
   CC_EXPECTS(depth_ >= 1);
 }
 
-void WriteBehindBackend::Poll() { events_.RunUntil(clock_->Now()); }
+std::vector<WriteBehindBackend::Batch>::iterator WriteBehindBackend::NextToComplete() {
+  const auto by_completion = [](const Batch& a, const Batch& b) {
+    return a.complete_at < b.complete_at;
+  };
+  // min_element keeps the first of equal minima: inflight_ is in submit order.
+  return std::min_element(inflight_.begin(), inflight_.end(), by_completion);
+}
+
+void WriteBehindBackend::Poll() {
+  auto next = NextToComplete();
+  while (next != inflight_.end() && next->complete_at <= clock_->Now()) {
+    Retire(next);
+    next = NextToComplete();
+  }
+}
 
 void WriteBehindBackend::StallUntil(SimTime t) {
   if (t > clock_->Now()) {
     stats_.stall_time += t - clock_->Now();
     clock_->Advance(t - clock_->Now(), TimeCategory::kIo);
   }
-  events_.RunUntil(clock_->Now());
+  Poll();
 }
 
-void WriteBehindBackend::Retire(uint64_t seq) {
-  for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
-    if (it->seq != seq) {
-      continue;
+void WriteBehindBackend::Retire(std::vector<Batch>::iterator batch) {
+  for (const PageKey& key : batch->keys) {
+    // A newer in-flight batch may have overwritten the page; only drop the
+    // index entry if it still points at this batch.
+    const auto kit = inflight_keys_.find(key);
+    if (kit != inflight_keys_.end() && kit->second == batch->seq) {
+      inflight_keys_.erase(kit);
     }
-    for (const PageKey& key : it->keys) {
-      // A newer in-flight batch may have overwritten the page; only drop the
-      // index entry if it still points at this batch.
-      const auto kit = inflight_keys_.find(key);
-      if (kit != inflight_keys_.end() && kit->second == seq) {
-        inflight_keys_.erase(kit);
-      }
-    }
-    inflight_.erase(it);
-    ++stats_.batches_completed;
-    ++lifetime_completed_;
-    return;
   }
-  CC_EXPECTS(false && "completion event for unknown batch");
+  inflight_.erase(batch);
+  ++stats_.batches_completed;
+  ++lifetime_completed_;
 }
 
 IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
@@ -66,7 +73,6 @@ IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
     }
   }
   inflight_.push_back(std::move(batch));
-  events_.Schedule(ticket.complete_at, [this, seq] { Retire(seq); });
   ++stats_.batches_submitted;
   ++lifetime_submitted_;
   stats_.pages_submitted += pages.size();
@@ -75,8 +81,8 @@ IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
   // Backpressure: the queue holds at most `depth` batches counting this one,
   // so depth 1 waits out its own disk time (the synchronous machine).
   bool stalled = false;
-  while (inflight_.size() >= depth_ && !events_.empty()) {
-    const SimTime target = events_.NextTime();
+  while (inflight_.size() >= depth_) {
+    const SimTime target = NextToComplete()->complete_at;
     if (target > clock_->Now()) {
       stalled = true;
     }
@@ -112,12 +118,13 @@ CompressedSwapBackend::ReadResult WriteBehindBackend::ReadPage(
 }
 
 void WriteBehindBackend::Drain(bool advance_clock) {
-  if (!advance_clock) {
-    events_.RunUntil(SimTime::FromNanos(std::numeric_limits<int64_t>::max()));
-    return;
-  }
-  while (!events_.empty()) {
-    StallUntil(events_.NextTime());
+  while (!inflight_.empty()) {
+    const auto next = NextToComplete();
+    if (advance_clock) {
+      StallUntil(next->complete_at);
+    } else {
+      Retire(next);
+    }
   }
 }
 
@@ -134,13 +141,8 @@ void WriteBehindBackend::RegisterAuditChecks(InvariantAuditor* auditor) {
                       }
                       return std::nullopt;
                     });
-  auditor->Register("pipeline", "event-queue-coherent",
+  auditor->Register("pipeline", "inflight-index-coherent",
                     [this]() -> std::optional<std::string> {
-                      if (events_.size() != inflight_.size()) {
-                        return "pending events " + std::to_string(events_.size()) +
-                               " != inflight batches " +
-                               std::to_string(inflight_.size());
-                      }
                       for (const auto& [key, seq] : inflight_keys_) {
                         bool live = false;
                         for (const Batch& batch : inflight_) {

@@ -6,32 +6,34 @@
 // *submitted* background request: the wrapped layout performs the batch
 // physically at the submit instant (bytes, metadata, IoStatus, and fault
 // ordinals are identical to the synchronous path — outcomes never depend on
-// queue depth), while the device time accrues on the disk's deferred timeline
-// and a completion event is scheduled on a (time, seq)-ordered event queue.
+// queue depth), while the device time accrues on the disk's deferred timeline.
+// Batches whose completion time the app clock has passed retire at the next
+// submit, read or drain, in (completion time, submit order) order: with a
+// tier stack below, a later batch can finish before an earlier one.
 // Subsequent app CPU (compression of the next batch, page touches) overlaps
 // the disk.
 //
 // Three rules keep the model honest:
 //   * Backpressure — at most `depth` batches may be outstanding; a submit that
-//     would exceed the bound stalls (kIo) until the oldest batch completes.
+//     would exceed the bound stalls (kIo) until the first batch to finish
+//     completes.
 //     Depth 1 therefore degenerates to the synchronous machine: every submit
 //     waits out its own disk time before returning.
 //   * Barrier — faulting in a page whose batch is still in flight waits for
-//     that batch's completion first (the data is physically readable, but a
-//     real disk queue would not let the read overtake the write).
+//     that batch's completion first, and for no other batch (the data is
+//     physically readable, but a real disk queue would not let the read
+//     overtake the write).
 //   * FIFO device — foreground I/O issued while deferred work is pending
 //     queues behind it (charged by DiskDevice as disk.queue_wait_ns).
 #ifndef COMPCACHE_SWAP_WRITE_BEHIND_BACKEND_H_
 #define COMPCACHE_SWAP_WRITE_BEHIND_BACKEND_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/clock.h"
-#include "sim/event_queue.h"
 #include "swap/compressed_swap_backend.h"
 #include "vm/page_key.h"
 
@@ -53,8 +55,8 @@ class WriteBehindBackend : public CompressedSwapBackend {
   WriteBehindBackend(std::unique_ptr<CompressedSwapBackend> inner, Clock* clock,
                      uint32_t depth);
 
-  // Submits the batch via the inner layout's SubmitWriteBatch, schedules its
-  // completion event, then applies backpressure. Returns the batch's IoStatus
+  // Submits the batch via the inner layout's SubmitWriteBatch, puts it in
+  // flight, then applies backpressure. Returns the batch's IoStatus
   // (known at submit: outcomes are depth-independent).
   IoStatus WriteBatch(std::span<const SwapPageImage> pages) override;
 
@@ -83,11 +85,9 @@ class WriteBehindBackend : public CompressedSwapBackend {
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override { inner_->SetTracer(tracer); }
 
-  // Fires completion events the clock has already passed (never advances it).
-  void Poll();
   // Waits out every in-flight batch: advances the clock (kIo, counted in
   // stall_time) to each completion in order. With `advance_clock` false the
-  // events are retired without moving time (post-crash teardown).
+  // batches are retired without moving time (post-crash teardown).
   void Drain(bool advance_clock);
   // True while the batch that last wrote `key` is still in flight.
   bool InFlight(PageKey key) const { return inflight_keys_.contains(key); }
@@ -103,16 +103,21 @@ class WriteBehindBackend : public CompressedSwapBackend {
     std::vector<PageKey> keys;  // successfully written pages (empty on kFailed)
   };
 
+  // The in-flight batch that completes first: earliest complete_at, ties to
+  // the earliest submitted. end() when nothing is in flight.
+  std::vector<Batch>::iterator NextToComplete();
+  // Retires the batches whose completion the clock has already passed (never
+  // advances it).
+  void Poll();
   // Advances the clock to `t` (kIo) if it is in the future, then polls.
   void StallUntil(SimTime t);
-  // Completion handler: removes batch `seq` and its key-index entries.
-  void Retire(uint64_t seq);
+  // Removes `batch` from flight, with its key-index entries.
+  void Retire(std::vector<Batch>::iterator batch);
 
   std::unique_ptr<CompressedSwapBackend> inner_;
   Clock* clock_;
   uint32_t depth_;
-  EventQueue events_;
-  std::deque<Batch> inflight_;  // completion order == submit order
+  std::vector<Batch> inflight_;  // submit order; at most `depth_` batches
   // key -> seq of the latest in-flight batch holding it.
   std::unordered_map<PageKey, uint64_t, PageKeyHash> inflight_keys_;
   uint64_t next_seq_ = 0;

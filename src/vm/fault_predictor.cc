@@ -1,44 +1,12 @@
 #include "vm/fault_predictor.h"
 
-#include <algorithm>
-#include <cstddef>
-
-#include "util/units.h"
-
 namespace compcache {
 
 void FaultPredictor::RecordFault(PageKey key) {
-  // Markov: count `key` as a successor of the previous fault.
-  if (has_fault_ && !(last_fault_ == key)) {
-    std::vector<Successor>& succ = markov_[last_fault_];
-    auto it = std::find_if(succ.begin(), succ.end(),
-                           [&](const Successor& s) { return s.key == key; });
-    if (it != succ.end()) {
-      ++it->count;
-      // Keep the vector ordered by count (descending, stable) so prediction
-      // is a prefix scan.
-      while (it != succ.begin() && (it - 1)->count < it->count) {
-        std::iter_swap(it - 1, it);
-        --it;
-      }
-    } else if (succ.size() < kMaxSuccessors) {
-      succ.push_back(Successor{key, 1});
-    } else {
-      // Table full: age the weakest entry; replace it once it decays to zero.
-      Successor& weakest = succ.back();
-      if (weakest.count <= 1) {
-        weakest = Successor{key, 1};
-      } else {
-        --weakest.count;
-      }
-    }
-  }
-
-  // Stride: two equal consecutive deltas within a segment confirm a stream.
+  // Two equal consecutive deltas within a segment confirm a stream.
   Stream& stream = streams_[key.segment];
   if (stream.has_last) {
-    const int64_t delta = static_cast<int64_t>(key.page) -
-                          static_cast<int64_t>(stream.last_page);
+    const int64_t delta = static_cast<int64_t>(key.page) - static_cast<int64_t>(stream.last_page);
     if (delta != 0 && delta == stream.delta) {
       stream.confirmed = true;
     } else {
@@ -48,64 +16,6 @@ void FaultPredictor::RecordFault(PageKey key) {
   }
   stream.last_page = key.page;
   stream.has_last = true;
-
-  last_fault_ = key;
-  has_fault_ = true;
-}
-
-std::vector<PageKey> FaultPredictor::Predict(size_t max) {
-  std::vector<PageKey> out;
-  if (!has_fault_ || max == 0) {
-    return out;
-  }
-
-  const auto push_unique = [&](PageKey key) {
-    if (key == last_fault_) {
-      return;
-    }
-    if (std::find(out.begin(), out.end(), key) == out.end()) {
-      out.push_back(key);
-    }
-  };
-
-  // Confirmed stride: extrapolate the stream.
-  const auto sit = streams_.find(last_fault_.segment);
-  if (sit != streams_.end() && sit->second.confirmed) {
-    int64_t page = static_cast<int64_t>(sit->second.last_page);
-    while (out.size() < max) {
-      page += sit->second.delta;
-      if (page < 0 || page > static_cast<int64_t>(UINT32_MAX)) {
-        break;
-      }
-      push_unique(PageKey{last_fault_.segment, static_cast<uint32_t>(page)});
-    }
-    return out;
-  }
-
-  // Markov fallback: chain the most frequent successors. A tie among equally
-  // frequent candidates is broken by a seeded draw — deterministic per seed.
-  PageKey cursor = last_fault_;
-  while (out.size() < max) {
-    const auto mit = markov_.find(cursor);
-    if (mit == markov_.end() || mit->second.empty()) {
-      break;
-    }
-    const std::vector<Successor>& succ = mit->second;
-    const uint32_t best = succ.front().count;
-    size_t tied = 1;
-    while (tied < succ.size() && succ[tied].count == best) {
-      ++tied;
-    }
-    const PageKey pick =
-        succ[tied == 1 ? 0 : static_cast<size_t>(rng_.Below(tied))].key;
-    const size_t before = out.size();
-    push_unique(pick);
-    if (out.size() == before) {
-      break;  // already predicted (cycle) — stop rather than loop
-    }
-    cursor = pick;
-  }
-  return out;
 }
 
 }  // namespace compcache

@@ -1,51 +1,32 @@
 // Fault-stream predictor for the decompress-ahead prefetcher: a per-segment
-// stride detector backed by a first-order Markov successor table.
+// stride detector.
 //
-// The stride detector captures the thrasher's (and any scan's) linear walks:
-// two consecutive equal strides confirm a stream, after which predictions
-// extrapolate it. When no stride is confirmed, the Markov table predicts the
-// most frequent successor seen after the current page — enough to learn
-// repeating non-linear patterns. Ties among equally frequent successors are
-// broken by a seeded Rng draw, so prediction is deterministic per seed and
-// two identically seeded predictors fed the same stream agree exactly.
+// It captures the thrasher's (and any scan's) linear walks: two consecutive
+// equal strides within a segment confirm a stream, and the prefetcher then
+// extrapolates it. A stream without a confirmed stride predicts nothing —
+// guesses off a stride rarely pay on a fault stream (Zipf traffic, the
+// service benches), and each one costs a buffer frame and a ring copy.
 #ifndef COMPCACHE_VM_FAULT_PREDICTOR_H_
 #define COMPCACHE_VM_FAULT_PREDICTOR_H_
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
-#include "util/rng.h"
 #include "vm/page_key.h"
 
 namespace compcache {
 
 class FaultPredictor {
  public:
-  explicit FaultPredictor(uint64_t seed) : rng_(seed) {}
-
-  // Feeds one fault into the stride and Markov state.
+  // Feeds one fault into its segment's stride state.
   void RecordFault(PageKey key);
 
-  // Predicts up to `max` distinct next pages, most confident first, never
-  // including the page just faulted. May return fewer (cold state).
-  std::vector<PageKey> Predict(size_t max);
-
-  // Introspection for tests.
-  bool stride_confirmed(uint32_t segment) const {
+  // The confirmed stride of `segment`'s fault stream — the page delta its last
+  // three faults repeated — or 0 when no stream is confirmed. Its sign is the
+  // walk's direction.
+  int64_t ConfirmedStride(uint32_t segment) const {
     const auto it = streams_.find(segment);
-    return it != streams_.end() && it->second.confirmed;
-  }
-
-  // Sign of the confirmed stride for `segment`: +1 ascending, -1 descending,
-  // 0 when no stream is confirmed. Fault batching uses this to avoid reading
-  // trailing neighbors on a directional walk.
-  int StrideDirection(uint32_t segment) const {
-    const auto it = streams_.find(segment);
-    if (it == streams_.end() || !it->second.confirmed) {
-      return 0;
-    }
-    return it->second.delta > 0 ? 1 : it->second.delta < 0 ? -1 : 0;
+    return it != streams_.end() && it->second.confirmed ? it->second.delta : 0;
   }
 
  private:
@@ -56,20 +37,8 @@ class FaultPredictor {
     bool has_last = false;
     bool confirmed = false;
   };
-  // Markov successors of one page, counted. Kept tiny (kMaxSuccessors) and
-  // ordered by count so prediction is a scan of a short vector.
-  struct Successor {
-    PageKey key;
-    uint32_t count = 0;
-  };
-  static constexpr size_t kMaxSuccessors = 4;
 
   std::unordered_map<uint32_t, Stream> streams_;
-  // fault key -> counted successors (the fault observed right after it).
-  std::unordered_map<PageKey, std::vector<Successor>, PageKeyHash> markov_;
-  PageKey last_fault_;
-  bool has_fault_ = false;
-  Rng rng_;
 };
 
 }  // namespace compcache

@@ -295,27 +295,19 @@ void Pager::MarkPageLost(PageEntry& entry, std::span<uint8_t> frame_data) {
   // preserves the zeros. Only the owning segment is poisoned; the machine and
   // every other segment keep running.
   std::memset(frame_data.data(), 0, frame_data.size());
-  if (prefetcher_ != nullptr) {
-    prefetcher_->Invalidate(entry.key);
-  }
-  if (entry.has_ccache_copy) {
-    CC_ASSERT(ccache_ != nullptr);
-    ccache_->Invalidate(entry.key);
-    entry.has_ccache_copy = false;
-  }
-  if (entry.has_backing_copy) {
-    swap_->Invalidate(entry.key);
-    entry.has_backing_copy = false;
-  }
+  DropStaleCopies(entry);
   entry.dirty = true;
+  CountLostPage(*segments_[entry.key.segment]);
+  if (tracer_ != nullptr) {
+    tracer_->Record(TraceEventKind::kPageLost, clock_->Now(), entry.key);
+  }
+}
+
+void Pager::CountLostPage(Segment& segment) {
   ++stats_.pages_lost;
-  Segment& segment = *segments_[entry.key.segment];
   if (!segment.aborted()) {
     segment.MarkAborted();
     ++stats_.segments_aborted;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventKind::kPageLost, clock_->Now(), entry.key);
   }
 }
 
@@ -460,11 +452,7 @@ void Pager::RestoreLostPage(Segment& segment, uint32_t page) {
   CC_EXPECTS(entry.state == PageState::kUntouched);
   // The page's only copies died with the machine: it stays untouched (zero-fill
   // on the next fault) and the segment takes the abort ladder.
-  ++stats_.pages_lost;
-  if (!segment.aborted()) {
-    segment.MarkAborted();
-    ++stats_.segments_aborted;
-  }
+  CountLostPage(segment);
 }
 
 void Pager::Advise(Segment& segment, uint32_t first_page, uint32_t page_count, bool pin) {
@@ -541,12 +529,7 @@ void Pager::OnEntryLost(PageKey key) {
   CC_ASSERT(entry.state == PageState::kCompressed);
   entry.state = PageState::kUntouched;
   entry.dirty = false;
-  ++stats_.pages_lost;
-  Segment& segment = *segments_[key.segment];
-  if (!segment.aborted()) {
-    segment.MarkAborted();
-    ++stats_.segments_aborted;
-  }
+  CountLostPage(*segments_[key.segment]);
 }
 
 void Pager::RegisterAuditChecks(InvariantAuditor* auditor) const {

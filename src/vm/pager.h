@@ -234,6 +234,8 @@ class Pager : public CcacheEvents {
   // Last rung of the degradation ladder: no valid copy of the page survives.
   // Zero-fills the frame, drops dead copies, and aborts the owning segment.
   void MarkPageLost(PageEntry& entry, std::span<uint8_t> frame_data);
+  // Counts one lost page of `segment` and aborts the segment (once).
+  void CountLostPage(Segment& segment);
 
   Clock* clock_;
   const CostModel* costs_;

@@ -552,6 +552,12 @@ TEST(AuditTest, ResetStatsZeroesPipelineEraCounters) {
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);
   Thrash(heap, 800);
+  // Random faults confirm no stride; one sequential pass gives the prefetcher
+  // a stream to extrapolate, so prefetch.issued is non-zero before the reset.
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t p = 0; p < heap.size_bytes() / kPageSize; ++p) {
+    heap.ReadBytes(p * kPageSize, page);
+  }
   // Quiesce in-flight batches and the prefetch buffer so the conservation
   // rules (issued == hits + misses, inflight == 0) hold over the counters the
   // sweep reads.

@@ -1,13 +1,16 @@
-// Async pipelined I/O: event-queue ordering, fault-stream prediction,
-// write-behind backpressure/barrier semantics, and — the load-bearing gate —
+// Async pipelined I/O: fault-stream prediction, write-behind completion order
+// and backpressure/barrier semantics, and — the load-bearing gate —
 // the differential check that a pipeline at depth 1 with prefetch off is
 // byte- and counter-identical to the synchronous machine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/pagegen.h"
@@ -16,7 +19,6 @@
 #include "disk/disk_model.h"
 #include "fs/file_system.h"
 #include "sim/clock.h"
-#include "sim/event_queue.h"
 #include "swap/clustered_swap.h"
 #include "swap/write_behind_backend.h"
 #include "tests/test_util.h"
@@ -28,114 +30,36 @@
 namespace compcache {
 namespace {
 
-// --- event queue -------------------------------------------------------------
-
-TEST(EventQueueTest, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.Schedule(SimTime::FromNanos(30), [&] { fired.push_back(3); });
-  q.Schedule(SimTime::FromNanos(10), [&] { fired.push_back(1); });
-  q.Schedule(SimTime::FromNanos(20), [&] { fired.push_back(2); });
-  q.RunUntil(SimTime::FromNanos(25));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.size(), 1u);
-  q.RunUntil(SimTime::FromNanos(30));  // boundary is inclusive
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, SameTimeFiresInScheduleOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 8; ++i) {
-    q.Schedule(SimTime::FromNanos(100), [&fired, i] { fired.push_back(i); });
-  }
-  q.RunUntil(SimTime::FromNanos(100));
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(EventQueueTest, CallbackMayScheduleFurtherDueEvents) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.Schedule(SimTime::FromNanos(10), [&] {
-    fired.push_back(1);
-    q.Schedule(SimTime::FromNanos(15), [&] { fired.push_back(2); });
-  });
-  q.RunUntil(SimTime::FromNanos(20));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
-
 // --- fault predictor ---------------------------------------------------------
 
-TEST(FaultPredictorTest, TwoEqualStridesConfirmAndExtrapolate) {
-  FaultPredictor p(1);
+TEST(FaultPredictorTest, TwoEqualStridesConfirmAStream) {
+  FaultPredictor p;
   p.RecordFault(PageKey{1, 10});
-  EXPECT_FALSE(p.stride_confirmed(1));
+  EXPECT_EQ(p.ConfirmedStride(1), 0);
   p.RecordFault(PageKey{1, 12});
-  EXPECT_FALSE(p.stride_confirmed(1));  // one stride seen, not yet confirmed
+  EXPECT_EQ(p.ConfirmedStride(1), 0);  // one stride seen, not yet confirmed
   p.RecordFault(PageKey{1, 14});
-  EXPECT_TRUE(p.stride_confirmed(1));
-
-  const auto predicted = p.Predict(3);
-  ASSERT_EQ(predicted.size(), 3u);
-  EXPECT_EQ(predicted[0], (PageKey{1, 16}));
-  EXPECT_EQ(predicted[1], (PageKey{1, 18}));
-  EXPECT_EQ(predicted[2], (PageKey{1, 20}));
+  EXPECT_EQ(p.ConfirmedStride(1), 2);
+  p.RecordFault(PageKey{1, 17});  // a different delta drops the confirmation
+  EXPECT_EQ(p.ConfirmedStride(1), 0);
+  EXPECT_EQ(p.ConfirmedStride(2), 0);  // segments keep separate streams
 }
 
-TEST(FaultPredictorTest, BackwardStrideExtrapolatesDown) {
-  FaultPredictor p(1);
+TEST(FaultPredictorTest, BackwardStrideConfirmsANegativeDelta) {
+  FaultPredictor p;
   p.RecordFault(PageKey{2, 50});
   p.RecordFault(PageKey{2, 47});
   p.RecordFault(PageKey{2, 44});
-  EXPECT_TRUE(p.stride_confirmed(2));
-  const auto predicted = p.Predict(2);
-  ASSERT_EQ(predicted.size(), 2u);
-  EXPECT_EQ(predicted[0], (PageKey{2, 41}));
-  EXPECT_EQ(predicted[1], (PageKey{2, 38}));
-}
-
-TEST(FaultPredictorTest, MarkovLearnsRepeatingNonLinearPattern) {
-  FaultPredictor p(1);
-  // 5 -> 9 -> 3 repeating: strides alternate, so the stride detector never
-  // confirms and prediction falls through to the successor table.
-  const uint32_t pattern[] = {5, 9, 3, 5, 9, 3, 5, 9};
-  for (const uint32_t page : pattern) {
-    p.RecordFault(PageKey{1, page});
-  }
-  EXPECT_FALSE(p.stride_confirmed(1));
-  const auto predicted = p.Predict(2);
-  ASSERT_GE(predicted.size(), 1u);
-  EXPECT_EQ(predicted[0], (PageKey{1, 3}));  // most frequent successor of 9
-  if (predicted.size() > 1) {
-    EXPECT_EQ(predicted[1], (PageKey{1, 5}));  // chained: successor of 3
-  }
-}
-
-TEST(FaultPredictorTest, IdenticalSeedsAgreeExactly) {
-  FaultPredictor a(7);
-  FaultPredictor b(7);
-  // A stream with genuine ties so the seeded tie-break draws actually fire.
-  Rng stream(99);
-  for (int i = 0; i < 400; ++i) {
-    const uint32_t page = static_cast<uint32_t>(stream.Below(8));
-    a.RecordFault(PageKey{1, page});
-    b.RecordFault(PageKey{1, page});
-    if (i % 5 == 0) {
-      EXPECT_EQ(a.Predict(3), b.Predict(3)) << "diverged at fault " << i;
-    }
-  }
+  EXPECT_EQ(p.ConfirmedStride(2), -3);
 }
 
 TEST(FaultPredictorTest, NeverPredictsThePageJustFaulted) {
-  FaultPredictor p(1);
-  // 4 -> 4 would be the most frequent "successor" if self-loops were counted.
+  FaultPredictor p;
+  // A zero delta never confirms, so the page just faulted is never a guess.
   for (int i = 0; i < 6; ++i) {
     p.RecordFault(PageKey{1, 4});
   }
-  for (const PageKey key : p.Predict(4)) {
-    EXPECT_NE(key, (PageKey{1, 4}));
-  }
+  EXPECT_EQ(p.ConfirmedStride(1), 0);
 }
 
 // --- write-behind backend (unit level) ---------------------------------------
@@ -243,6 +167,64 @@ TEST(WriteBehindTest, DrainRetiresEverything) {
   EXPECT_EQ(s.backend.stats().batches_completed, 5u);
   // The clock landed on the last completion; all deferred work is paid for.
   EXPECT_GE(s.clock.Now().nanos(), s.backend.stats().deferred_io_time.nanos());
+}
+
+// A layout whose batches finish after scripted device times, so a batch
+// submitted later can finish before an earlier one (as over a tier stack).
+// It stores nothing; reads return an empty image.
+class ScriptedSwap : public CompressedSwapBackend {
+ public:
+  ScriptedSwap(Clock* clock, std::vector<SimDuration> times)
+      : clock_(clock), times_(std::move(times)) {}
+
+  IoStatus WriteBatch(std::span<const SwapPageImage>) override { return IoStatus::kOk; }
+  WriteTicket SubmitWriteBatch(std::span<const SwapPageImage> pages) override {
+    WriteTicket ticket;
+    ticket.status = WriteBatch(pages);
+    ticket.device_time = times_.at(next_++);
+    ticket.complete_at = clock_->Now() + ticket.device_time;
+    return ticket;
+  }
+  DiskDevice* device() override { return nullptr; }
+  bool Contains(PageKey) const override { return false; }
+  ReadResult ReadPage(PageKey, bool) override { return ReadResult{}; }
+  void Invalidate(PageKey) override {}
+  void ForEachPage(const std::function<void(PageKey)>&) const override {}
+  void RegisterAuditChecks(InvariantAuditor*) override {}
+  void BindMetrics(MetricRegistry*) override {}
+
+ private:
+  Clock* clock_;
+  std::vector<SimDuration> times_;
+  size_t next_ = 0;
+};
+
+// A batch submitted later that finishes earlier retires first, and a read of
+// its page waits for that batch alone, not for the earlier one still in flight.
+TEST(WriteBehindTest, BatchesRetireInCompletionOrder) {
+  Clock clock;
+  const std::vector<SimDuration> times{SimDuration::Micros(1000), SimDuration::Micros(300)};
+  WriteBehindBackend backend(std::make_unique<ScriptedSwap>(&clock, times), &clock, /*depth=*/4);
+  const PageKey early{1, 1};
+  const PageKey late{1, 2};
+  std::vector<SwapPageImage> b1(1);
+  b1[0].key = early;
+  std::vector<SwapPageImage> b2(1);
+  b2[0].key = late;
+  ASSERT_EQ(backend.WriteBatch(b1), IoStatus::kOk);  // finishes at 1000 us
+  ASSERT_EQ(backend.WriteBatch(b2), IoStatus::kOk);  // finishes at 300 us
+  ASSERT_EQ(backend.inflight_batches(), 2u);
+
+  backend.ReadPage(late, /*collect_coresidents=*/false);
+  EXPECT_EQ(clock.Now(), SimTime::FromNanos(300'000));
+  EXPECT_EQ(backend.stats().barrier_stalls, 1u);
+  EXPECT_EQ(backend.stats().batches_completed, 1u);
+  EXPECT_FALSE(backend.InFlight(late));
+  EXPECT_TRUE(backend.InFlight(early));
+
+  backend.Drain(/*advance_clock=*/true);
+  EXPECT_EQ(clock.Now(), SimTime::FromNanos(1'000'000));
+  EXPECT_EQ(backend.stats().batches_completed, 2u);
 }
 
 // --- differential gate: depth 1 + prefetch off == synchronous machine --------
@@ -381,6 +363,43 @@ TEST(PipelineMachineTest, SequentialThrashHitsThePrefetchBuffer) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
+// Only a confirmed stride is extrapolated. A walk that repeats the same
+// order every pass, but whose fault deltas alternate (-1, +3, -1, +3, ...),
+// never confirms one, so every guess comes from fault batching.
+TEST(PipelineMachineTest, UnconfirmedStrideIssuesNoGuesses) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.pipeline.enabled = true;
+  config.pipeline.write_behind_depth = 4;
+  config.pipeline.prefetch = true;
+  config.pipeline.prefetch_per_fault = 2;
+  config.pipeline.fault_batch_window = 2;
+  Machine machine(config);
+
+  Heap heap = machine.NewHeap(6 * kMiB);
+  const uint64_t pages = heap.size_bytes() / kPageSize;
+  std::vector<uint8_t> page(kPageSize);
+  Rng rng(7);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (uint64_t base = 0; base < pages; base += 2) {
+      for (const uint64_t p : {base + 1, base}) {
+        if (pass == 0) {
+          FillPage(page, ContentClass::kSparseNumeric, rng);
+          heap.WriteBytes(p * kPageSize, page);
+        } else {
+          heap.ReadBytes(p * kPageSize, page);
+        }
+      }
+    }
+  }
+  machine.DrainPipeline();
+
+  // Every access faults, so the fault stream is the walk itself.
+  ASSERT_EQ(machine.pager().stats().faults, 3 * pages);
+  const PrefetchStats& ps = machine.pipeline()->stats();
+  EXPECT_EQ(ps.issued, ps.batched);
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
 // A prefetch hit delivers the page's exact bytes: seeded content is written
 // once, then read over sequential read-only passes that the stride predictor
 // follows, and every page read is compared byte for byte with its
@@ -489,7 +508,7 @@ TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
         EXPECT_FALSE(engine.buffered(key)) << "after faulting page " << p;
       }
     }
-    ASSERT_TRUE(engine.predictor().stride_confirmed(segment));
+    ASSERT_EQ(engine.predictor().ConfirmedStride(segment), 1);
     ASSERT_TRUE(cached(target)) << "the target left the ring before its fault";
     EXPECT_EQ(engine.buffered(key), !corrupt);
 
@@ -509,6 +528,61 @@ TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
     machine.DrainPipeline();
     const PrefetchStats& ps = engine.stats();
     EXPECT_EQ(ps.issued, ps.hits + ps.misses);
+    EXPECT_EQ(machine.RunAudit(), 0u);
+  }
+}
+
+// A confirmed stride is extrapolated along the walk: once the faults at
+// last - 2s, last - s and last confirm stride s, the engine tries last + s,
+// last + 2s, ... in order, at most twice prefetch_per_fault candidates, and
+// buffers the first prefetch_per_fault that sit compressed in the ccache. A
+// resident candidate (here last + s, read before the walk) is skipped without
+// being counted, and a candidate below page 0 ends the walk. Covers a stride
+// other than 1, a descending walk, and the low end of the page range.
+TEST(PipelineMachineTest, ConfirmedStrideIsExtrapolatedAlongTheWalk) {
+  struct Walk {
+    int64_t stride;
+    int64_t last;                   // the fault that confirms the stride
+    std::vector<int64_t> buffered;  // the pages the extrapolation issues
+  };
+  for (const Walk& walk : {Walk{2, 404, {408, 410}}, Walk{-3, 600, {594, 591}},
+                           Walk{-3, 6, {0}}}) {
+    SCOPED_TRACE("stride " + std::to_string(walk.stride) + " last " + std::to_string(walk.last));
+    MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+    config.pipeline.enabled = true;
+    config.pipeline.prefetch = true;
+    config.pipeline.prefetch_per_fault = 2;
+    Machine machine(config);
+    machine.auditor().set_abort_on_violation(false);
+
+    // Written in page order, so the oldest pages sit compressed in the ccache
+    // and the newest stay resident.
+    Heap heap = machine.NewHeap(4 * kMiB);
+    const uint64_t pages = heap.size_bytes() / kPageSize;
+    std::vector<uint8_t> page(kPageSize);
+    Rng rng(31);
+    for (uint64_t p = 0; p < pages; ++p) {
+      FillPage(page, ContentClass::kRepetitiveText, rng);
+      heap.WriteBytes(p * kPageSize, page);
+    }
+    const uint32_t segment = heap.segment()->id();
+    const auto key = [&](int64_t p) { return PageKey{segment, static_cast<uint32_t>(p)}; };
+    const auto read = [&](int64_t p) {
+      heap.ReadBytes(static_cast<uint64_t>(p) * kPageSize, page);
+    };
+
+    PipelineEngine& engine = *machine.pipeline();
+    read(walk.last + walk.stride);
+    for (int64_t k = 2; k >= 0; --k) {
+      read(walk.last - k * walk.stride);
+    }
+    ASSERT_EQ(engine.predictor().ConfirmedStride(segment), walk.stride);
+    EXPECT_FALSE(engine.buffered(key(walk.last + walk.stride)));
+    for (const int64_t p : walk.buffered) {
+      EXPECT_TRUE(engine.buffered(key(p))) << "page " << p;
+    }
+    EXPECT_EQ(engine.buffered_frames(), walk.buffered.size());
+    EXPECT_EQ(engine.stats().issued, walk.buffered.size());
     EXPECT_EQ(machine.RunAudit(), 0u);
   }
 }
