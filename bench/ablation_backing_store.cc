@@ -9,12 +9,20 @@
 //   * the file system's partial-block write pathology vs the "modify the file
 //     system" alternative (no read-modify-write);
 //   * coresident insertion (the free pages that arrive in a block read) on vs off.
+//
+// --json=<path> writes one row per variant: its axis and label, the virtual
+// elapsed_ns, and, for the clustered layout, that machine's allocator counters
+// (blocks_reused, blocks_appended, free_blocks, free_runs, pages_read). The
+// paper's design (clustered fragments, default options) publishes its full
+// metric snapshot.
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/thrasher.h"
+#include "bench_json.h"
 #include "core/machine.h"
 #include "sweep_runner.h"
 
@@ -24,7 +32,18 @@ namespace {
 
 constexpr uint64_t kUserMemory = 4 * kMiB;
 
-SimDuration Run(MachineConfig config) {
+struct RunResult {
+  SimDuration elapsed;
+  // The clustered layout's allocator state at the end of the run; absent for
+  // the other layouts.
+  bool clustered = false;
+  ClusteredSwapStats swap;
+  uint64_t free_blocks = 0;
+  uint64_t free_runs = 0;
+  std::vector<std::pair<std::string, double>> metrics;  // representative run only
+};
+
+RunResult Run(MachineConfig config, bool snapshot_metrics) {
   Machine machine(std::move(config));
   ThrasherOptions options;
   options.address_space_bytes = 24 * kMiB;  // far beyond memory even compressed
@@ -33,7 +52,25 @@ SimDuration Run(MachineConfig config) {
   options.content = ContentClass::kSparseNumeric;
   Thrasher app(options);
   app.Run(machine);
-  return app.result().elapsed;
+  RunResult result;
+  result.elapsed = app.result().elapsed;
+  if (const ClusteredSwapLayout* swap = machine.clustered_swap(); swap != nullptr) {
+    result.clustered = true;
+    result.swap = swap->stats();
+    result.free_blocks = swap->free_blocks();
+    result.free_runs = swap->free_runs();
+  }
+  if (snapshot_metrics) {
+    result.metrics = machine.metrics().Snapshot();
+  }
+  return result;
+}
+
+// "  fixed offsets, modified fs:   " -> "fixed offsets, modified fs".
+std::string Trimmed(const std::string& label) {
+  const size_t first = label.find_first_not_of(' ');
+  const size_t last = label.find_last_not_of(": ");
+  return label.substr(first, last - first + 1);
 }
 
 MachineConfig Base() { return MachineConfig::WithCompressionCache(kUserMemory); }
@@ -42,14 +79,21 @@ MachineConfig Base() { return MachineConfig::WithCompressionCache(kUserMemory); 
 
 int main(int argc, char** argv) {
   std::printf("Ablation: backing-store interface (4 MB machine, 24 MB rw working set)\n\n");
+  BenchReport report("ablation_backing_store", argc, argv);
+  report.Config("user_memory_mb", kUserMemory / kMiB);
+  report.Config("working_set_mb", uint64_t{24});
+  report.Config("content", std::string("sparse_numeric"));
 
   // Every variant is one independent machine; collect them all, fan out once,
   // and print from the results in variant order.
   std::vector<std::string> labels;
-  std::vector<std::function<SimDuration()>> jobs;
-  const auto add = [&](std::string label, MachineConfig config) {
+  std::vector<std::string> axes;
+  std::vector<std::function<RunResult()>> jobs;
+  const char* axis = "write_batch";
+  const auto add = [&](std::string label, MachineConfig config, bool snapshot = false) {
     labels.push_back(std::move(label));
-    jobs.push_back([config = std::move(config)] { return Run(config); });
+    axes.push_back(axis);
+    jobs.push_back([config = std::move(config), snapshot] { return Run(config, snapshot); });
   };
 
   for (const uint32_t kb : {4u, 8u, 32u, 128u}) {
@@ -59,15 +103,14 @@ int main(int argc, char** argv) {
     std::snprintf(label, sizeof(label), "  %4u KB: ", kb);
     add(label, std::move(config));
   }
+  axis = "block_spanning";
   for (const bool spanning : {true, false}) {
     MachineConfig config = Base();
     config.allow_block_spanning = spanning;
     add(spanning ? "  allowed:   " : "  forbidden: ", std::move(config));
   }
-  {
-    MachineConfig config = Base();
-    add("  clustered fragments:               ", std::move(config));
-  }
+  axis = "swap_layout";
+  add("  clustered fragments:               ", Base(), /*snapshot=*/true);
   {
     MachineConfig config = Base();
     config.compressed_swap = CompressedSwapKind::kFixedOffset;
@@ -86,17 +129,33 @@ int main(int argc, char** argv) {
     config.compressed_swap = CompressedSwapKind::kLfs;
     add("  LFS-style log:                     ", std::move(config));
   }
+  axis = "coresidents";
   for (const bool insert : {true, false}) {
     MachineConfig config = Base();
     config.insert_coresidents = insert;
     add(insert ? "  on:        " : "  off:       ", std::move(config));
   }
 
-  const std::vector<SimDuration> results = RunSweep(jobs, SweepThreadsFromArgs(argc, argv));
+  const std::vector<RunResult> results = RunSweep(jobs, SweepThreadsFromArgs(argc, argv));
 
   size_t i = 0;
   const auto print_next = [&] {
-    std::printf("%s%s\n", labels[i].c_str(), results[i].ToMinSec().c_str());
+    const RunResult& r = results[i];
+    std::printf("%s%s\n", labels[i].c_str(), r.elapsed.ToMinSec().c_str());
+    BenchReport::Row& row = report.AddRow();
+    row.Set("axis", axes[i])
+        .Set("label", Trimmed(labels[i]))
+        .Set("elapsed_ns", static_cast<uint64_t>(r.elapsed.nanos()));
+    if (r.clustered) {
+      row.Set("blocks_reused", r.swap.blocks_reused)
+          .Set("blocks_appended", r.swap.blocks_appended)
+          .Set("free_blocks", r.free_blocks)
+          .Set("free_runs", r.free_runs)
+          .Set("pages_read", r.swap.pages_read);
+    }
+    if (!r.metrics.empty()) {
+      report.MergeMetrics(r.metrics);
+    }
     ++i;
   };
   std::printf("write batch size (clustered fragments written per operation):\n");
@@ -120,5 +179,5 @@ int main(int argc, char** argv) {
   for (int n = 0; n < 2; ++n) {
     print_next();
   }
-  return 0;
+  return report.WriteIfEnabled() ? 0 : 1;
 }

@@ -133,6 +133,12 @@ VALID = {
          {"axis": "grid", "backend": "clustered", "depth": 4, "prefetch": 1, "avg_ms": 2.5}],
         {**MACHINE, **PIPELINE, "pipeline.curve.sync_ms": 8.8,
          "pipeline.curve.pipelined_ms": 2.5}),
+    "ablation_backing_store": doc(
+        "ablation_backing_store",
+        [{"axis": "write_batch", "label": "32 KB", "elapsed_ns": 7.04e10, "blocks_reused": 3068,
+          "blocks_appended": 2591, "free_blocks": 64, "free_runs": 2, "pages_read": 3133},
+         {"axis": "swap_layout", "label": "LFS-style log", "elapsed_ns": 4.83e10}],
+        dict(MACHINE)),
     "ablation_tier": doc(
         "ablation_tier", [{"axis": "kv", "split": "all_dram", "mean_ms": 1.6,
                            "validation_failures": 0, "violations": 0}],
@@ -319,6 +325,9 @@ MUTATIONS = [
      put("metrics", "tier.frontier.all_ssd_ms", 1.15)),
     ("tier lacks tier.*.level", "ablation_tier", put("metrics", "tier.*.level", DROP)),
     ("tier kv row validation failure", "ablation_tier", put(0, "validation_failures", 3)),
+    # ablation_backing_store.
+    ("backing store row with zero elapsed_ns", "ablation_backing_store",
+     put(1, "elapsed_ns", 0)),
 ]
 
 # Files that are not a JSON object at all.

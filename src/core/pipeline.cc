@@ -120,7 +120,7 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   }
   // Only pages living in the compression cache are worth decompressing
   // ahead. Swapped-out pages are deliberately NOT read speculatively: on this
-  // disk every operation pays a seek and rotation, so a predictor-initiated
+  // disk every operation pays a seek and rotation, so a stride-initiated
   // single-page swap read costs more queueing delay than the fault it might
   // save — adjacent swapped pages instead coalesce into the demand read
   // itself (the clustered layout's widened reads), arrive as coresidents,
@@ -179,13 +179,28 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   return true;
 }
 
+void PipelineEngine::RecordFault(PageKey key) {
+  Stream& stream = streams_[key.segment];
+  if (stream.has_last) {
+    const int64_t delta = static_cast<int64_t>(key.page) - static_cast<int64_t>(stream.last_page);
+    if (delta != 0 && delta == stream.delta) {
+      stream.confirmed = true;
+    } else {
+      stream.delta = delta;
+      stream.confirmed = false;
+    }
+  }
+  stream.last_page = key.page;
+  stream.has_last = true;
+}
+
 void PipelineEngine::IssueNeighbors(PageKey key) {
   // The demand swap read just widened across adjacent blocks and deposited
   // their coresident pages in the ccache; decompress them ahead, nearest
   // first. When the fault stream has a confirmed direction, only the leading
   // side — trailing neighbors of a directional walk are guaranteed-dead
   // guesses. Undirected streams probe both sides.
-  const int64_t stride = predictor_.ConfirmedStride(key.segment);
+  const int64_t stride = ConfirmedStride(key.segment);
   for (uint32_t d = 1; d <= options_.fault_batch_window; ++d) {
     if (stride >= 0) {
       IssueOne(PageKey{key.segment, key.page + d}, /*batched=*/true);
@@ -197,7 +212,7 @@ void PipelineEngine::IssueNeighbors(PageKey key) {
 }
 
 void PipelineEngine::OnFault(PageKey key, bool from_swap) {
-  predictor_.RecordFault(key);
+  RecordFault(key);
   if (!options_.prefetch) {
     return;
   }
@@ -206,7 +221,7 @@ void PipelineEngine::OnFault(PageKey key, bool from_swap) {
   }
   // Extrapolate a confirmed stride. Some candidates are already resident or
   // buffered and are skipped, so up to twice prefetch_per_fault are tried.
-  const int64_t stride = predictor_.ConfirmedStride(key.segment);
+  const int64_t stride = ConfirmedStride(key.segment);
   if (stride == 0) {
     return;
   }

@@ -4,15 +4,18 @@
 // feeds it to a per-segment stride detector, and, along a confirmed stride,
 // copies the CRC-verified compressed images of the next ccache entries into a
 // small buffer of arbiter-charged frames, one frame per entry; a stream with
-// no confirmed stride issues no guess. The buffer is one vector in issue
-// order, so the oldest entry is its front. The codec runs only for the
-// demand fault that consumes a buffered image: the hit decodes it straight
-// into the faulting frame, with no ring read and no disk, and the many guesses
-// that are never consumed are never decoded. Swapped-out pages are never read
-// speculatively — on a seek-dominated disk a separate single-page read costs
-// more than the fault it might save. Instead, fault batching widens the demand
-// swap read itself (the clustered layout's readahead_blocks), whose
-// coresidents land in the ccache and become decompress-ahead targets here.
+// no confirmed stride issues no guess (guesses off a stride rarely pay on Zipf
+// or service traffic, and each costs a buffer frame and a ring copy). The
+// stride state is the engine's own, one stream per segment, read through
+// ConfirmedStride(). The buffer is one vector in issue order, so the oldest
+// entry is its front. The codec runs only for the demand fault that consumes
+// a buffered image: the hit decodes it straight into the faulting frame, with
+// no ring read and no disk, and the many guesses that are never consumed are
+// never decoded. Swapped-out pages are never read speculatively — on a
+// seek-dominated disk a separate single-page read costs more than the fault
+// it might save. Instead, fault batching widens the demand swap read itself
+// (the clustered layout's readahead_blocks), whose coresidents land in the
+// ccache and become decompress-ahead targets here.
 //
 // Speculative work is free of the app clock but not free of time: each issue
 // is charged the modelled decompression on a background timeline (serialized
@@ -31,6 +34,7 @@
 #define COMPCACHE_CORE_PIPELINE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "ccache/compression_cache.h"
@@ -38,7 +42,6 @@
 #include "sim/cost_model.h"
 #include "util/audit.h"
 #include "util/metrics.h"
-#include "vm/fault_predictor.h"
 #include "vm/frame_source.h"
 #include "vm/page_key.h"
 #include "vm/prefetcher.h"
@@ -105,7 +108,14 @@ class PipelineEngine : public PagePrefetcher {
   size_t buffered_frames() const { return buffer_.size(); }
   bool buffered(PageKey key) const { return Find(key) != buffer_.end(); }
   const PrefetchStats& stats() const { return stats_; }
-  FaultPredictor& predictor() { return predictor_; }
+
+  // The confirmed stride of `segment`'s fault stream — the page delta its last
+  // three faults repeated — or 0 when no stream is confirmed. Its sign is the
+  // walk's direction. Every fault feeds the stream, prefetch on or off.
+  int64_t ConfirmedStride(uint32_t segment) const {
+    const auto it = streams_.find(segment);
+    return it != streams_.end() && it->second.confirmed ? it->second.delta : 0;
+  }
 
   void ResetStats() { stats_ = PrefetchStats{}; }
   // Publishes "prefetch.*" gauges.
@@ -114,6 +124,14 @@ class PipelineEngine : public PagePrefetcher {
   void RegisterAuditChecks(InvariantAuditor* auditor);
 
  private:
+  // Per-segment stride stream: last fault page, last delta, confirmation.
+  struct Stream {
+    uint32_t last_page = 0;
+    int64_t delta = 0;
+    bool has_last = false;
+    bool confirmed = false;
+  };
+
   struct Entry {
     PageKey key;
     FrameId frame;
@@ -122,6 +140,9 @@ class PipelineEngine : public PagePrefetcher {
     uint64_t age_ns = 0;      // issue time, for the arbiter
   };
 
+  // Feeds one fault into its segment's stream: two equal consecutive nonzero
+  // deltas confirm a stride, any other delta drops the confirmation.
+  void RecordFault(PageKey key);
   std::vector<Entry>::const_iterator Find(PageKey key) const;
   // Issues one speculative page if it is a sensible target; returns true when
   // an entry entered the buffer. `batched` marks fault-batching issues.
@@ -142,7 +163,7 @@ class PipelineEngine : public PagePrefetcher {
   Pager* pager_ = nullptr;
   PipelineOptions options_;
 
-  FaultPredictor predictor_;
+  std::unordered_map<uint32_t, Stream> streams_;
   // Issue order, oldest first; at most prefetch_buffer_pages entries.
   std::vector<Entry> buffer_;
   // Background timeline: speculative decompression is serialized on a single

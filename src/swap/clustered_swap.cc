@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <string>
 
 #include "util/assert.h"
@@ -55,79 +54,60 @@ void ClusteredSwapLayout::BindMetrics(MetricRegistry* registry) {
   registry->RegisterGauge("swap.clustered.live_pages",
                           [this] { return static_cast<double>(locations_.size()); });
   registry->RegisterGauge("swap.clustered.free_blocks",
-                          [this] { return static_cast<double>(free_block_count_); });
+                          [this] { return static_cast<double>(free_blocks()); });
   registry->RegisterGauge("swap.clustered.free_runs",
-                          [this] { return static_cast<double>(free_runs_.size()); });
+                          [this] { return static_cast<double>(free_runs()); });
+}
+
+size_t ClusteredSwapLayout::free_blocks() const {
+  return static_cast<size_t>(std::count(live_frags_.begin(), live_frags_.end(), 0u));
+}
+
+size_t ClusteredSwapLayout::free_runs() const {
+  size_t runs = 0;
+  for (size_t block = 0; block < live_frags_.size(); ++block) {
+    if (live_frags_[block] == 0 && (block == 0 || live_frags_[block - 1] != 0)) {
+      ++runs;
+    }
+  }
+  return runs;
 }
 
 uint64_t ClusteredSwapLayout::AllocateBlocks(uint64_t blocks) {
   CC_EXPECTS(blocks > 0);
-  // First fit by address: the lowest-addressed run long enough. Taking the
-  // prefix of that run is exactly what the old per-block scan did when its
-  // running count first reached `blocks`.
-  for (auto it = free_runs_.begin(); it != free_runs_.end(); ++it) {
-    if (it->second < blocks) {
-      continue;
-    }
-    const uint64_t run_start = it->first;
-    const uint64_t remainder = it->second - blocks;
-    free_runs_.erase(it);
-    if (remainder > 0) {
-      free_runs_.emplace(run_start + blocks, remainder);
-    }
-    free_block_count_ -= blocks;
+  // First fit by address: the first `blocks` consecutive free blocks.
+  const auto run = std::search_n(live_frags_.begin(), live_frags_.end(), blocks, 0u);
+  if (run != live_frags_.end()) {
     stats_.blocks_reused += blocks;
-    return run_start;
+    return static_cast<uint64_t>(run - live_frags_.begin());
   }
   // Otherwise extend the swap file.
-  const uint64_t start = end_block_;
-  end_block_ += blocks;
+  const uint64_t start = live_frags_.size();
+  ResizeFile(start + blocks);
   stats_.blocks_appended += blocks;
-  CC_ASSERT(end_block_ * kFsBlockSize <= fs_->disk()->capacity());
+  CC_ASSERT(live_frags_.size() * kFsBlockSize <= fs_->disk()->capacity());
   return start;
 }
 
-void ClusteredSwapLayout::FreeBlockRun(uint64_t start, uint64_t len) {
-  CC_EXPECTS(len > 0);
-  free_block_count_ += len;  // only the newly freed blocks; merges below don't add
-  // Find the run after `start` and the one before it; merge with either side
-  // that touches so the map always holds maximal runs.
-  auto next = free_runs_.lower_bound(start);
-  if (next != free_runs_.begin()) {
-    auto prev = std::prev(next);
-    CC_ASSERT(prev->first + prev->second <= start && "double free of swap block");
-    if (prev->first + prev->second == start) {
-      start = prev->first;
-      len += prev->second;
-      free_runs_.erase(prev);
-    }
-  }
-  if (next != free_runs_.end()) {
-    CC_ASSERT(start + len <= next->first && "double free of swap block");
-    if (start + len == next->first) {
-      len += next->second;
-      free_runs_.erase(next);
-    }
-  }
-  free_runs_.emplace(start, len);
+void ClusteredSwapLayout::ResizeFile(uint64_t blocks) {
+  live_frags_.resize(blocks, 0);
+  starts_.resize(blocks * kFragsPerBlock);
 }
 
-void ClusteredSwapLayout::AddLiveFrags(const Location& loc) {
+void ClusteredSwapLayout::AddLiveFrags(PageKey key, const Location& loc) {
+  CC_ASSERT(!starts_[loc.frag_start].valid() && "two pages start at one fragment");
+  starts_[loc.frag_start] = key;
   for (uint32_t i = 0; i < loc.frag_count; ++i) {
-    const uint64_t block = (loc.frag_start + i) / kFragsPerBlock;
-    ++live_frags_per_block_[block];
+    ++live_frags_[(loc.frag_start + i) / kFragsPerBlock];
   }
 }
 
 void ClusteredSwapLayout::ReleaseLocation(const Location& loc) {
+  starts_[loc.frag_start] = PageKey{};
   for (uint32_t i = 0; i < loc.frag_count; ++i) {
-    const uint64_t block = (loc.frag_start + i) / kFragsPerBlock;
-    auto it = live_frags_per_block_.find(block);
-    CC_ASSERT(it != live_frags_per_block_.end() && it->second > 0);
-    if (--it->second == 0) {
-      live_frags_per_block_.erase(it);
-      FreeBlockRun(block, 1);
-    }
+    uint32_t& live = live_frags_[(loc.frag_start + i) / kFragsPerBlock];
+    CC_ASSERT(live > 0);
+    --live;
   }
 }
 
@@ -175,10 +155,9 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
   const IoStatus status = fs_->Write(file_, start_block * kFsBlockSize, staging);
   if (status != IoStatus::kOk) {
     // Nothing landed durably: leave the location map alone so prior copies of
-    // these pages stay valid, and return the freshly allocated blocks to the
-    // free pool.
+    // these pages stay valid; the allocated blocks were never recorded and
+    // stay free.
     ++io_failures_;
-    FreeBlockRun(start_block, total_blocks);
     return status;
   }
 
@@ -201,7 +180,6 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
     }
     if (journal_->Append(kRecBatch, payload) != IoStatus::kOk) {
       ++io_failures_;
-      FreeBlockRun(start_block, total_blocks);
       return IoStatus::kFailed;
     }
   }
@@ -216,15 +194,13 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
   for (const Placement& p : placements) {
     const SwapPageImage& img = *p.image;
     if (const auto it = locations_.find(img.key); it != locations_.end()) {
-      by_frag_start_.erase(it->second.frag_start);
       ReleaseLocation(it->second);
       locations_.erase(it);
     }
     const Location loc{start_frag + p.rel_frag, p.frag_count, StoredImage::Of(img)};
-    AddLiveFrags(loc);
+    AddLiveFrags(img.key, loc);
     const bool loc_ok = locations_.emplace(img.key, loc).second;
-    const bool frag_ok = by_frag_start_.emplace(loc.frag_start, img.key).second;
-    CC_ASSERT(loc_ok && frag_ok);
+    CC_ASSERT(loc_ok);
     ++stats_.pages_written;
     stats_.payload_bytes_written += img.bytes.size();
   }
@@ -245,7 +221,7 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
     // transfer only), bounded by the file's high-water mark. Live pages in
     // the extra blocks come back as coresidents below.
     const uint64_t widened =
-        std::min(options_.readahead_blocks, end_block_ - 1 - last_block);
+        std::min(options_.readahead_blocks, end_block() - 1 - last_block);
     last_block += widened;
     stats_.readahead_blocks_read += widened;
   }
@@ -275,13 +251,13 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
   if (collect_coresidents) {
     const uint64_t range_start = first_block * kFragsPerBlock;
     const uint64_t range_end = (last_block + 1) * kFragsPerBlock;
-    for (auto pos = by_frag_start_.lower_bound(range_start);
-         pos != by_frag_start_.end() && pos->first < range_end; ++pos) {
-      if (pos->second == key) {
+    for (uint64_t frag = range_start; frag < range_end; ++frag) {
+      const PageKey other_key = starts_[frag];
+      if (!other_key.valid() || other_key == key) {
         continue;
       }
-      const Location& other = locations_.at(pos->second);
-      CC_ASSERT(other.frag_start == pos->first);
+      const Location& other = locations_.at(other_key);
+      CC_ASSERT(other.frag_start == frag);
       if (other.frag_start + other.frag_count > range_end) {
         continue;  // only whole pages come along for free
       }
@@ -294,7 +270,7 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
         ++coresidents_dropped_;
         continue;
       }
-      result.coresidents.push_back(other.image.ImageOf(pos->second, co.bytes));
+      result.coresidents.push_back(other.image.ImageOf(other_key, co.bytes));
       ++stats_.coresident_pages_returned;
     }
   }
@@ -317,7 +293,6 @@ void ClusteredSwapLayout::Invalidate(PageKey key) {
       ++io_failures_;
     }
   }
-  by_frag_start_.erase(it->second.frag_start);
   ReleaseLocation(it->second);
   locations_.erase(it);
 }
@@ -327,8 +302,9 @@ CompressedSwapBackend::MountStats ClusteredSwapLayout::Mount() {
   if (journal_ == nullptr) {
     return mount;
   }
-  CC_EXPECTS(locations_.empty() && end_block_ == 0);
+  CC_EXPECTS(locations_.empty() && live_frags_.empty());
 
+  uint64_t end_block = 0;
   const auto replay = journal_->Replay([&](uint8_t type, std::span<const uint8_t> payload) {
     wire::Reader r(payload);
     if (type == kRecBatch) {
@@ -338,7 +314,7 @@ CompressedSwapBackend::MountStats ClusteredSwapLayout::Mount() {
       if (!r.ok()) {
         return;
       }
-      end_block_ = std::max(end_block_, start_block + block_count);
+      end_block = std::max(end_block, start_block + block_count);
       // The committed data write physically overwrote this extent, so any
       // earlier location still inside it is dead even if its free record
       // never became durable (a failed journal append is tolerated there).
@@ -385,7 +361,8 @@ CompressedSwapBackend::MountStats ClusteredSwapLayout::Mount() {
   for (const auto& [key, loc] : locations_) {
     const uint32_t size = loc.image.byte_size;
     bool ok = loc.frag_count > 0 && size > 0 && size <= kPageSize &&
-              size <= static_cast<uint64_t>(loc.frag_count) * kSwapFragmentSize;
+              size <= static_cast<uint64_t>(loc.frag_count) * kSwapFragmentSize &&
+              loc.frag_start + loc.frag_count <= end_block * kFragsPerBlock;
     if (ok) {
       buf.resize(size);
       ok = fs_->Read(file_, loc.frag_start * kSwapFragmentSize, buf) == IoStatus::kOk &&
@@ -401,23 +378,11 @@ CompressedSwapBackend::MountStats ClusteredSwapLayout::Mount() {
     ++mount.torn_writes_detected;
   }
 
-  // Rebuild the derived structures: position index, live-fragment census, and
-  // the free runs as the complement of the live blocks below the high-water
-  // mark.
+  // Derive the block table and start index; every block no survivor lives in
+  // is free.
+  ResizeFile(end_block);
   for (const auto& [key, loc] : locations_) {
-    AddLiveFrags(loc);
-    const bool frag_ok = by_frag_start_.emplace(loc.frag_start, key).second;
-    CC_ASSERT(frag_ok && "recovered locations overlap");
-  }
-  uint64_t run_start = 0;
-  for (uint64_t block = 0; block <= end_block_; ++block) {
-    if (block < end_block_ && !live_frags_per_block_.contains(block)) {
-      continue;
-    }
-    if (block > run_start) {
-      FreeBlockRun(run_start, block - run_start);
-    }
-    run_start = block + 1;
+    AddLiveFrags(key, loc);
   }
   mount.pages_recovered = locations_.size();
   return mount;
@@ -431,75 +396,52 @@ void ClusteredSwapLayout::ForEachPage(const std::function<void(PageKey)>& fn) co
 
 void ClusteredSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
   CC_EXPECTS(auditor != nullptr);
-  // Block conservation: the blocks below the high-water mark partition into
-  // the coalesced free runs and the blocks holding at least one live fragment.
-  // A leaked allocation (blocks neither free nor live) breaks the partition.
+  // Block conservation: each block's live count equals a recount of the
+  // fragments the location map places in it. A block counted live that holds
+  // no fragment is leaked; one holding fragments but counted free would be
+  // handed out again.
   auditor->Register("swap.clustered", "block-conservation", [this]() -> std::optional<std::string> {
-    uint64_t run_total = 0;
-    uint64_t prev_end = 0;
-    bool first = true;
-    for (const auto& [start, len] : free_runs_) {
-      if (len == 0) {
-        return "free run at block " + std::to_string(start) + " has zero length";
-      }
-      if (!first && start <= prev_end) {
-        return "free runs overlap or are uncoalesced at block " + std::to_string(start);
-      }
-      if (start + len > end_block_) {
-        return "free run [" + std::to_string(start) + ", " + std::to_string(start + len) +
-               ") extends past end_block " + std::to_string(end_block_);
-      }
-      run_total += len;
-      prev_end = start + len;
-      first = false;
-    }
-    if (run_total != free_block_count_) {
-      return "free_block_count " + std::to_string(free_block_count_) +
-             " != sum of free runs " + std::to_string(run_total);
-    }
-    uint64_t live_blocks = 0;
-    for (const auto& [block, frags] : live_frags_per_block_) {
-      if (frags == 0) {
-        return "block " + std::to_string(block) + " has a zero live-fragment count";
-      }
-      if (block >= end_block_) {
-        return "live block " + std::to_string(block) + " is past end_block " +
-               std::to_string(end_block_);
-      }
-      ++live_blocks;
-    }
-    if (free_block_count_ + live_blocks != end_block_) {
-      return "free " + std::to_string(free_block_count_) + " + live " +
-             std::to_string(live_blocks) + " blocks != end_block " +
-             std::to_string(end_block_) + " (leaked or double-counted blocks)";
-    }
-    return std::nullopt;
-  });
-  // The position index must mirror the location map exactly, and the per-block
-  // live-fragment census must equal a recount from the locations.
-  auditor->Register("swap.clustered", "index-coherent", [this]() -> std::optional<std::string> {
-    if (by_frag_start_.size() != locations_.size()) {
-      return "by_frag_start has " + std::to_string(by_frag_start_.size()) +
-             " entries, locations has " + std::to_string(locations_.size());
-    }
-    std::unordered_map<uint64_t, uint32_t> recount;
+    std::vector<uint32_t> recount(live_frags_.size(), 0);
     for (const auto& [key, loc] : locations_) {
-      const auto it = by_frag_start_.find(loc.frag_start);
-      if (it == by_frag_start_.end() || !(it->second == key)) {
-        return "location of page at fragment " + std::to_string(loc.frag_start) +
-               " is missing from the position index";
-      }
-      if (loc.image.byte_size == 0 || loc.image.byte_size > kPageSize) {
-        return "stored size " + std::to_string(loc.image.byte_size) + " at fragment " +
-               std::to_string(loc.frag_start) + " is outside (0, page size]";
+      if (loc.frag_count == 0 || loc.frag_start + loc.frag_count > starts_.size()) {
+        return "location at fragment " + std::to_string(loc.frag_start) +
+               " is empty or runs past the file's " + std::to_string(live_frags_.size()) +
+               " blocks";
       }
       for (uint32_t i = 0; i < loc.frag_count; ++i) {
         ++recount[(loc.frag_start + i) / kFragsPerBlock];
       }
     }
-    if (recount != live_frags_per_block_) {
-      return "per-block live-fragment census does not match a recount from the "
-             "location map";
+    for (uint64_t block = 0; block < recount.size(); ++block) {
+      if (recount[block] != live_frags_[block]) {
+        return "block " + std::to_string(block) + " counts " + std::to_string(live_frags_[block]) +
+               " live fragments, the location map places " + std::to_string(recount[block]) +
+               " (leaked or double-counted fragments)";
+      }
+    }
+    return std::nullopt;
+  });
+  // The start index must name exactly each location's first fragment.
+  auditor->Register("swap.clustered", "index-coherent", [this]() -> std::optional<std::string> {
+    if (starts_.size() != live_frags_.size() * kFragsPerBlock) {
+      return "start index covers " + std::to_string(starts_.size()) + " fragments, the file " +
+             std::to_string(live_frags_.size()) + " blocks";
+    }
+    const auto named = static_cast<size_t>(
+        std::count_if(starts_.begin(), starts_.end(), [](PageKey k) { return k.valid(); }));
+    if (named != locations_.size()) {
+      return "start index names " + std::to_string(named) + " pages, locations has " +
+             std::to_string(locations_.size());
+    }
+    for (const auto& [key, loc] : locations_) {
+      if (loc.frag_start >= starts_.size() || !(starts_[loc.frag_start] == key)) {
+        return "location of page at fragment " + std::to_string(loc.frag_start) +
+               " is missing from the start index";
+      }
+      if (loc.image.byte_size == 0 || loc.image.byte_size > kPageSize) {
+        return "stored size " + std::to_string(loc.image.byte_size) + " at fragment " +
+               std::to_string(loc.frag_start) + " is outside (0, page size]";
+      }
     }
     return std::nullopt;
   });

@@ -8,7 +8,8 @@
 //     tracked explicitly;
 //   * a rewritten page lands at a new location, so obsolete fragments accumulate
 //     and must be garbage-collected — we reuse a file block once every fragment in
-//     it is dead;
+//     it is dead. That rule is the layout's only free-space state: one
+//     live-fragment count per file block, where 0 means free;
 //   * whether a page's fragments may span a file-block boundary is parameterized
 //     ("if they cannot, then fragmentation increases"); a spanning page costs a
 //     two-block read at fault time;
@@ -18,7 +19,6 @@
 #define COMPCACHE_SWAP_CLUSTERED_SWAP_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -84,16 +84,16 @@ class ClusteredSwapLayout : public CompressedSwapBackend {
 
   void ForEachPage(const std::function<void(PageKey)>& fn) const override;
 
-  // Invariants: free-block conservation (every block below end_block_ is in
-  // exactly one of the free runs or the live-fragment census), run coalescing,
-  // and locations_/by_frag_start_ bijection.
+  // Invariants: each block's live-fragment count equals the fragments the
+  // location map places in it (block conservation), and the start index names
+  // exactly each location's first fragment (index coherence).
   void RegisterAuditChecks(InvariantAuditor* auditor) override;
 
   // Durable mode only: replays the intent journal (torn tail truncated),
-  // rebuilds the location map, free runs, and high-water mark, then verifies
-  // every recovered page's stored CRC — bad or unreadable images are dropped
-  // so they degrade through the pager's lost ladder instead of faulting in
-  // corrupt data later.
+  // rebuilds the location map and the file length, then verifies every
+  // recovered page's stored CRC — bad or unreadable images are dropped so
+  // they degrade through the pager's lost ladder instead of faulting in
+  // corrupt data later — and derives the block table from what survives.
   MountStats Mount() override;
 
   const ClusteredSwapStats& stats() const { return stats_; }
@@ -106,15 +106,16 @@ class ClusteredSwapLayout : public CompressedSwapBackend {
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override { tracer_ = tracer; }
 
-  // Introspection for tests.
+  // Introspection for tests and benches; free space is counted when read.
   size_t live_pages() const { return locations_.size(); }
-  size_t free_blocks() const { return static_cast<size_t>(free_block_count_); }
-  size_t free_runs() const { return free_runs_.size(); }
-  uint64_t end_block() const { return end_block_; }
+  size_t free_blocks() const;
+  size_t free_runs() const;  // maximal runs of free blocks
+  uint64_t end_block() const { return live_frags_.size(); }
 
-  // Mutation hook for auditor tests: allocates `blocks` and drops them on the
-  // floor, simulating a leak so the conservation check must fire.
-  void LeakBlocksForTest(uint64_t blocks) { (void)AllocateBlocks(blocks); }
+  // Mutation hook for auditor tests: counts a phantom live fragment in
+  // `block`, which can then never be reused — a leak the conservation check
+  // must catch.
+  void SkewLiveCountForTest(uint64_t block) { ++live_frags_.at(block); }
 
  private:
   static constexpr uint32_t kFragsPerBlock = kFsBlockSize / kSwapFragmentSize;
@@ -129,29 +130,27 @@ class ClusteredSwapLayout : public CompressedSwapBackend {
   static constexpr uint8_t kRecBatch = 1;
   static constexpr uint8_t kRecFree = 2;
 
-  // Allocates `blocks` contiguous file blocks, preferring garbage-collected ones.
-  // First fit by address over the coalesced free runs — the same placement the
-  // old per-block scan over a std::set produced, but O(runs) instead of
-  // O(free blocks) per allocation.
+  // Allocates `blocks` contiguous file blocks, preferring garbage-collected
+  // ones: the first run of that many free blocks by address (which starts the
+  // first maximal free run long enough), else new blocks at the end of the
+  // file. The blocks stay free until WriteBatch records its pages in them, so
+  // a failed write has nothing to undo.
   uint64_t AllocateBlocks(uint64_t blocks);
-  // Returns [start, start+len) to the free pool, merging with adjacent runs.
-  void FreeBlockRun(uint64_t start, uint64_t len);
+  // Sets the file length to `blocks`, growing both tables.
+  void ResizeFile(uint64_t blocks);
+  // Enters / removes one location in the block table and the start index.
+  void AddLiveFrags(PageKey key, const Location& loc);
   void ReleaseLocation(const Location& loc);
-  void AddLiveFrags(const Location& loc);
 
   FileSystem* fs_;
   Options options_;
   FileId file_;
   std::unique_ptr<SwapJournal> journal_;  // non-null only in durable mode
   std::unordered_map<PageKey, Location, PageKeyHash> locations_;
-  std::map<uint64_t, PageKey> by_frag_start_;  // live locations ordered by position
-  std::unordered_map<uint64_t, uint32_t> live_frags_per_block_;
-  // Garbage-collected blocks as coalesced runs: start block -> run length.
-  // Invariant: runs are disjoint and non-adjacent (adjacent runs are merged on
-  // insert), so free_runs_.size() is the true fragmentation of the free space.
-  std::map<uint64_t, uint64_t> free_runs_;
-  uint64_t free_block_count_ = 0;
-  uint64_t end_block_ = 0;
+  // Live fragments per file block; 0 means free. Its size is the file length.
+  std::vector<uint32_t> live_frags_;
+  // Per fragment: the page whose image starts there, or an invalid key.
+  std::vector<PageKey> starts_;
   ClusteredSwapStats stats_;
   EventTracer* tracer_ = nullptr;
 };

@@ -144,14 +144,16 @@ TEST(AuditMutationTest, LeakedSwapBlocksAreAttributed) {
   config.compressed_swap = CompressedSwapKind::kClustered;
   Machine machine(config);
   machine.auditor().set_abort_on_violation(false);
-  Heap heap = machine.NewHeap(3 * kMiB);
-  Thrash(heap, 400);
+  Heap heap = machine.NewHeap(4 * kMiB);
+  Thrash(heap, 1200);
+  ASSERT_GT(machine.clustered_swap()->end_block(), 0u) << "nothing spilled to swap";
   EXPECT_EQ(machine.RunAudit(), 0u);
 
-  machine.clustered_swap()->LeakBlocksForTest(4);
+  // A phantom live fragment: block 0 can never be reused.
+  machine.clustered_swap()->SkewLiveCountForTest(0);
   EXPECT_GT(machine.RunAudit(), 0u);
   EXPECT_TRUE(HasViolation(machine.auditor(), "swap.clustered", "block-conservation"));
-  // Leaked blocks cannot be returned; the auditor stays non-aborting so the
+  // A leaked block cannot be returned; the auditor stays non-aborting so the
   // shutdown audit records (rather than kills) the planted leak.
 }
 

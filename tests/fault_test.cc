@@ -299,6 +299,45 @@ TEST(MachineFaultTest, CorruptDirtyEntryAbortsOnlyTheOwningSegment) {
   machine.ccache()->CheckInvariants();
 }
 
+// A swapped page whose read exhausts every retry is lost: it reads as zeros,
+// and its dead swap copy goes with it, so the backend no longer holds the key
+// and every invariant still holds.
+TEST(MachineFaultTest, LostSwapPageDropsItsDeadCopy) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.fault_injection.enabled = true;  // no schedule yet: nothing faults
+  Machine machine(config);
+  Heap heap = machine.NewHeap(8 * kMiB);
+  const uint64_t pages = heap.size_bytes() / kPageSize;
+  Rng rng(5);
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    FillPage(page, ContentClass::kSparseNumeric, rng);
+    heap.WriteBytes(p * kPageSize, page);
+  }
+  const uint32_t segment = heap.segment()->id();
+  uint32_t lost = 0;
+  while (lost < pages &&
+         machine.pager().PeekEntry(PageKey{segment, lost})->state != PageState::kSwapped) {
+    ++lost;
+  }
+  ASSERT_LT(lost, pages) << "no page reached swap";
+  const PageKey key{segment, lost};
+  ASSERT_TRUE(machine.compressed_swap()->Contains(key));
+
+  FaultSchedule every_read;
+  every_read.probability = 1.0;
+  machine.fault_injector()->SetSchedule(FaultSite::kDiskRead, every_read);
+  heap.ReadBytes(uint64_t{lost} * kPageSize, page);
+  machine.fault_injector()->SetSchedule(FaultSite::kDiskRead, FaultSchedule{});
+
+  EXPECT_EQ(page, std::vector<uint8_t>(kPageSize, 0));
+  EXPECT_GT(machine.disk().stats().reads_exhausted, 0u);
+  EXPECT_EQ(machine.pager().stats().pages_lost, 1u);
+  EXPECT_EQ(machine.metrics().GaugeValue("vm.pages_lost"), 1.0);
+  EXPECT_FALSE(machine.compressed_swap()->Contains(key));
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
 TEST(MachineFaultTest, GoldResultsIdenticalUnderTransientDiskFaults) {
   GoldOptions options;
   options.num_messages = 256;

@@ -1,4 +1,4 @@
-// Async pipelined I/O: fault-stream prediction, write-behind completion order
+// Async pipelined I/O: stride detection, write-behind completion order
 // and backpressure/barrier semantics, and — the load-bearing gate —
 // the differential check that a pipeline at depth 1 with prefetch off is
 // byte- and counter-identical to the synchronous machine.
@@ -24,40 +24,50 @@
 #include "tests/test_util.h"
 #include "util/checksum.h"
 #include "util/rng.h"
-#include "vm/fault_predictor.h"
 #include "vm/heap.h"
 
 namespace compcache {
 namespace {
 
-// --- fault predictor ---------------------------------------------------------
+// --- stride detection --------------------------------------------------------
 
-TEST(FaultPredictorTest, TwoEqualStridesConfirmAStream) {
-  FaultPredictor p;
-  p.RecordFault(PageKey{1, 10});
+// A pipelined machine with prefetch off: OnFault only feeds the engine's
+// per-segment stride streams.
+MachineConfig ObservingPipeline() {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.pipeline.enabled = true;
+  return config;
+}
+
+TEST(StrideDetectionTest, TwoEqualStridesConfirmAStream) {
+  Machine machine(ObservingPipeline());
+  PipelineEngine& p = *machine.pipeline();
+  p.OnFault(PageKey{1, 10}, /*from_swap=*/false);
   EXPECT_EQ(p.ConfirmedStride(1), 0);
-  p.RecordFault(PageKey{1, 12});
+  p.OnFault(PageKey{1, 12}, /*from_swap=*/false);
   EXPECT_EQ(p.ConfirmedStride(1), 0);  // one stride seen, not yet confirmed
-  p.RecordFault(PageKey{1, 14});
+  p.OnFault(PageKey{1, 14}, /*from_swap=*/false);
   EXPECT_EQ(p.ConfirmedStride(1), 2);
-  p.RecordFault(PageKey{1, 17});  // a different delta drops the confirmation
+  p.OnFault(PageKey{1, 17}, /*from_swap=*/false);  // a different delta drops the confirmation
   EXPECT_EQ(p.ConfirmedStride(1), 0);
   EXPECT_EQ(p.ConfirmedStride(2), 0);  // segments keep separate streams
 }
 
-TEST(FaultPredictorTest, BackwardStrideConfirmsANegativeDelta) {
-  FaultPredictor p;
-  p.RecordFault(PageKey{2, 50});
-  p.RecordFault(PageKey{2, 47});
-  p.RecordFault(PageKey{2, 44});
+TEST(StrideDetectionTest, BackwardStrideConfirmsANegativeDelta) {
+  Machine machine(ObservingPipeline());
+  PipelineEngine& p = *machine.pipeline();
+  p.OnFault(PageKey{2, 50}, /*from_swap=*/false);
+  p.OnFault(PageKey{2, 47}, /*from_swap=*/false);
+  p.OnFault(PageKey{2, 44}, /*from_swap=*/false);
   EXPECT_EQ(p.ConfirmedStride(2), -3);
 }
 
-TEST(FaultPredictorTest, NeverPredictsThePageJustFaulted) {
-  FaultPredictor p;
+TEST(StrideDetectionTest, NeverPredictsThePageJustFaulted) {
+  Machine machine(ObservingPipeline());
+  PipelineEngine& p = *machine.pipeline();
   // A zero delta never confirms, so the page just faulted is never a guess.
   for (int i = 0; i < 6; ++i) {
-    p.RecordFault(PageKey{1, 4});
+    p.OnFault(PageKey{1, 4}, /*from_swap=*/false);
   }
   EXPECT_EQ(p.ConfirmedStride(1), 0);
 }
@@ -508,7 +518,7 @@ TEST(PipelineMachineTest, CorruptRingEntryIsNeverBuffered) {
         EXPECT_FALSE(engine.buffered(key)) << "after faulting page " << p;
       }
     }
-    ASSERT_EQ(engine.predictor().ConfirmedStride(segment), 1);
+    ASSERT_EQ(engine.ConfirmedStride(segment), 1);
     ASSERT_TRUE(cached(target)) << "the target left the ring before its fault";
     EXPECT_EQ(engine.buffered(key), !corrupt);
 
@@ -576,7 +586,7 @@ TEST(PipelineMachineTest, ConfirmedStrideIsExtrapolatedAlongTheWalk) {
     for (int64_t k = 2; k >= 0; --k) {
       read(walk.last - k * walk.stride);
     }
-    ASSERT_EQ(engine.predictor().ConfirmedStride(segment), walk.stride);
+    ASSERT_EQ(engine.ConfirmedStride(segment), walk.stride);
     EXPECT_FALSE(engine.buffered(key(walk.last + walk.stride)));
     for (const int64_t p : walk.buffered) {
       EXPECT_TRUE(engine.buffered(key(p))) << "page " << p;
@@ -585,6 +595,49 @@ TEST(PipelineMachineTest, ConfirmedStrideIsExtrapolatedAlongTheWalk) {
     EXPECT_EQ(engine.stats().issued, walk.buffered.size());
     EXPECT_EQ(machine.RunAudit(), 0u);
   }
+}
+
+// A full prefetch buffer gives up its oldest guess. With room for two and
+// three guesses per fault, the fault that confirms stride 1 at `last` tries
+// last + 1, last + 2 and last + 3, all compressed: the third issue evicts the
+// first, counted as a miss, and leaves the second and third buffered.
+TEST(PipelineMachineTest, FullBufferEvictsItsOldestGuess) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.pipeline.enabled = true;
+  config.pipeline.prefetch = true;
+  config.pipeline.prefetch_buffer_pages = 2;
+  config.pipeline.prefetch_per_fault = 3;
+  Machine machine(config);
+  machine.auditor().set_abort_on_violation(false);
+
+  // Written in page order, so the oldest pages sit compressed in the ccache.
+  Heap heap = machine.NewHeap(4 * kMiB);
+  const uint64_t pages = heap.size_bytes() / kPageSize;
+  std::vector<uint8_t> page(kPageSize);
+  Rng rng(31);
+  for (uint64_t p = 0; p < pages; ++p) {
+    FillPage(page, ContentClass::kRepetitiveText, rng);
+    heap.WriteBytes(p * kPageSize, page);
+  }
+  const uint32_t segment = heap.segment()->id();
+  const auto key = [&](int64_t p) { return PageKey{segment, static_cast<uint32_t>(p)}; };
+  const int64_t last = 404;
+  for (int64_t p = last - 2; p <= last + 3; ++p) {
+    ASSERT_TRUE(machine.ccache()->Contains(key(p))) << "page " << p;
+  }
+
+  PipelineEngine& engine = *machine.pipeline();
+  for (int64_t p = last - 2; p <= last; ++p) {
+    heap.ReadBytes(static_cast<uint64_t>(p) * kPageSize, page);
+  }
+  ASSERT_EQ(engine.ConfirmedStride(segment), 1);
+  EXPECT_EQ(engine.stats().issued, 3u);
+  EXPECT_EQ(engine.stats().misses, 1u);
+  EXPECT_FALSE(engine.buffered(key(last + 1)));
+  EXPECT_TRUE(engine.buffered(key(last + 2)));
+  EXPECT_TRUE(engine.buffered(key(last + 3)));
+  EXPECT_EQ(engine.buffered_frames(), 2u);
+  EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
 TEST(PipelineMachineTest, PipelinedRunsAreDeterministic) {

@@ -483,9 +483,9 @@ TEST_F(SwapTest, EveryLayoutCatchesAFlippedStoredByte) {
 }
 
 
-// The free-space allocator keeps garbage-collected blocks as coalesced runs.
-// First fit by address over the runs must match the old per-block scan: lowest
-// starting address whose run is long enough, prefix taken.
+// A block is free when none of its fragments is live, and free_runs() counts
+// maximal runs of free blocks, so freed neighbors coalesce. Allocation is first
+// fit by address: the lowest-addressed free run long enough, prefix taken.
 TEST_F(SwapTest, ClusteredFreeRunsCoalesceAndAllocateFirstFit) {
   ClusteredSwapLayout swap(&fs_);
   // 4096-byte images occupy exactly one block (4 fragments), so block-level
