@@ -5,7 +5,10 @@
 // parameterized. This benchmark measures, on the beyond-memory thrashing regime
 // (where backing-store traffic dominates):
 //   * clustered write batch size (per-fault synchronous writes vs 8/32/128 KB);
-//   * block spanning allowed vs disallowed;
+//   * block spanning allowed vs disallowed, on pointer-array pages under the
+//     WK codec: each kept image needs 3 fragments, so forbidding spanning pads
+//     every second one (under LZRW1 each content class keeps its images at a
+//     uniform 1 or 2 fragments, which never straddle a block, so nothing pads);
 //   * the file system's partial-block write pathology vs the "modify the file
 //     system" alternative (no read-modify-write);
 //   * coresident insertion (the free pages that arrive in a block read) on vs off.
@@ -14,7 +17,8 @@
 // elapsed_ns, and, for the clustered layout, that machine's allocator counters
 // (blocks_reused, blocks_appended, free_blocks, free_runs, pages_read). The
 // paper's design (clustered fragments, default options) publishes its full
-// metric snapshot.
+// metric snapshot. That machine is also the 32 KB batch and coresidents-on
+// variant; it runs once and prints under each of those axes.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -43,13 +47,13 @@ struct RunResult {
   std::vector<std::pair<std::string, double>> metrics;  // representative run only
 };
 
-RunResult Run(MachineConfig config, bool snapshot_metrics) {
+RunResult Run(MachineConfig config, ContentClass content, bool snapshot_metrics) {
   Machine machine(std::move(config));
   ThrasherOptions options;
   options.address_space_bytes = 24 * kMiB;  // far beyond memory even compressed
   options.write = true;
   options.passes = 1;
-  options.content = ContentClass::kSparseNumeric;
+  options.content = content;
   Thrasher app(options);
   app.Run(machine);
   RunResult result;
@@ -83,68 +87,84 @@ int main(int argc, char** argv) {
   report.Config("user_memory_mb", kUserMemory / kMiB);
   report.Config("working_set_mb", uint64_t{24});
   report.Config("content", std::string("sparse_numeric"));
+  report.Config("block_spanning_content",
+                std::string(ContentClassName(ContentClass::kPointerArray)));
+  report.Config("block_spanning_codec", std::string("wk"));
 
-  // Every variant is one independent machine; collect them all, fan out once,
-  // and print from the results in variant order.
-  std::vector<std::string> labels;
-  std::vector<std::string> axes;
+  // Every distinct machine is one sweep job; fan out once, then print the rows
+  // in variant order, each from the job it names.
   std::vector<std::function<RunResult()>> jobs;
-  const char* axis = "write_batch";
-  const auto add = [&](std::string label, MachineConfig config, bool snapshot = false) {
-    labels.push_back(std::move(label));
-    axes.push_back(axis);
-    jobs.push_back([config = std::move(config), snapshot] { return Run(config, snapshot); });
+  const auto add_job = [&](MachineConfig config,
+                           ContentClass content = ContentClass::kSparseNumeric,
+                           bool snapshot = false) {
+    jobs.push_back([config = std::move(config), content, snapshot] {
+      return Run(config, content, snapshot);
+    });
+    return jobs.size() - 1;
   };
+  struct Variant {
+    const char* axis;
+    std::string label;
+    size_t job;
+  };
+  std::vector<Variant> variants;
+  const size_t base = add_job(Base(), ContentClass::kSparseNumeric, /*snapshot=*/true);
 
   for (const uint32_t kb : {4u, 8u, 32u, 128u}) {
     MachineConfig config = Base();
     config.write_batch_bytes = kb * 1024;
     char label[32];
     std::snprintf(label, sizeof(label), "  %4u KB: ", kb);
-    add(label, std::move(config));
+    variants.push_back(
+        {"write_batch", label, kb * 1024 == kSwapWriteBatch ? base : add_job(std::move(config))});
   }
-  axis = "block_spanning";
   for (const bool spanning : {true, false}) {
     MachineConfig config = Base();
+    config.codec = "wk";
     config.allow_block_spanning = spanning;
-    add(spanning ? "  allowed:   " : "  forbidden: ", std::move(config));
+    variants.push_back({"block_spanning", spanning ? "  allowed:   " : "  forbidden: ",
+                        add_job(std::move(config), ContentClass::kPointerArray)});
   }
-  axis = "swap_layout";
-  add("  clustered fragments:               ", Base(), /*snapshot=*/true);
+  variants.push_back({"swap_layout", "  clustered fragments:               ", base});
   {
     MachineConfig config = Base();
     config.compressed_swap = CompressedSwapKind::kFixedOffset;
-    add("  fixed offsets, Sprite fs (RMW):    ", std::move(config));
+    variants.push_back(
+        {"swap_layout", "  fixed offsets, Sprite fs (RMW):    ", add_job(std::move(config))});
   }
   {
     MachineConfig config = Base();
     config.compressed_swap = CompressedSwapKind::kFixedOffset;
     config.fs_options.allow_partial_block_write = true;
-    add("  fixed offsets, modified fs:        ", std::move(config));
+    variants.push_back(
+        {"swap_layout", "  fixed offsets, modified fs:        ", add_job(std::move(config))});
   }
   {
     // Paper 4.3/5.1: paging into an LFS-style log gets the big sequential
     // writes but pays segment-cleaning copies and buffer memory.
     MachineConfig config = Base();
     config.compressed_swap = CompressedSwapKind::kLfs;
-    add("  LFS-style log:                     ", std::move(config));
+    variants.push_back(
+        {"swap_layout", "  LFS-style log:                     ", add_job(std::move(config))});
   }
-  axis = "coresidents";
   for (const bool insert : {true, false}) {
     MachineConfig config = Base();
     config.insert_coresidents = insert;
-    add(insert ? "  on:        " : "  off:       ", std::move(config));
+    variants.push_back({"coresidents", insert ? "  on:        " : "  off:       ",
+                        insert ? base : add_job(std::move(config))});
   }
 
   const std::vector<RunResult> results = RunSweep(jobs, SweepThreadsFromArgs(argc, argv));
 
+  report.MergeMetrics(results[base].metrics);
   size_t i = 0;
   const auto print_next = [&] {
-    const RunResult& r = results[i];
-    std::printf("%s%s\n", labels[i].c_str(), r.elapsed.ToMinSec().c_str());
+    const Variant& v = variants[i];
+    const RunResult& r = results[v.job];
+    std::printf("%s%s\n", v.label.c_str(), r.elapsed.ToMinSec().c_str());
     BenchReport::Row& row = report.AddRow();
-    row.Set("axis", axes[i])
-        .Set("label", Trimmed(labels[i]))
+    row.Set("axis", v.axis)
+        .Set("label", Trimmed(v.label))
         .Set("elapsed_ns", static_cast<uint64_t>(r.elapsed.nanos()));
     if (r.clustered) {
       row.Set("blocks_reused", r.swap.blocks_reused)
@@ -153,16 +173,13 @@ int main(int argc, char** argv) {
           .Set("free_runs", r.free_runs)
           .Set("pages_read", r.swap.pages_read);
     }
-    if (!r.metrics.empty()) {
-      report.MergeMetrics(r.metrics);
-    }
     ++i;
   };
   std::printf("write batch size (clustered fragments written per operation):\n");
   for (int n = 0; n < 4; ++n) {
     print_next();
   }
-  std::printf("\nblock spanning of compressed pages:\n");
+  std::printf("\nblock spanning (WK on pointer-array pages, 3 fragments each):\n");
   for (int n = 0; n < 2; ++n) {
     print_next();
   }

@@ -68,7 +68,6 @@ MachineConfig MakeConfig(CompressedSwapKind kind) {
   MachineConfig config = MachineConfig::WithCompressionCache(kUserMemory);
   config.compressed_swap = kind;
   config.durability.enabled = true;
-  config.durability.lfs_checkpoint_interval = 2;
   config.fault_injection.enabled = true;
   config.fault_injection.seed = 1993;
   return config;

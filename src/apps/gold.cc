@@ -205,7 +205,6 @@ void GoldIndex::IndexMessage(size_t m, GoldPhaseResult& r) {
     }
     tok_start = i + 1;
   }
-  ++docs_indexed_;
 }
 
 GoldPhaseResult GoldIndex::RunCreate() {

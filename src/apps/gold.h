@@ -85,8 +85,6 @@ class GoldIndex {
   GoldPhaseResult RunCreate();
   GoldPhaseResult RunQueries();  // call once for "cold", again for "warm"
 
-  uint64_t documents_indexed() const { return docs_indexed_; }
-
  private:
   struct TermSlot {
     uint64_t hash = 0;
@@ -144,7 +142,6 @@ class GoldIndex {
   uint64_t postings_base_ = 0;
   uint64_t scratch_base_ = 0;
   uint32_t next_chunk_ = 64;  // 0 is reserved as "null"
-  uint64_t docs_indexed_ = 0;
 
  public:
   // Bytes of the postings area consumed (for comparing representations).

@@ -92,7 +92,6 @@ class KvWorkload {
 
   KvRequest Next();
 
-  uint64_t requests_generated() const { return index_; }
   const KvWorkloadOptions& options() const { return options_; }
 
   // The seeded rank->key permutation (exposed for tests).

@@ -292,8 +292,6 @@ class CompressionCache {
   void AliasIndexKeyForTest(PageKey existing, PageKey alias);
   // Undoes AliasIndexKeyForTest so the shutdown audit sees a healthy cache.
   void RemoveIndexKeyForTest(PageKey key) { index_.erase(key); }
-  uint64_t head_off() const { return head_off_; }
-  uint64_t tail_off() const { return tail_off_; }
 
  private:
   struct Entry {

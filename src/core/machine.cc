@@ -104,7 +104,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
       // "significant memory for buffers" the paper holds against this design.
       LfsSwapLayout::Options lfs_options;
       lfs_options.durable = config_.durability.enabled;
-      lfs_options.checkpoint_interval = config_.durability.lfs_checkpoint_interval;
       auto layout = std::make_unique<LfsSwapLayout>(fs_.get(), this, lfs_options);
       lfs_swap_ = layout.get();
       inner = std::move(layout);

@@ -78,8 +78,6 @@ struct FaultInjectionOptions {
 // Off by default — the journal costs extra small writes per mutation.
 struct DurabilityOptions {
   bool enabled = false;
-  // LFS only: checkpoint the location map every N segment flushes.
-  uint32_t lfs_checkpoint_interval = 8;
 };
 
 // Outcome of a Machine::Recover pass (published as "recovery.*" metrics).

@@ -131,10 +131,6 @@ class DiskDevice {
   // caller as kIo and counted in queue_wait_time.
   void BeginDeferred();
   SimTime EndDeferred();
-  bool deferred_active() const { return deferred_active_; }
-  // End of the last deferred request's service time (the background queue is
-  // idle once the clock passes this point).
-  SimTime deferred_busy_until() const { return deferred_busy_until_; }
 
   // RAII wrapper: opens a deferred window for its lifetime; Close() (or the
   // destructor) ends it. Safe against exceptions thrown mid-window

@@ -157,7 +157,6 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
     // Nothing landed durably: leave the location map alone so prior copies of
     // these pages stay valid; the allocated blocks were never recorded and
     // stay free.
-    ++io_failures_;
     return status;
   }
 
@@ -179,7 +178,6 @@ IoStatus ClusteredSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
       StoredImage::Of(img).Encode(payload);
     }
     if (journal_->Append(kRecBatch, payload) != IoStatus::kOk) {
-      ++io_failures_;
       return IoStatus::kFailed;
     }
   }
@@ -233,7 +231,6 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
   ReadResult result;
   result.blocks_read = blocks;
   if (fs_->Read(file_, first_block * kFsBlockSize, staging) != IoStatus::kOk) {
-    ++io_failures_;
     result.status = IoStatus::kFailed;
     return result;
   }
@@ -289,9 +286,7 @@ void ClusteredSwapLayout::Invalidate(PageKey key) {
     // On an append failure the in-memory release still happens — the pager
     // requires the copy gone — and replay would resurrect the page, which
     // recovery then treats as part of the durable prefix.
-    if (journal_->Append(kRecFree, payload) != IoStatus::kOk) {
-      ++io_failures_;
-    }
+    (void)journal_->Append(kRecFree, payload);
   }
   ReleaseLocation(it->second);
   locations_.erase(it);

@@ -180,7 +180,6 @@ class CompressedSwapBackend {
   // --- integrity ---
   // Reads verify each image against the CRC-32C recorded with it at write time.
   uint64_t checksum_mismatches() const { return checksum_mismatches_; }
-  uint64_t io_failures() const { return io_failures_; }
   uint64_t coresidents_dropped() const { return coresidents_dropped_; }
 
   // --- observability ---
@@ -209,12 +208,10 @@ class CompressedSwapBackend {
 
   void ResetBaseCounters() {
     checksum_mismatches_ = 0;
-    io_failures_ = 0;
     coresidents_dropped_ = 0;
   }
 
   uint64_t checksum_mismatches_ = 0;
-  uint64_t io_failures_ = 0;
   uint64_t coresidents_dropped_ = 0;
 };
 

@@ -51,7 +51,6 @@ IoStatus FixedSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
       if (journal_->Append(kRecIntent, payload) != IoStatus::kOk) {
         // Without a durable intent the overwrite must not start: the old slot
         // stays untouched and authoritative.
-        ++io_failures_;
         status = IoStatus::kFailed;
         continue;
       }
@@ -60,7 +59,6 @@ IoStatus FixedSwapLayout::WriteBatch(std::span<const SwapPageImage> pages) {
         IoStatus::kOk) {
       // This page's slot is unchanged (or partially stale — the checksum would
       // catch that at read time); the old record stays authoritative.
-      ++io_failures_;
       status = IoStatus::kFailed;
       continue;
     }
@@ -80,7 +78,6 @@ CompressedSwapBackend::ReadResult FixedSwapLayout::ReadPage(PageKey key,
   // whole blocks underneath. No coresidents ever: each block holds one page.
   std::vector<uint8_t> buf(it->second.byte_size);
   if (fs_->Read(SwapFileFor(key.segment), OffsetOf(key), buf) != IoStatus::kOk) {
-    ++io_failures_;
     result.status = IoStatus::kFailed;
     return result;
   }
@@ -95,11 +92,10 @@ void FixedSwapLayout::Invalidate(PageKey key) {
     std::vector<uint8_t> payload;
     wire::PutU32(payload, key.segment);
     wire::PutU32(payload, key.page);
-    if (journal_->Append(kRecFree, payload) != IoStatus::kOk) {
-      // The in-memory release still happens; replay would resurrect the page,
-      // which recovery then treats as part of the durable prefix.
-      ++io_failures_;
-    }
+    // On an append failure the in-memory release still happens; replay would
+    // resurrect the page, which recovery then treats as part of the durable
+    // prefix.
+    (void)journal_->Append(kRecFree, payload);
   }
   images_.erase(key);
 }

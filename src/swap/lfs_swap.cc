@@ -17,6 +17,39 @@ namespace {
 // [payload][crc32c(payload) u32], little-endian).
 constexpr uint32_t kSummaryMagic = 0x4C46'5353;  // "SSFL"
 constexpr uint32_t kCkptMagic = 0x4C46'434B;     // "KCFL"
+constexpr uint64_t kFrameOverhead = 12;
+
+// Durable mode checkpoints the location map every this many segment flushes.
+constexpr uint32_t kCheckpointInterval = 2;
+
+std::vector<uint8_t> EncodeFrame(uint32_t magic, const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> frame;
+  wire::PutU32(frame, magic);
+  wire::PutU32(frame, static_cast<uint32_t>(payload.size()));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  wire::PutU32(frame, Crc32(payload));
+  return frame;
+}
+
+enum class FrameCheck { kAbsent, kTorn, kOk };
+
+// Checks the frame at the start of `raw` and points `payload` at its payload.
+// kAbsent: `raw` does not start with `magic`. kTorn: the magic is right but
+// the length or the CRC is not.
+FrameCheck DecodeFrame(uint32_t magic, std::span<const uint8_t> raw,
+                       std::span<const uint8_t>* payload) {
+  wire::Reader header(raw);
+  if (raw.size() < kFrameOverhead || header.U32() != magic) {
+    return FrameCheck::kAbsent;
+  }
+  const uint64_t len = header.U32();
+  if (kFrameOverhead + len > raw.size()) {
+    return FrameCheck::kTorn;  // the tail never reached the disk
+  }
+  *payload = raw.subspan(8, len);
+  wire::Reader tail(raw.subspan(8 + len));
+  return tail.U32() == Crc32(*payload) ? FrameCheck::kOk : FrameCheck::kTorn;
+}
 
 }  // namespace
 
@@ -27,21 +60,13 @@ LfsSwapLayout::LfsSwapLayout(FileSystem* fs, FrameSource* frames, Options option
   CC_EXPECTS(options_.log_segments > options_.clean_threshold + 1);
   if (options_.durable) {
     CC_EXPECTS(options_.segment_blocks >= 2);  // one block is the summary
-    CC_EXPECTS(options_.checkpoint_interval > 0);
     ckpt_files_[0] = fs_->OpenOrCreate("lfs_ckpt0");
     ckpt_files_[1] = fs_->OpenOrCreate("lfs_ckpt1");
   }
   file_ = fs_->OpenOrCreate("lfs_swap");
-  open_buffer_.assign(SegmentBytes(), 0);
-  live_bytes_.assign(options_.log_segments, 0);
-  members_.resize(options_.log_segments);
-  free_segments_.reserve(options_.log_segments);
-  segment_is_free_.assign(options_.log_segments, 1);
-  segment_pending_free_.assign(options_.log_segments, 0);
-  for (uint32_t s = options_.log_segments; s > 0; --s) {
-    free_segments_.push_back(s - 1);
-  }
-  open_segment_ = TakeFreeSegment();
+  open_buffer_.resize(SegmentBytes());
+  segments_.resize(options_.log_segments);
+  OpenFirstFreeSegment();
 
   // "LFS requires significant memory for buffers": the open segment's frames are
   // taken from the machine's pool for the lifetime of the backend.
@@ -66,110 +91,98 @@ void LfsSwapLayout::ReleaseLocation(PageKey key) {
     return;
   }
   const Location& loc = it->second;
-  CC_ASSERT(live_bytes_[loc.segment] >= loc.image.byte_size);
-  live_bytes_[loc.segment] -= loc.image.byte_size;
-  members_[loc.segment].erase(loc.offset);
+  Segment& seg = segments_[loc.segment];
+  CC_ASSERT(seg.live_bytes >= loc.image.byte_size);
+  seg.live_bytes -= loc.image.byte_size;
+  seg.members.erase(loc.offset);
   locations_.erase(it);
 }
 
+size_t LfsSwapLayout::CountSegments(SegmentState state) const {
+  return static_cast<size_t>(std::ranges::count(segments_, state, &Segment::state));
+}
+
+void LfsSwapLayout::OpenFirstFreeSegment() {
+  const auto it = std::ranges::find(segments_, SegmentState::kFree, &Segment::state);
+  CC_ASSERT(it != segments_.end());
+  it->state = SegmentState::kOpen;
+  open_segment_ = static_cast<uint32_t>(it - segments_.begin());
+  open_fill_ = 0;
+  std::fill(open_buffer_.begin(), open_buffer_.end(), uint8_t{0});
+}
+
 IoStatus LfsSwapLayout::FlushOpenSegment() {
-  if (!options_.durable) {
-    if (open_fill_ == 0) {
-      return IoStatus::kOk;
-    }
-    // One large sequential write — the LFS bandwidth win the paper cites.
-    const uint64_t disk_offset = static_cast<uint64_t>(open_segment_) * SegmentBytes();
-    const uint64_t blocks = (open_fill_ + kFsBlockSize - 1) / kFsBlockSize;
-    const IoStatus status =
-        fs_->Write(file_, disk_offset,
-                   std::span<const uint8_t>(open_buffer_.data(), blocks * kFsBlockSize));
-    if (status != IoStatus::kOk) {
-      // Keep the open segment as it is: its pages remain readable from the
-      // buffer, and the next append retries the flush.
-      ++io_failures_;
-      return status;
-    }
-    ++stats_.segments_written;
-
-    // Start a new segment.
-    CC_ASSERT(!free_segments_.empty());
-    open_segment_ = TakeFreeSegment();
-    open_fill_ = 0;
-    std::fill(open_buffer_.begin(), open_buffer_.end(), uint8_t{0});
-    return IoStatus::kOk;
-  }
-
-  // Durable mode: emit the summary into the segment's last block and write
-  // data and summary as ONE request with the summary last — a power failure
-  // persists a prefix of the request, so a summary can never land without the
-  // data it describes.
+  // Durable mode records the keys invalidated since the last summary that are
+  // still absent; a re-added key needs no deletion record, as its newest add
+  // supersedes every older one at replay.
   std::vector<PageKey> dels;
   for (const PageKey& key : pending_dels_) {
     if (!locations_.contains(key)) {
-      dels.push_back(key);  // still absent: the invalidate must become durable
+      dels.push_back(key);
     }
   }
   if (open_fill_ == 0 && dels.empty()) {
-    // Nothing to make durable (re-added keys need no deletion record: their
-    // newest add supersedes every older one at replay).
     pending_dels_.clear();
-    return IoStatus::kOk;
+    return IoStatus::kOk;  // nothing to write or to make durable
   }
-  std::sort(dels.begin(), dels.end(), [](PageKey a, PageKey b) {
-    return a.segment != b.segment ? a.segment < b.segment : a.page < b.page;
-  });
-  const auto& adds = members_[open_segment_];
-  // Deletions that no longer fit beside the adds stay pending for a later
-  // summary (only reachable after repeated flush failures let them pile up).
-  size_t ndels = dels.size();
-  while (ndels > 0 && SummaryBytes(ndels, adds.size()) > kFsBlockSize) {
-    --ndels;
-  }
-  CC_ASSERT(SummaryBytes(ndels, adds.size()) <= kFsBlockSize);
 
-  std::vector<uint8_t> payload;
-  wire::PutU64(payload, seq_ + 1);
-  wire::PutU32(payload, static_cast<uint32_t>(ndels));
-  wire::PutU32(payload, static_cast<uint32_t>(adds.size()));
-  for (size_t i = 0; i < ndels; ++i) {
-    wire::PutU32(payload, dels[i].segment);
-    wire::PutU32(payload, dels[i].page);
+  // One large sequential write — the LFS bandwidth win the paper cites.
+  uint64_t length = (open_fill_ + kFsBlockSize - 1) / kFsBlockSize * kFsBlockSize;
+  size_t ndels = 0;
+  if (options_.durable) {
+    // The summary goes into the segment's last block, written in the same
+    // request as the data and after it: a power failure persists a prefix of
+    // the request, so a summary never lands without the data it describes.
+    std::sort(dels.begin(), dels.end(), [](PageKey a, PageKey b) {
+      return a.segment != b.segment ? a.segment < b.segment : a.page < b.page;
+    });
+    const auto& adds = segments_[open_segment_].members;
+    // Deletions that no longer fit beside the adds stay pending for a later
+    // summary (only reachable after repeated flush failures let them pile up).
+    ndels = dels.size();
+    while (ndels > 0 && SummaryBytes(ndels, adds.size()) > kFsBlockSize) {
+      --ndels;
+    }
+    CC_ASSERT(SummaryBytes(ndels, adds.size()) <= kFsBlockSize);
+    std::vector<uint8_t> payload;
+    wire::PutU64(payload, seq_ + 1);
+    wire::PutU32(payload, static_cast<uint32_t>(ndels));
+    wire::PutU32(payload, static_cast<uint32_t>(adds.size()));
+    for (size_t i = 0; i < ndels; ++i) {
+      wire::PutU32(payload, dels[i].segment);
+      wire::PutU32(payload, dels[i].page);
+    }
+    for (const auto& [offset, key] : adds) {
+      const Location& loc = locations_.at(key);
+      wire::PutU32(payload, key.segment);
+      wire::PutU32(payload, key.page);
+      wire::PutU32(payload, loc.offset);
+      loc.image.Encode(payload);
+    }
+    const std::vector<uint8_t> frame = EncodeFrame(kSummaryMagic, payload);
+    CC_ASSERT(frame.size() == SummaryBytes(ndels, adds.size()));
+    std::fill(open_buffer_.begin() + DataBytes(), open_buffer_.end(), uint8_t{0});
+    std::memcpy(open_buffer_.data() + DataBytes(), frame.data(), frame.size());
+    length = SegmentBytes();
   }
-  for (const auto& [offset, key] : adds) {
-    const Location& loc = locations_.at(key);
-    wire::PutU32(payload, key.segment);
-    wire::PutU32(payload, key.page);
-    wire::PutU32(payload, loc.offset);
-    loc.image.Encode(payload);
-  }
-  std::vector<uint8_t> frame;
-  wire::PutU32(frame, kSummaryMagic);
-  wire::PutU32(frame, static_cast<uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  wire::PutU32(frame, Crc32(payload));
-  CC_ASSERT(frame.size() <= kFsBlockSize);
-  std::fill(open_buffer_.begin() + DataBytes(), open_buffer_.end(), uint8_t{0});
-  std::memcpy(open_buffer_.data() + DataBytes(), frame.data(), frame.size());
-
   const uint64_t disk_offset = static_cast<uint64_t>(open_segment_) * SegmentBytes();
-  const IoStatus status = fs_->Write(file_, disk_offset, open_buffer_);
+  const IoStatus status =
+      fs_->Write(file_, disk_offset, std::span<const uint8_t>(open_buffer_.data(), length));
   if (status != IoStatus::kOk) {
-    ++io_failures_;
-    return status;  // open segment intact; the next append retries
-  }
-  ++seq_;
-  pending_dels_.clear();
-  for (size_t i = ndels; i < dels.size(); ++i) {
-    pending_dels_.insert(dels[i]);  // deferred deletions that did not fit
+    // Keep the open segment as it is: its pages remain readable from the
+    // buffer, and the next append retries the flush.
+    return status;
   }
   ++stats_.segments_written;
-
-  CC_ASSERT(!free_segments_.empty());
-  open_segment_ = TakeFreeSegment();
-  open_fill_ = 0;
-  std::fill(open_buffer_.begin(), open_buffer_.end(), uint8_t{0});
-  if (++flushes_since_checkpoint_ >= options_.checkpoint_interval) {
-    (void)WriteCheckpoint();  // the open buffer is empty right now
+  segments_[open_segment_].state = SegmentState::kClosed;
+  OpenFirstFreeSegment();
+  if (options_.durable) {
+    ++seq_;
+    pending_dels_.clear();
+    pending_dels_.insert(dels.begin() + ndels, dels.end());  // the ones that did not fit
+    if (++flushes_since_checkpoint_ >= kCheckpointInterval) {
+      (void)WriteCheckpoint();  // the open buffer is empty right now
+    }
   }
   return IoStatus::kOk;
 }
@@ -180,9 +193,10 @@ bool LfsSwapLayout::WriteCheckpoint() {
   std::vector<uint8_t> payload;
   wire::PutU64(payload, seq_ + 1);
   wire::PutU32(payload, static_cast<uint32_t>(locations_.size()));
-  // Iterate members_ (segment-major, offset-minor) for deterministic bytes.
-  for (uint32_t s = 0; s < options_.log_segments; ++s) {
-    for (const auto& [offset, key] : members_[s]) {
+  // Iterate the segment table (segment-major, offset-minor) for deterministic
+  // bytes.
+  for (const Segment& seg : segments_) {
+    for (const auto& [offset, key] : seg.members) {
       const Location& loc = locations_.at(key);
       wire::PutU32(payload, key.segment);
       wire::PutU32(payload, key.page);
@@ -191,13 +205,8 @@ bool LfsSwapLayout::WriteCheckpoint() {
       loc.image.Encode(payload);
     }
   }
-  std::vector<uint8_t> frame;
-  wire::PutU32(frame, kCkptMagic);
-  wire::PutU32(frame, static_cast<uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  wire::PutU32(frame, Crc32(payload));
-  if (fs_->Write(ckpt_files_[ckpt_slot_], 0, frame) != IoStatus::kOk) {
-    ++io_failures_;
+  if (fs_->Write(ckpt_files_[ckpt_slot_], 0, EncodeFrame(kCkptMagic, payload)) !=
+      IoStatus::kOk) {
     return false;  // retried at the next checkpoint opportunity
   }
   ++seq_;
@@ -206,12 +215,11 @@ bool LfsSwapLayout::WriteCheckpoint() {
   ++stats_.checkpoints_written;
   // The captured map is durable, so the stale summaries of cleaned victims are
   // now superseded: the segments may be overwritten.
-  for (const uint32_t s : pending_free_) {
-    segment_pending_free_[s] = 0;
-    segment_is_free_[s] = 1;
-    free_segments_.push_back(s);
+  for (Segment& seg : segments_) {
+    if (seg.state == SegmentState::kPendingFree) {
+      seg.state = SegmentState::kFree;
+    }
   }
-  pending_free_.clear();
   return true;
 }
 
@@ -221,8 +229,9 @@ IoStatus LfsSwapLayout::AppendImage(const SwapPageImage& img, bool count_as_writ
   bool need_flush = open_fill_ + img.bytes.size() > DataBytes();
   if (!need_flush && options_.durable) {
     // The summary must hold one more add record beside the pending deletions.
-    need_flush = SummaryBytes(pending_dels_.size(), members_[open_segment_].size() + 1) >
-                 kFsBlockSize;
+    need_flush =
+        SummaryBytes(pending_dels_.size(), segments_[open_segment_].members.size() + 1) >
+        kFsBlockSize;
   }
   if (need_flush) {
     if (FlushOpenSegment() != IoStatus::kOk) {
@@ -234,8 +243,9 @@ IoStatus LfsSwapLayout::AppendImage(const SwapPageImage& img, bool count_as_writ
   const Location loc{open_segment_, open_fill_, StoredImage::Of(img)};
   std::memcpy(open_buffer_.data() + open_fill_, img.bytes.data(), img.bytes.size());
   open_fill_ += static_cast<uint32_t>(img.bytes.size());
-  live_bytes_[loc.segment] += loc.image.byte_size;
-  members_[loc.segment].emplace(loc.offset, img.key);
+  Segment& seg = segments_[loc.segment];
+  seg.live_bytes += loc.image.byte_size;
+  seg.members.emplace(loc.offset, img.key);
   locations_[img.key] = loc;
   if (count_as_write) {
     ++stats_.pages_written;
@@ -248,24 +258,13 @@ IoStatus LfsSwapLayout::AppendImage(const SwapPageImage& img, bool count_as_writ
   return IoStatus::kOk;
 }
 
-uint32_t LfsSwapLayout::TakeFreeSegment() {
-  CC_ASSERT(!free_segments_.empty());
-  const uint32_t s = free_segments_.back();
-  free_segments_.pop_back();
-  segment_is_free_[s] = 0;
-  return s;
-}
-
 uint32_t LfsSwapLayout::PickVictimSegment() const {
   // Pick the closed segment with the least live data (greedy, as LFS does).
   uint32_t victim = UINT32_MAX;
   uint64_t victim_live = UINT64_MAX;
   for (uint32_t s = 0; s < options_.log_segments; ++s) {
-    if (s == open_segment_ || segment_is_free_[s] || segment_pending_free_[s]) {
-      continue;
-    }
-    if (live_bytes_[s] < victim_live) {
-      victim_live = live_bytes_[s];
+    if (segments_[s].state == SegmentState::kClosed && segments_[s].live_bytes < victim_live) {
+      victim_live = segments_[s].live_bytes;
       victim = s;
     }
   }
@@ -275,20 +274,17 @@ uint32_t LfsSwapLayout::PickVictimSegment() const {
 bool LfsSwapLayout::CleanOneSegment() {
   const uint32_t victim = PickVictimSegment();
   CC_ASSERT(victim != UINT32_MAX && "LFS log full of live data");
-  const uint64_t victim_live = live_bytes_[victim];
-
-  if (victim_live > 0) {
+  if (segments_[victim].live_bytes > 0) {
     // Read the whole victim segment and re-append its live pages — the copying
     // cost the paper warns swap data inflicts on LFS cleaning.
     std::vector<uint8_t> segment(SegmentBytes());
     if (fs_->Read(file_, static_cast<uint64_t>(victim) * SegmentBytes(), segment) !=
         IoStatus::kOk) {
-      ++io_failures_;
       return false;  // victim untouched; try again on the next write
     }
     // Members mutate as we re-append; snapshot first.
-    std::vector<std::pair<uint32_t, PageKey>> live(members_[victim].begin(),
-                                                   members_[victim].end());
+    std::vector<std::pair<uint32_t, PageKey>> live(segments_[victim].members.begin(),
+                                                   segments_[victim].members.end());
     for (const auto& [offset, key] : live) {
       const StoredImage image = locations_.at(key).image;
       const SwapPageImage img = image.ImageOf(
@@ -301,17 +297,9 @@ bool LfsSwapLayout::CleanOneSegment() {
       ++stats_.live_pages_copied;
     }
   }
-  CC_ASSERT(live_bytes_[victim] == 0);
-  CC_ASSERT(members_[victim].empty());
-  if (options_.durable) {
-    // The victim's stale summary stays replayable until a checkpoint captures
-    // the re-appended copies; only then may the segment be overwritten.
-    pending_free_.push_back(victim);
-    segment_pending_free_[victim] = 1;
-  } else {
-    free_segments_.push_back(victim);
-    segment_is_free_[victim] = 1;
-  }
+  Segment& seg = segments_[victim];
+  CC_ASSERT(seg.live_bytes == 0 && seg.members.empty());
+  seg.state = options_.durable ? SegmentState::kPendingFree : SegmentState::kFree;
   ++stats_.segments_cleaned;
   return true;
 }
@@ -321,25 +309,28 @@ void LfsSwapLayout::MaybeClean() {
     return;  // re-appends during cleaning must not recurse
   }
   cleaning_ = true;
-  while (free_segments_.size() + pending_free_.size() < options_.clean_threshold) {
+  while (CountSegments(SegmentState::kFree) + CountSegments(SegmentState::kPendingFree) <
+         options_.clean_threshold) {
     if (!CleanOneSegment()) {
       break;  // device trouble: postpone cleaning rather than wedge
     }
-    if (options_.durable && free_segments_.size() <= 1 && !pending_free_.empty()) {
-      // Down to the last free segment: promote now (flush + checkpoint) so the
-      // cleaner's own re-appends cannot strand the log without a free segment.
+    if (options_.durable && CountSegments(SegmentState::kFree) <= 1) {
+      // Down to the last free segment: free the cleaned ones now (flush +
+      // checkpoint) so the cleaner's own re-appends cannot strand the log
+      // without a free segment.
       if (FlushOpenSegment() != IoStatus::kOk || !WriteCheckpoint()) {
         break;
       }
     }
   }
   cleaning_ = false;
-  if (options_.durable && !pending_free_.empty() &&
-      free_segments_.size() < options_.clean_threshold) {
+  if (options_.durable && CountSegments(SegmentState::kPendingFree) > 0 &&
+      CountSegments(SegmentState::kFree) < options_.clean_threshold) {
     // Cleaned segments only become reusable once a checkpoint captures their
     // re-appended pages; flush to reach an open-buffer-empty point, then
-    // checkpoint to promote them.
-    if (FlushOpenSegment() == IoStatus::kOk && !pending_free_.empty()) {
+    // checkpoint to free them.
+    if (FlushOpenSegment() == IoStatus::kOk &&
+        CountSegments(SegmentState::kPendingFree) > 0) {
       (void)WriteCheckpoint();
     }
   }
@@ -377,7 +368,6 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
   const uint64_t last_block = (loc.offset + loc.image.byte_size - 1) / kFsBlockSize;
   std::vector<uint8_t> staging((last_block - first_block + 1) * kFsBlockSize);
   if (fs_->Read(file_, seg_base + first_block * kFsBlockSize, staging) != IoStatus::kOk) {
-    ++io_failures_;
     result.status = IoStatus::kFailed;
     return result;
   }
@@ -387,8 +377,9 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
   if (collect_coresidents) {
     const uint64_t range_start = first_block * kFsBlockSize;
     const uint64_t range_end = (last_block + 1) * kFsBlockSize;
-    for (auto pos = members_[loc.segment].lower_bound(static_cast<uint32_t>(range_start));
-         pos != members_[loc.segment].end() && pos->first < range_end; ++pos) {
+    const auto& members = segments_[loc.segment].members;
+    for (auto pos = members.lower_bound(static_cast<uint32_t>(range_start));
+         pos != members.end() && pos->first < range_end; ++pos) {
       if (pos->second == key) {
         continue;
       }
@@ -413,7 +404,8 @@ void LfsSwapLayout::Invalidate(PageKey key) {
   ReleaseLocation(key);
   if (options_.durable && present) {
     pending_dels_.insert(key);
-    if (SummaryBytes(pending_dels_.size(), members_[open_segment_].size()) > kFsBlockSize) {
+    if (SummaryBytes(pending_dels_.size(), segments_[open_segment_].members.size()) >
+        kFsBlockSize) {
       (void)FlushOpenSegment();  // make room; on failure the del stays pending
     }
   }
@@ -432,27 +424,13 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
   std::unordered_map<PageKey, Location, PageKeyHash> best_map;
   for (int slot = 0; slot < 2; ++slot) {
     const uint64_t size = fs_->FileSize(ckpt_files_[slot]);
-    if (size < 12) {
+    if (size < kFrameOverhead) {
       continue;  // never written
     }
     std::vector<uint8_t> raw(size);
-    if (fs_->Read(ckpt_files_[slot], 0, raw) != IoStatus::kOk) {
-      ++mount.torn_writes_detected;
-      continue;
-    }
-    wire::Reader r(raw);
-    if (r.U32() != kCkptMagic) {
-      ++mount.torn_writes_detected;
-      continue;
-    }
-    const uint64_t len = r.U32();
-    if (12 + len > size) {
-      ++mount.torn_writes_detected;  // torn: the tail never reached the disk
-      continue;
-    }
-    const auto payload = std::span<const uint8_t>(raw).subspan(8, len);
-    wire::Reader tail(std::span<const uint8_t>(raw).subspan(8 + len));
-    if (tail.U32() != Crc32(payload)) {
+    std::span<const uint8_t> payload;
+    if (fs_->Read(ckpt_files_[slot], 0, raw) != IoStatus::kOk ||
+        DecodeFrame(kCkptMagic, raw, &payload) != FrameCheck::kOk) {
       ++mount.torn_writes_detected;
       continue;
     }
@@ -512,18 +490,12 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
       ++mount.torn_writes_detected;
       continue;
     }
-    wire::Reader r(block);
-    if (r.U32() != kSummaryMagic) {
+    std::span<const uint8_t> payload;
+    const FrameCheck check = DecodeFrame(kSummaryMagic, block, &payload);
+    if (check == FrameCheck::kAbsent) {
       continue;  // never flushed, or the crash tore the segment before its summary
     }
-    const uint64_t len = r.U32();
-    if (12 + len > kFsBlockSize) {
-      ++mount.torn_writes_detected;
-      continue;
-    }
-    const auto payload = std::span<const uint8_t>(block).subspan(8, len);
-    wire::Reader tail(std::span<const uint8_t>(block).subspan(8 + len));
-    if (tail.U32() != Crc32(payload)) {
+    if (check == FrameCheck::kTorn) {
       ++mount.torn_writes_detected;
       continue;
     }
@@ -593,29 +565,17 @@ CompressedSwapBackend::MountStats LfsSwapLayout::Mount() {
     }
   }
 
-  // 4. Rebuild the segment usage table and free state from the recovered map.
-  live_bytes_.assign(options_.log_segments, 0);
-  for (auto& mem : members_) {
-    mem.clear();
-  }
-  free_segments_.clear();
-  segment_is_free_.assign(options_.log_segments, 1);
-  segment_pending_free_.assign(options_.log_segments, 0);
-  pending_free_.clear();
+  // 4. Rebuild the segment table from the recovered map: a segment holding a
+  // live page is closed, every other one is free.
+  segments_.assign(options_.log_segments, Segment{});
   pending_dels_.clear();
   for (const auto& [key, loc] : locations_) {
-    live_bytes_[loc.segment] += loc.image.byte_size;
-    members_[loc.segment].emplace(loc.offset, key);
-    segment_is_free_[loc.segment] = 0;
+    Segment& seg = segments_[loc.segment];
+    seg.state = SegmentState::kClosed;
+    seg.live_bytes += loc.image.byte_size;
+    seg.members.emplace(loc.offset, key);
   }
-  for (uint32_t s = options_.log_segments; s > 0; --s) {
-    if (segment_is_free_[s - 1]) {
-      free_segments_.push_back(s - 1);
-    }
-  }
-  open_segment_ = TakeFreeSegment();
-  open_fill_ = 0;
-  std::fill(open_buffer_.begin(), open_buffer_.end(), uint8_t{0});
+  OpenFirstFreeSegment();
   flushes_since_checkpoint_ = 0;
 
   mount.pages_recovered = locations_.size();
@@ -630,62 +590,29 @@ void LfsSwapLayout::ForEachPage(const std::function<void(PageKey)>& fn) const {
 
 void LfsSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
   CC_EXPECTS(auditor != nullptr);
-  // The free-segment LIFO and the membership bitmap are updated together; a
-  // disagreement means a segment was leaked (freed in one structure only) or
-  // double-freed.
+  // A free or pending-free segment that still holds a page was freed with live
+  // data; an open segment other than open_segment_ was leaked by a flush.
   auditor->Register("swap.lfs", "free-list-coherent", [this]() -> std::optional<std::string> {
-    size_t bitmap_free = 0;
     for (uint32_t s = 0; s < options_.log_segments; ++s) {
-      if (segment_is_free_[s] != 0) {
-        ++bitmap_free;
-      }
-    }
-    if (bitmap_free != free_segments_.size()) {
-      return "bitmap marks " + std::to_string(bitmap_free) +
-             " segments free, free list holds " + std::to_string(free_segments_.size());
-    }
-    for (const uint32_t s : free_segments_) {
-      if (segment_is_free_[s] == 0) {
-        return "segment " + std::to_string(s) + " is on the free list but not in the bitmap";
-      }
-      if (live_bytes_[s] != 0 || !members_[s].empty()) {
-        return "free segment " + std::to_string(s) + " still has " +
-               std::to_string(live_bytes_[s]) + " live bytes / " +
-               std::to_string(members_[s].size()) + " members";
-      }
-    }
-    if (segment_is_free_[open_segment_] != 0) {
-      return "open segment " + std::to_string(open_segment_) + " is marked free";
-    }
-    size_t pending_bits = 0;
-    for (uint32_t s = 0; s < options_.log_segments; ++s) {
-      if (segment_pending_free_[s] != 0) {
-        ++pending_bits;
-      }
-    }
-    if (pending_bits != pending_free_.size()) {
-      return "bitmap marks " + std::to_string(pending_bits) +
-             " segments pending-free, list holds " + std::to_string(pending_free_.size());
-    }
-    for (const uint32_t s : pending_free_) {
-      if (segment_pending_free_[s] == 0) {
+      const Segment& seg = segments_[s];
+      if ((seg.state == SegmentState::kOpen) != (s == open_segment_)) {
         return "segment " + std::to_string(s) +
-               " is on the pending-free list but not in the bitmap";
+               (s == open_segment_ ? " is the open segment but not open"
+                                   : " is open but is not the open segment");
       }
-      if (segment_is_free_[s] != 0) {
-        return "segment " + std::to_string(s) + " is both free and pending-free";
-      }
-      if (live_bytes_[s] != 0 || !members_[s].empty()) {
-        return "pending-free segment " + std::to_string(s) + " still has " +
-               std::to_string(live_bytes_[s]) + " live bytes / " +
-               std::to_string(members_[s].size()) + " members";
+      if ((seg.state == SegmentState::kFree || seg.state == SegmentState::kPendingFree) &&
+          (seg.live_bytes != 0 || !seg.members.empty())) {
+        return "free segment " + std::to_string(s) + " still has " +
+               std::to_string(seg.live_bytes) + " live bytes / " +
+               std::to_string(seg.members.size()) + " members";
       }
     }
     return std::nullopt;
   });
-  // live_bytes_ / members_ are incremental caches over locations_; recompute
-  // them from scratch and compare. A stuck live-byte count is how a leaked
-  // location (e.g. from a partially failed batch) shows up.
+  // Each segment's live bytes and members are incremental caches over
+  // locations_; recompute them from scratch and compare. A stuck live-byte
+  // count is how a leaked location (e.g. from a partially failed batch) shows
+  // up.
   auditor->Register("swap.lfs", "live-bytes-conserved", [this]() -> std::optional<std::string> {
     std::vector<uint64_t> recount(options_.log_segments, 0);
     uint64_t total_members = 0;
@@ -698,7 +625,7 @@ void LfsSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
         return "location in segment " + std::to_string(loc.segment) + " has zero size";
       }
       recount[loc.segment] += loc.image.byte_size;
-      const auto& mem = members_[loc.segment];
+      const auto& mem = segments_[loc.segment].members;
       const auto it = mem.find(loc.offset);
       if (it == mem.end() || !(it->second == key)) {
         return "location at segment " + std::to_string(loc.segment) + " offset " +
@@ -707,8 +634,8 @@ void LfsSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
       ++total_members;
     }
     uint64_t member_entries = 0;
-    for (const auto& mem : members_) {
-      member_entries += mem.size();
+    for (const Segment& seg : segments_) {
+      member_entries += seg.members.size();
     }
     if (member_entries != total_members) {
       return "member tables hold " + std::to_string(member_entries) +
@@ -716,9 +643,9 @@ void LfsSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
              " (leaked member entries)";
     }
     for (uint32_t s = 0; s < options_.log_segments; ++s) {
-      if (recount[s] != live_bytes_[s]) {
+      if (recount[s] != segments_[s].live_bytes) {
         return "segment " + std::to_string(s) + " live_bytes " +
-               std::to_string(live_bytes_[s]) + " != recomputed " +
+               std::to_string(segments_[s].live_bytes) + " != recomputed " +
                std::to_string(recount[s]);
       }
     }
@@ -745,7 +672,7 @@ void LfsSwapLayout::BindMetrics(MetricRegistry* registry) {
     return static_cast<double>(coresidents_dropped());
   });
   registry->RegisterGauge("swap.lfs.free_segments",
-                          [this] { return static_cast<double>(free_segments_.size()); });
+                          [this] { return static_cast<double>(free_segments()); });
 }
 
 }  // namespace compcache

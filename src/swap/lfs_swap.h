@@ -53,13 +53,12 @@ class LfsSwapLayout : public CompressedSwapBackend {
     // Clean when free segments drop below this.
     uint32_t clean_threshold = 8;
     // Durable mode: each segment's last block carries a CRC'd summary (the
-    // segment's live pages plus deletions since the previous flush), and the
-    // full location map is checkpointed to two rotating CRC'd slots. Mount()
-    // loads the newest valid checkpoint and rolls forward over the summaries.
-    // Requires segment_blocks >= 2 (one block is the summary).
+    // segment's live pages plus deletions since the previous flush), and every
+    // second segment flush checkpoints the full location map to one of two
+    // rotating CRC'd slots. Mount() loads the newest valid checkpoint and rolls
+    // forward over the summaries. Requires segment_blocks >= 2 (one block is
+    // the summary).
     bool durable = false;
-    // Checkpoint every N segment flushes (durable mode).
-    uint32_t checkpoint_interval = 8;
   };
 
   // `frames` pays for the segment write buffer (LFS's memory cost); pass nullptr
@@ -76,16 +75,15 @@ class LfsSwapLayout : public CompressedSwapBackend {
   void Invalidate(PageKey key) override;
   void ForEachPage(const std::function<void(PageKey)>& fn) const override;
 
-  // Invariants: free list ↔ bitmap agreement, per-segment live-byte totals
-  // equal to a recount from the location map, and members_/locations_ mutual
-  // consistency.
+  // Invariants: free and pending-free segments hold nothing and exactly the
+  // open segment is open; per-segment live bytes and members match a recount
+  // from the location map.
   void RegisterAuditChecks(InvariantAuditor* auditor) override;
 
   // Durable mode only: loads the newest valid checkpoint slot, rolls forward
   // over segment summaries in sequence order (deletions before additions, so
   // an invalidate-then-rewrite inside one flush window lands correctly),
-  // verifies every recovered page's CRC, and rebuilds the segment usage table
-  // and free list.
+  // verifies every recovered page's CRC, and rebuilds the segment table.
   MountStats Mount() override;
 
   const LfsSwapStats& stats() const { return stats_; }
@@ -93,7 +91,7 @@ class LfsSwapLayout : public CompressedSwapBackend {
     stats_ = LfsSwapStats{};
     ResetBaseCounters();
   }
-  size_t free_segments() const { return free_segments_.size(); }
+  size_t free_segments() const { return CountSegments(SegmentState::kFree); }
   size_t buffer_frame_count() const { return buffer_frames_.size(); }
 
   // Publishes counters as "swap.lfs.*" gauges.
@@ -104,6 +102,17 @@ class LfsSwapLayout : public CompressedSwapBackend {
     uint32_t segment = 0;
     uint32_t offset = 0;  // byte offset within the segment
     StoredImage image;
+  };
+
+  // A cleaned segment is free at once, except in durable mode: there its stale
+  // summary stays replayable until a checkpoint captures the re-appended
+  // copies, and overwriting the segment before then would let that summary
+  // point at garbage. It waits as pending-free and the checkpoint frees it.
+  enum class SegmentState : uint8_t { kFree, kOpen, kClosed, kPendingFree };
+  struct Segment {
+    SegmentState state = SegmentState::kFree;
+    uint64_t live_bytes = 0;
+    std::map<uint32_t, PageKey> members;  // offset -> key, live pages only
   };
 
   uint64_t SegmentBytes() const {
@@ -118,27 +127,27 @@ class LfsSwapLayout : public CompressedSwapBackend {
   static uint64_t SummaryBytes(size_t dels, size_t adds) {
     return 12 + 16 + 8 * static_cast<uint64_t>(dels) + 25 * static_cast<uint64_t>(adds);
   }
+  size_t CountSegments(SegmentState state) const;
+  // Opens the lowest-numbered free segment with an empty buffer (first fit,
+  // as the clustered layout allocates blocks).
+  void OpenFirstFreeSegment();
 
   // Returns kFailed when a required segment flush could not complete; the
   // image's previous copy (if any) is left valid in that case.
   IoStatus AppendImage(const SwapPageImage& img, bool count_as_write);
   IoStatus FlushOpenSegment();
-  // Greedy victim choice: the closed, non-free segment with the least live data.
-  // O(log_segments) with an O(1) bitmap membership test per segment (the old
-  // implementation ran std::find over free_segments_ per candidate, O(n^2)).
+  // Greedy victim choice: the closed segment with the least live data, the
+  // lowest-numbered on a tie.
   uint32_t PickVictimSegment() const;
   // False when the victim segment could not be cleaned (a device failure
   // interrupted the live-page copy); the victim stays intact.
   bool CleanOneSegment();
   void MaybeClean();
   void ReleaseLocation(PageKey key);
-  // Pops a free segment and clears its bitmap bit; the only way segments leave
-  // the free list, so the LIFO order of the old code is preserved exactly.
-  uint32_t TakeFreeSegment();
   // Durable mode: serializes the full location map into the next rotating
-  // checkpoint slot and, on success, promotes pending-free segments to the
-  // free list. Must be called at an open-buffer-empty point so the captured
-  // map references only flushed (durable) segments. False on device failure.
+  // checkpoint slot and, on success, frees the pending-free segments. Must be
+  // called at an open-buffer-empty point so the captured map references only
+  // flushed (durable) segments. False on device failure.
   bool WriteCheckpoint();
 
   FileSystem* fs_;
@@ -153,14 +162,7 @@ class LfsSwapLayout : public CompressedSwapBackend {
   std::vector<FrameId> buffer_frames_;  // the memory charge for the buffer
 
   std::unordered_map<PageKey, Location, PageKeyHash> locations_;
-  // Per-segment live byte counts and the members of each segment (for cleaning).
-  std::vector<uint64_t> live_bytes_;
-  std::vector<std::map<uint32_t, PageKey>> members_;  // offset -> key, live only
-  // Free segments as a LIFO stack (allocation order) plus a parallel bitmap for
-  // O(1) "is segment s free?" during victim selection. The two are updated
-  // together and must never disagree.
-  std::vector<uint32_t> free_segments_;
-  std::vector<uint8_t> segment_is_free_;
+  std::vector<Segment> segments_;  // one entry per log segment
   bool cleaning_ = false;
 
   // --- durable mode state ---
@@ -168,11 +170,6 @@ class LfsSwapLayout : public CompressedSwapBackend {
   // records in the next summary (only for keys still absent from the map —
   // a re-added key's newest add record supersedes every older one).
   std::unordered_set<PageKey, PageKeyHash> pending_dels_;
-  // Cleaned segments awaiting a checkpoint before they may be reused: until
-  // the re-appended copies are captured durably, overwriting the victim would
-  // let its (now stale, still replayable) summary point at garbage.
-  std::vector<uint32_t> pending_free_;
-  std::vector<uint8_t> segment_pending_free_;
   std::array<FileId, 2> ckpt_files_{};
   uint32_t ckpt_slot_ = 0;          // slot the next checkpoint writes to
   uint64_t seq_ = 0;                // shared by summaries and checkpoints

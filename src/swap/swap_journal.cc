@@ -34,7 +34,6 @@ IoStatus SwapJournal::Append(uint8_t type, std::span<const uint8_t> payload) {
     return status;
   }
   tail_ += rec.size();
-  ++records_appended_;
   return IoStatus::kOk;
 }
 

@@ -58,13 +58,11 @@ class SwapJournal {
   ReplayResult Replay(const std::function<void(uint8_t, std::span<const uint8_t>)>& fn);
 
   uint64_t tail() const { return tail_; }
-  uint64_t records_appended() const { return records_appended_; }
 
  private:
   FileSystem* fs_;
   FileId file_;
   uint64_t tail_ = 0;
-  uint64_t records_appended_ = 0;
 };
 
 }  // namespace compcache

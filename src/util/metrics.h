@@ -133,7 +133,6 @@ class MetricRegistry {
 
   size_t num_counters() const { return counters_.size(); }
   size_t num_gauges() const { return gauges_.size(); }
-  size_t num_histograms() const { return histograms_.size(); }
 
   // Flat name -> value view of everything, histograms expanded into
   // .count/.mean/.min/.max/.p50/.p90/.p99/.p999. Sorted by name (deterministic).

@@ -103,7 +103,6 @@ class EventTracer {
 
   // Sets the process id stamped onto subsequently recorded events (0 = none).
   void set_current_pid(uint32_t pid) { current_pid_ = pid; }
-  uint32_t current_pid() const { return current_pid_; }
 
   size_t capacity() const { return capacity_; }
   // Events currently held (<= capacity).

@@ -334,7 +334,6 @@ std::unique_ptr<CompressedSwapBackend> MakeDurableBackend(BackendKind kind,
       options.log_segments = 32;
       options.clean_threshold = 4;
       options.durable = true;
-      options.checkpoint_interval = 2;
       return std::make_unique<LfsSwapLayout>(fs, /*frames=*/nullptr, options);
     }
   }
@@ -611,7 +610,6 @@ MachineConfig CrashConfig(MachineCell cell) {
   MachineConfig config = SmallConfig(cell.use_ccache, /*memory_bytes=*/2 * kMiB);
   config.compressed_swap = cell.kind;
   config.durability.enabled = true;
-  config.durability.lfs_checkpoint_interval = 2;
   config.fault_injection.enabled = true;
   config.fault_injection.seed = 7;
   return config;
@@ -780,22 +778,29 @@ TEST(MachineCrash, DurabilityOffWritesNoJournalFiles) {
   }
 }
 
-// Recover on an LFS machine that crashed before any checkpoint existed must
-// still mount (empty checkpoint, roll-forward from summaries alone).
+// Recover on an LFS machine that crashed after its first segment summary and
+// before its first checkpoint must still mount, rolling forward from the
+// summary alone.
 TEST(MachineCrash, LfsRecoversFromSummariesWithoutACheckpoint) {
   MachineConfig config = CrashConfig({"lfs", true, CompressedSwapKind::kLfs});
-  config.durability.lfs_checkpoint_interval = 1000;  // never checkpoint
 
-  uint64_t total_sectors = 0;
+  // Dry run: the sectors written by the end of the access whose flush wrote
+  // the first summary. The first checkpoint follows the second flush, so a
+  // crash on the next sector leaves a summary and no checkpoint.
+  uint64_t first_summary_sectors = 0;
   {
     Machine dry(config);
     Segment* segment = dry.pager().CreateSegment(kMachinePages);
-    std::vector<uint32_t> versions(kMachinePages, 0);
-    CrashWorkload(dry, segment, &versions);
-    total_sectors = dry.fault_injector()->ops(FaultSite::kPowerFail);
-    ASSERT_GT(total_sectors, 0u);
+    const LfsSwapStats& stats = dry.lfs_swap()->stats();
+    for (uint32_t step = 0; step < 2 * kMachinePages && stats.segments_written == 0; ++step) {
+      const uint32_t p = step % kMachinePages;
+      FillPattern(dry.pager().Access(*segment, p, /*write=*/true), p, 1 + step / kMachinePages);
+    }
+    ASSERT_EQ(stats.segments_written, 1u);
+    ASSERT_EQ(stats.checkpoints_written, 0u);
+    first_summary_sectors = dry.fault_injector()->ops(FaultSite::kPowerFail);
   }
-  config.fault_injection.power_fail_nth_sectors = {total_sectors / 2 + 1};
+  config.fault_injection.power_fail_nth_sectors = {first_summary_sectors + 1};
 
   Machine machine(config);
   Segment* segment = machine.pager().CreateSegment(kMachinePages);
@@ -812,6 +817,7 @@ TEST(MachineCrash, LfsRecoversFromSummariesWithoutACheckpoint) {
   recovered->auditor().set_abort_on_violation(false);
   EXPECT_EQ(recovered->RunAudit(), 0u);
   EXPECT_EQ(recovered->recovery_stats().checkpoint_loads, 0u);
+  EXPECT_EQ(recovered->recovery_stats().journal_replays, 1u);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include "swap/fixed_swap.h"
 #include "swap/lfs_swap.h"
 #include "tests/test_util.h"
+#include "util/audit.h"
 #include "util/checksum.h"
+#include "util/fault.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -602,11 +604,9 @@ TEST_F(SwapTest, LfsCleanerCopiesLiveDataAndFreesSegments) {
   }
 }
 
-// Regression for the victim-selection rewrite (the O(n^2) std::find membership
-// test became an O(1) bitmap): the cleaner must still pick the closed segment
-// with the least live data. Segments 0..2 are filled and then thinned to
-// distinct live counts; segment 1 is left with exactly one live page, so a
-// correct greedy pick copies exactly one page.
+// The cleaner picks the closed segment with the least live data. Segments 0..2
+// are filled and then thinned to distinct live counts; segment 1 is left with
+// exactly one live page, so a correct greedy pick copies exactly one page.
 TEST_F(SwapTest, LfsCleanerStillPicksLeastLiveSegment) {
   LfsSwapLayout::Options options;
   options.segment_blocks = 2;  // 8 KB segments: 4 images of 2 KB each
@@ -615,7 +615,7 @@ TEST_F(SwapTest, LfsCleanerStillPicksLeastLiveSegment) {
   LfsSwapLayout swap(&fs_, nullptr, options);
 
   // Pages 0-3 fill segment 0, 4-7 segment 1, 8-11 segment 2 (each flush opens
-  // the next segment). After this, free segments = {7,6,5,4}: no cleaning yet.
+  // the next segment). After this, segments 4-7 are free: no cleaning yet.
   std::unordered_map<uint32_t, std::vector<uint8_t>> shadow;
   std::vector<SwapPageImage> batch;
   for (uint32_t p = 0; p < 12; ++p) {
@@ -651,6 +651,131 @@ TEST_F(SwapTest, LfsCleanerStillPicksLeastLiveSegment) {
   for (const auto& [page, bytes] : shadow) {
     auto r = swap.ReadPage(PageKey{0, page}, false);
     EXPECT_EQ(r.bytes, bytes) << page;
+  }
+}
+
+// A flush opens the lowest-numbered free segment. One batch frees two
+// zero-live victims, segments 0 and 2 in that order; the next flush fills
+// segment 0 and leaves segment 2's stale bytes on disk.
+TEST_F(SwapTest, LfsFlushReopensLowestFreeSegment) {
+  LfsSwapLayout::Options options;
+  options.segment_blocks = 2;  // 8 KB segments: 4 images of 2 KB each
+  options.log_segments = 8;
+  options.clean_threshold = 4;
+  LfsSwapLayout swap(&fs_, nullptr, options);
+
+  std::unordered_map<uint32_t, std::vector<uint8_t>> shadow;
+  const auto write = [&](uint32_t first, uint32_t count) {
+    std::vector<SwapPageImage> batch;
+    for (uint32_t p = first; p < first + count; ++p) {
+      batch.push_back(MakeImage(PageKey{0, p}, 2048, 1200 + p));
+      shadow[p] = batch.back().bytes;
+    }
+    ASSERT_EQ(swap.WriteBatch(batch), IoStatus::kOk);
+  };
+  // Invalidates the four pages first..first+3, which fill one segment.
+  const auto drop_segment = [&](uint32_t first) {
+    for (uint32_t p = first; p < first + 4; ++p) {
+      swap.Invalidate(PageKey{0, p});
+      shadow.erase(p);
+    }
+  };
+  // The first 2 KB of segment `s` in the log file.
+  const auto segment_head = [&](uint32_t s) {
+    std::vector<uint8_t> head(2048);
+    EXPECT_EQ(fs_.Read(fs_.OpenOrCreate("lfs_swap"), uint64_t{s} * 8192, head), IoStatus::kOk);
+    return head;
+  };
+
+  write(0, 12);  // pages 0-3, 4-7 and 8-11 fill segments 0-2; segment 3 opens
+  drop_segment(0);
+  drop_segment(8);
+  // Pages 100-107 fill segments 3 and 4, leaving two free segments; the
+  // cleaner frees the zero-live segments 0 and 2 and copies nothing.
+  write(100, 8);
+  ASSERT_EQ(swap.stats().segments_cleaned, 2u);
+  ASSERT_EQ(swap.stats().live_pages_copied, 0u);
+  ASSERT_EQ(swap.free_segments(), 4u);
+
+  // Segments 1 and 3 go empty too, so the next cleaning copies nothing either.
+  // Pages 200-203 fill segment 5; its flush opens segment 0, which pages
+  // 204-207 fill.
+  drop_segment(4);
+  drop_segment(100);
+  write(200, 8);
+  ASSERT_EQ(swap.stats().segments_cleaned, 4u);
+  ASSERT_EQ(swap.stats().live_pages_copied, 0u);
+  EXPECT_EQ(segment_head(0), shadow[204]);
+  EXPECT_EQ(segment_head(2), MakeBytes(2048, 1200 + 8));  // stale page 8
+  for (const auto& [page, bytes] : shadow) {
+    EXPECT_EQ(swap.ReadPage(PageKey{0, page}, false).bytes, bytes) << page;
+  }
+}
+
+// Durable mode: a cleaned victim's summary stays replayable until a checkpoint
+// captures its re-appended pages, so the victim stays out of free_segments()
+// until then. The first cleaning attempt fails to read the victim; the second
+// cleans it but can neither flush nor checkpoint; the third batch's
+// checkpoint frees it.
+TEST_F(SwapTest, LfsDurableVictimWaitsForACheckpoint) {
+  FaultInjector injector(/*seed=*/1);
+  LfsSwapLayout::Options options;
+  options.segment_blocks = 2;  // one 4 KB data block plus the summary block
+  options.log_segments = 8;
+  options.clean_threshold = 4;
+  options.durable = true;
+  LfsSwapLayout swap(&fs_, nullptr, options);
+  InvariantAuditor auditor;
+  swap.RegisterAuditChecks(&auditor);
+  auditor.set_abort_on_violation(false);
+  device_.SetFaultInjector(&injector);
+
+  std::unordered_map<uint32_t, std::vector<uint8_t>> shadow;
+  const auto write = [&](uint32_t first, uint32_t count) {
+    std::vector<SwapPageImage> batch;
+    for (uint32_t p = first; p < first + count; ++p) {
+      batch.push_back(MakeImage(PageKey{0, p}, 1024, 1300 + p));
+      shadow[p] = batch.back().bytes;
+    }
+    return swap.WriteBatch(batch);
+  };
+
+  ASSERT_EQ(write(0, 12), IoStatus::kOk);  // pages 0-11 fill segments 0-2
+  ASSERT_EQ(swap.free_segments(), 4u);
+  for (uint32_t p = 0; p < 3; ++p) {  // segment 0 keeps only page 3
+    swap.Invalidate(PageKey{0, p});
+    shadow.erase(p);
+  }
+
+  // Pages 100-103 fill segment 3; the cleaner picks segment 0 and cannot read it.
+  injector.SetSchedule(FaultSite::kDiskRead, FaultSchedule{1.0, {}});
+  ASSERT_EQ(write(100, 4), IoStatus::kOk);
+  ASSERT_EQ(swap.stats().segments_cleaned, 0u);
+  ASSERT_EQ(swap.free_segments(), 3u);
+
+  // Now the read works and every write fails: page 3 moves into the open
+  // buffer beside page 200 and segment 0 is cleaned, but neither the flush
+  // nor the checkpoint reaches the disk.
+  injector.SetSchedule(FaultSite::kDiskRead, FaultSchedule{});
+  injector.SetSchedule(FaultSite::kDiskWrite, FaultSchedule{1.0, {}});
+  const uint64_t checkpoints = swap.stats().checkpoints_written;
+  ASSERT_EQ(write(200, 1), IoStatus::kOk);
+  EXPECT_EQ(swap.stats().segments_cleaned, 1u);
+  EXPECT_EQ(swap.stats().live_pages_copied, 1u);
+  EXPECT_EQ(swap.stats().checkpoints_written, checkpoints);
+  EXPECT_EQ(swap.free_segments(), 3u);  // cleaned, not yet free
+  EXPECT_EQ(auditor.RunAll(), 0u);
+
+  // Writes work again: the batch flushes segment 4, which takes a free
+  // segment, and the checkpoint after it returns segment 0.
+  injector.SetSchedule(FaultSite::kDiskWrite, FaultSchedule{});
+  ASSERT_EQ(write(300, 1), IoStatus::kOk);
+  EXPECT_GT(swap.stats().checkpoints_written, checkpoints);
+  EXPECT_EQ(swap.free_segments(), 3u);
+  EXPECT_EQ(auditor.RunAll(), 0u);
+  device_.SetFaultInjector(nullptr);
+  for (const auto& [page, bytes] : shadow) {
+    EXPECT_EQ(swap.ReadPage(PageKey{0, page}, false).bytes, bytes) << page;
   }
 }
 
