@@ -39,6 +39,8 @@ constexpr size_t kAuditInterval = 32;  // audit every 32 page faults
 struct SoakResult {
   size_t audit_runs = 0;
   size_t violations = 0;
+  uint64_t elapsed_ns = 0;  // the machine's virtual time after the drain
+  uint64_t vm_faults = 0;   // vm.faults
   std::string first_violation;  // "subsystem/invariant: detail" of the first hit
   std::vector<std::pair<std::string, double>> metrics;
 };
@@ -47,6 +49,8 @@ SoakResult Finish(Machine& machine, bool snapshot_metrics) {
   machine.DrainPipeline();  // no-op when pipelining is off
   machine.RunAudit();       // final sweep on top of the periodic ones
   SoakResult result;
+  result.elapsed_ns = static_cast<uint64_t>(machine.clock().Now().nanos());
+  result.vm_faults = machine.pager().stats().faults;
   result.audit_runs = machine.auditor().runs();
   result.violations = machine.auditor().total_violations();
   if (!machine.auditor().last_violations().empty()) {
@@ -187,8 +191,8 @@ int main(int argc, char** argv) {
               workloads.size(), backends.size(), fault_rate, kAuditInterval,
               mode.pipeline ? ", pipelining ON" : "",
               mode.tiers ? ", NVM+SSD tier cascade ON" : "");
-  std::printf("%10s %18s %8s %10s %11s  %s\n", "workload", "backend", "faults",
-              "audit_runs", "violations", "first_violation");
+  std::printf("%10s %18s %8s %10s %10s %10s %11s  %s\n", "workload", "backend", "faults",
+              "elapsed_s", "vm_faults", "audit_runs", "violations", "first_violation");
 
   std::vector<std::function<SoakResult()>> jobs;
   for (const Workload& w : workloads) {
@@ -217,12 +221,16 @@ int main(int argc, char** argv) {
         if (!r.metrics.empty()) {
           report.MergeMetrics(r.metrics);
         }
-        std::printf("%10s %18s %8g %10zu %11zu  %s\n", w.name.c_str(), bname.c_str(), rate,
-                    r.audit_runs, r.violations, r.first_violation.c_str());
+        std::printf("%10s %18s %8g %10.3f %10llu %10zu %11zu  %s\n", w.name.c_str(),
+                    bname.c_str(), rate, static_cast<double>(r.elapsed_ns) / 1e9,
+                    static_cast<unsigned long long>(r.vm_faults), r.audit_runs, r.violations,
+                    r.first_violation.c_str());
         report.AddRow()
             .Set("workload", w.name)
             .Set("backend", bname)
             .Set("fault_rate", rate)
+            .Set("elapsed_ns", r.elapsed_ns)
+            .Set("vm_faults", r.vm_faults)
             .Set("audit_runs", static_cast<uint64_t>(r.audit_runs))
             .Set("violations", static_cast<uint64_t>(r.violations));
       }

@@ -102,8 +102,10 @@ RULES = [
     ("ablation_tier", ("tier.frontier.best_ms",), "<", ("tier.frontier.all_ssd_ms",)),
     ("ablation_tier", (r"~^tier\.[a-z0-9_]+\.level$",), ">=", 0),
     ("ablation_tier[axis=kv]", ("validation_failures",), "==", 0),
-    # ablation_backing_store: every variant ran for positive virtual time.
+    # ablation_backing_store and audit_soak: every machine ran for positive
+    # virtual time.
     ("ablation_backing_store[]", ("elapsed_ns",), ">", 0),
+    ("audit_soak[]", ("elapsed_ns",), ">", 0),
     # fig6_service covers every backend x mode cell; each row has a sane tail
     # and conserves requests; at the headline knee the pipelined p99 is no
     # worse than sync.

@@ -113,7 +113,8 @@ VALID = {
          "service.pipelined_p99_ns": 5.5e6}),
     "audit_soak": doc(
         "audit_soak", [{"workload": "gold", "backend": "clustered", "fault_rate": 0,
-                        "audit_runs": 26, "violations": 0}],
+                        "elapsed_ns": 1.08e10, "vm_faults": 819, "audit_runs": 26,
+                        "violations": 0}],
         {**MACHINE, **tiers(("nvm", 0, 5), ("ssd", 5, 7), ("disk", 7, 0))},
         {"tiers": True, "quick": True}),
     "crash_soak": doc(
@@ -328,6 +329,8 @@ MUTATIONS = [
     # ablation_backing_store.
     ("backing store row with zero elapsed_ns", "ablation_backing_store",
      put(1, "elapsed_ns", 0)),
+    # audit_soak.
+    ("audit_soak row with zero elapsed_ns", "audit_soak", put(0, "elapsed_ns", 0)),
 ]
 
 # Files that are not a JSON object at all.

@@ -58,7 +58,7 @@ RowResult Finish(Machine& machine, SimDuration elapsed) {
   r.elapsed = elapsed;
   if (machine.ccache() != nullptr) {
     const auto& s = machine.ccache()->stats();
-    r.kept_ratio_pct = s.kept_ratio_pct.mean();
+    r.kept_ratio_pct = machine.metrics().FindHistogram("ccache.kept_ratio_pct")->mean();
     r.uncompressible_pct = s.pages_compressed == 0
                                ? 0.0
                                : 100.0 * static_cast<double>(s.pages_rejected) /

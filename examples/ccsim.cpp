@@ -100,9 +100,6 @@ CliOptions Parse(int argc, char** argv) {
       Usage((std::string("unknown flag ") + arg).c_str());
     }
   }
-  if (options.memory_mb < 1) {
-    Usage("--memory-mb must be >= 1");
-  }
   return options;
 }
 
@@ -127,6 +124,9 @@ MachineConfig ToConfig(const CliOptions& options) {
   }
   config.adaptive_compression.enabled = options.adaptive;
   config.compress_file_cache = options.compress_file_cache;
+  if (const char* rule = config.Validate(); rule != nullptr) {
+    Usage((std::string("config refused: ") + rule).c_str());
+  }
   return config;
 }
 

@@ -101,16 +101,16 @@ bool KvServer::Step(Machine& machine) {
       sizes_.assign(keys, 0);
       io_buf_.resize(options_.slot_bytes);
 
+      // Every server on a machine shares (aggregates into) the kv.* metrics.
       MetricRegistry& m = machine.metrics();
-      const std::string& p = options_.metrics_prefix;
-      request_hist_ = m.BindHistogram(p + ".request_ns");
-      ctr_requests_ = m.BindCounter(p + ".requests");
-      ctr_gets_ = m.BindCounter(p + ".gets");
-      ctr_sets_ = m.BindCounter(p + ".sets");
-      ctr_flash_ = m.BindCounter(p + ".flash_requests");
-      ctr_bytes_read_ = m.BindCounter(p + ".bytes_read");
-      ctr_bytes_written_ = m.BindCounter(p + ".bytes_written");
-      ctr_validation_failures_ = m.BindCounter(p + ".validation_failures");
+      request_hist_ = m.BindHistogram("kv.request_ns");
+      ctr_requests_ = m.BindCounter("kv.requests");
+      ctr_gets_ = m.BindCounter("kv.gets");
+      ctr_sets_ = m.BindCounter("kv.sets");
+      ctr_flash_ = m.BindCounter("kv.flash_requests");
+      ctr_bytes_read_ = m.BindCounter("kv.bytes_read");
+      ctr_bytes_written_ = m.BindCounter("kv.bytes_written");
+      ctr_validation_failures_ = m.BindCounter("kv.validation_failures");
 
       setup_start_ = machine.clock().Now();
       phase_ = Phase::kLoad;

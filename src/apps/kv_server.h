@@ -36,8 +36,6 @@ struct KvServerOptions {
   ContentClass value_content = ContentClass::kText;
   // Parse/dispatch instructions per request, on top of heap-access costs.
   SimDuration cpu_per_request = SimDuration::Micros(2);
-  // Metric namespace; two servers sharing a prefix share (aggregate) metrics.
-  std::string metrics_prefix = "kv";
 };
 
 struct KvServerResult {

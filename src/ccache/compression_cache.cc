@@ -356,11 +356,9 @@ void CompressionCache::InsertCompressed(PageKey key, std::span<const uint8_t> co
   ++stats_.pages_kept;
   stats_.original_bytes_kept += original_size;
   stats_.compressed_bytes_kept += compressed.size();
-  const double ratio_pct =
-      100.0 * static_cast<double>(compressed.size()) / static_cast<double>(original_size);
-  stats_.kept_ratio_pct.Add(ratio_pct);
   if (kept_ratio_hist_ != nullptr) {
-    kept_ratio_hist_->Observe(ratio_pct);
+    kept_ratio_hist_->Observe(100.0 * static_cast<double>(compressed.size()) /
+                              static_cast<double>(original_size));
   }
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kCompressKept, clock_->Now(), key, original_size,

@@ -10,7 +10,8 @@
 //   * "before each page there is a small header" — we reserve the paper's 36 bytes
 //     per compressed page in the ring layout; its first word holds the payload's
 //     CRC-32C, verified on every fault-in;
-//   * frames are clean / dirty / free / new; a cleaner "writes out the oldest
+//   * entries are clean or dirty, and a mapped slot holding no live entry bytes
+//     is free memory (FreeOneDeadSlot); a cleaner "writes out the oldest
 //     dirty data ... to keep a pool of physical pages clean and ready for
 //     reclamation", at a rate that is "a function of the number of completely free
 //     pages in the system, the number of clean pages that are already reclaimable,
@@ -37,7 +38,6 @@
 #include "util/arena.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/stats.h"
 #include "util/trace.h"
 #include "vm/frame_source.h"
 #include "vm/page_key.h"
@@ -118,7 +118,6 @@ struct CcacheStats {
   uint64_t checksum_mismatches = 0;    // fault-ins whose payload failed its CRC
   uint64_t entries_lost = 0;           // dirty entries reclaimed after write failure
   uint64_t write_batch_failures = 0;   // WriteBatch calls that did not fully succeed
-  RunningStats kept_ratio_pct;  // compressed/original * 100 for kept pages
 };
 
 // Outcome of CompressionCache::FaultIn.

@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "compress/lzrw1.h"
 #include "util/assert.h"
+#include "util/json.h"
 
 namespace compcache {
 
@@ -18,7 +20,62 @@ std::unique_ptr<BackingTimingModel> MakeTiming(const MachineConfig& config) {
   return std::make_unique<SeekDiskModel>(config.disk_params);
 }
 
+// Runs before any member is built, so a refused config aborts with its rule's
+// name and not with some component's precondition.
+MachineConfig Validated(MachineConfig config) {
+  if (const char* rule = config.Validate(); rule != nullptr) {
+    AssertFail("MachineConfig::Validate", rule, __FILE__, __LINE__);
+  }
+  return config;
+}
+
 }  // namespace
+
+const char* MachineConfig::Validate() const {
+  if (user_memory_bytes < 32 * kPageSize) {
+    return "memory-below-32-pages";
+  }
+  if (pipeline.enabled && !use_compression_cache) {
+    return "pipeline-needs-ccache";
+  }
+  if (tiers.enabled && !use_compression_cache) {
+    return "tiers-need-ccache";
+  }
+  // SSD tiers are non-durable layouts on private devices that Recover never
+  // copies and Mount never reads, yet every writeback lands there first.
+  if (durability.enabled && tiers.enabled && !tiers.tiers.empty()) {
+    return "durability-with-device-tiers";
+  }
+  if (pipeline.write_behind_depth == 0) {
+    return "write-behind-depth-zero";
+  }
+  // The ring keeps one page of slack so head and tail never share a slot.
+  if (ccache_max_frames > 0 && ccache_max_frames < 4) {
+    return "ccache-max-frames-below-4";
+  }
+  // Inert: settings that would silently do nothing.
+  if (!pipeline.enabled && pipeline != PipelineOptions{}) {
+    return "pipeline-fields-while-disabled";
+  }
+  if (!tiers.enabled && !tiers.tiers.empty()) {
+    return "tier-list-while-disabled";
+  }
+  if (!fault_injection.enabled && fault_injection != FaultInjectionOptions{}) {
+    return "fault-fields-while-disabled";
+  }
+  if (!use_compression_cache) {
+    if (compress_file_cache) {
+      return "file-cache-compression-needs-ccache";
+    }
+    if (adaptive_compression.enabled) {
+      return "adaptive-compression-needs-ccache";
+    }
+    if (ccache_max_frames != 0) {
+      return "ccache-max-frames-needs-ccache";
+    }
+  }
+  return nullptr;
+}
 
 Machine::Machine(MachineConfig config) : Machine(std::move(config), nullptr) {}
 
@@ -26,32 +83,26 @@ std::unique_ptr<Machine> Machine::Recover(Machine& crashed) {
   MachineConfig config = crashed.config();
   // Explicit crash-point ordinals are positional from machine start; carried
   // over, the recovered machine's own recovery writes would re-fire the same
-  // ordinal and crash again. Rate-based power failures persist.
+  // ordinal and crash again.
   config.fault_injection.power_fail_nth_sectors.clear();
   return std::unique_ptr<Machine>(new Machine(std::move(config), &crashed));
 }
 
 Machine::Machine(MachineConfig config, Machine* recover_from)
-    : config_(std::move(config)),
+    : config_(Validated(std::move(config))),
       codec_(MakeCodec(config_.codec, config_.codec_hash_bits)),
       pool_(config_.user_memory_bytes / kPageSize) {
-  CC_EXPECTS(config_.user_memory_bytes >= 32 * kPageSize);
-
   disk_ = std::make_unique<DiskDevice>(&clock_, MakeTiming(config_),
                                        config_.costs.io_setup_overhead);
   if (config_.fault_injection.enabled) {
     const FaultInjectionOptions& fi = config_.fault_injection;
     injector_ = std::make_unique<FaultInjector>(fi.seed);
-    injector_->SetSchedule(FaultSite::kDiskRead,
-                           {fi.disk_read_error_rate, fi.fail_nth_disk_reads});
+    injector_->SetSchedule(FaultSite::kDiskRead, {fi.disk_read_error_rate, {}});
     injector_->SetSchedule(FaultSite::kDiskWrite,
                            {fi.disk_write_error_rate, fi.fail_nth_disk_writes});
-    injector_->SetSchedule(FaultSite::kSectorCorruption,
-                           {fi.sector_corruption_rate, fi.corrupt_nth_sectors});
     injector_->SetSchedule(FaultSite::kCodecCorruption,
                            {fi.codec_corruption_rate, fi.corrupt_nth_codec_ops});
-    injector_->SetSchedule(FaultSite::kPowerFail,
-                           {fi.power_fail_rate, fi.power_fail_nth_sectors});
+    injector_->SetSchedule(FaultSite::kPowerFail, {0.0, fi.power_fail_nth_sectors});
     disk_->SetFaultInjector(injector_.get());
   }
   fs_ = std::make_unique<FileSystem>(disk_.get(), config_.fs_options);
@@ -68,12 +119,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
   vm_options.insert_coresidents = config_.insert_coresidents;
   pager_ = std::make_unique<Pager>(&clock_, &config_.costs, this, vm_options);
 
-  CC_EXPECTS(!config_.pipeline.enabled || config_.use_compression_cache);
-  CC_EXPECTS(!config_.tiers.enabled || config_.use_compression_cache);
-  // SSD tiers are non-durable layouts on private devices that Recover never
-  // copies and Mount never reads, yet every writeback lands there first.
-  CC_EXPECTS(!(config_.durability.enabled && config_.tiers.enabled &&
-               !config_.tiers.tiers.empty()));
   // The unmodified machine pages whole raw pages to the fixed-offset layout.
   const CompressedSwapKind swap_kind = config_.use_compression_cache
                                            ? config_.compressed_swap
@@ -122,8 +167,8 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
   if (config_.pipeline.enabled) {
     // Write-behind decorator: every layout write becomes a submitted
     // background batch; reads barrier on in-flight pages.
-    auto behind = std::make_unique<WriteBehindBackend>(
-        std::move(inner), &clock_, std::max<uint32_t>(1, config_.pipeline.write_behind_depth));
+    auto behind = std::make_unique<WriteBehindBackend>(std::move(inner), &clock_,
+                                                       config_.pipeline.write_behind_depth);
     write_behind_ = behind.get();
     cswap_ = std::move(behind);
   } else {
@@ -155,7 +200,7 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     cc_options.write_batch_bytes = config_.write_batch_bytes;
     cc_options.pool_free_target = std::max<size_t>(16, pool_.total_frames() / 64);
     ccache_ = std::make_unique<CompressionCache>(&clock_, &config_.costs, this, codec_.get(),
-                                                 cswap_.get(), &event_router_, cc_options);
+                                                 cswap_.get(), pager_.get(), cc_options);
     ccache_->SetArena(&scratch_arena_);
     if (injector_ != nullptr) {
       ccache_->SetFaultInjector(injector_.get());
@@ -316,24 +361,19 @@ void Machine::RecoverFrom(Machine& crashed) {
 }
 
 void Machine::BindAllMetrics() {
-  // Simulated-time breakdown (mirrors the Report() header line).
+  // Simulated-time breakdown.
   metrics_.RegisterGauge("clock.now_ns",
                          [this] { return static_cast<double>(clock_.Now().nanos()); });
-  metrics_.RegisterGauge("clock.cpu_ns", [this] {
-    return static_cast<double>(clock_.TimeIn(TimeCategory::kCpu).nanos());
-  });
-  metrics_.RegisterGauge("clock.compress_ns", [this] {
-    return static_cast<double>(clock_.TimeIn(TimeCategory::kCompression).nanos());
-  });
-  metrics_.RegisterGauge("clock.decompress_ns", [this] {
-    return static_cast<double>(clock_.TimeIn(TimeCategory::kDecompression).nanos());
-  });
-  metrics_.RegisterGauge("clock.copy_ns", [this] {
-    return static_cast<double>(clock_.TimeIn(TimeCategory::kCopy).nanos());
-  });
-  metrics_.RegisterGauge("clock.io_ns", [this] {
-    return static_cast<double>(clock_.TimeIn(TimeCategory::kIo).nanos());
-  });
+  const auto time_in = [this](const char* name, TimeCategory category) {
+    metrics_.RegisterGauge(name, [this, category] {
+      return static_cast<double>(clock_.TimeIn(category).nanos());
+    });
+  };
+  time_in("clock.cpu_ns", TimeCategory::kCpu);
+  time_in("clock.compress_ns", TimeCategory::kCompression);
+  time_in("clock.decompress_ns", TimeCategory::kDecompression);
+  time_in("clock.copy_ns", TimeCategory::kCopy);
+  time_in("clock.io_ns", TimeCategory::kIo);
 
   metrics_.RegisterGauge("mem.total_frames",
                          [this] { return static_cast<double>(pool_.total_frames()); });
@@ -379,23 +419,17 @@ void Machine::BindAllMetrics() {
   // Crash-recovery outcome, always registered for a stable bench JSON schema
   // (all-zero on machines that were not produced by Recover()).
   const RecoveryStats* rs = &recovery_;
-  metrics_.RegisterCounterGauge("recovery.mounts",
-                                [rs] { return static_cast<double>(rs->mounts); });
-  metrics_.RegisterCounterGauge("recovery.pages_recovered",
-                                [rs] { return static_cast<double>(rs->pages_recovered); });
-  metrics_.RegisterCounterGauge("recovery.pages_lost",
-                                [rs] { return static_cast<double>(rs->pages_lost); });
-  metrics_.RegisterCounterGauge("recovery.orphans_discarded",
-                                [rs] { return static_cast<double>(rs->orphans_discarded); });
-  metrics_.RegisterCounterGauge("recovery.journal_replays",
-                                [rs] { return static_cast<double>(rs->journal_replays); });
-  metrics_.RegisterCounterGauge("recovery.checkpoint_loads",
-                                [rs] { return static_cast<double>(rs->checkpoint_loads); });
-  metrics_.RegisterCounterGauge("recovery.torn_writes_detected", [rs] {
-    return static_cast<double>(rs->torn_writes_detected);
-  });
-  metrics_.RegisterCounterGauge("recovery.mount_ns",
-                                [rs] { return static_cast<double>(rs->mount_ns); });
+  const auto recovery = [&](const char* name, const uint64_t RecoveryStats::*field) {
+    metrics_.RegisterCounterGauge(name, [rs, field] { return static_cast<double>(rs->*field); });
+  };
+  recovery("recovery.mounts", &RecoveryStats::mounts);
+  recovery("recovery.pages_recovered", &RecoveryStats::pages_recovered);
+  recovery("recovery.pages_lost", &RecoveryStats::pages_lost);
+  recovery("recovery.orphans_discarded", &RecoveryStats::orphans_discarded);
+  recovery("recovery.journal_replays", &RecoveryStats::journal_replays);
+  recovery("recovery.checkpoint_loads", &RecoveryStats::checkpoint_loads);
+  recovery("recovery.torn_writes_detected", &RecoveryStats::torn_writes_detected);
+  recovery("recovery.mount_ns", &RecoveryStats::mount_ns);
 
   disk_->BindMetrics(&metrics_);
   fs_->BindMetrics(&metrics_);
@@ -579,159 +613,28 @@ void Machine::FreeFrame(FrameId id) { pool_.Free(id); }
 std::span<uint8_t> Machine::FrameData(FrameId id) { return pool_.Data(id); }
 
 std::string Machine::Report() const {
-  char buf[4096];
+  // Snapshot() is sorted by name, and a dotted name's first component only
+  // holds characters that sort after '.', so each family is one run.
+  const auto snapshot = metrics_.Snapshot();
   std::string out;
-
-  const auto& vm = pager_->stats();
-  std::snprintf(buf, sizeof(buf),
-                "time: %.3f s (cpu %.3f, compress %.3f, decompress %.3f, copy %.3f, io %.3f)\n"
-                "memory: %zu frames total, %zu free, %zu metadata\n"
-                "vm: %llu accesses, %llu faults (%llu zero-fill, %llu ccache, %llu swap)\n"
-                "    %llu evictions (%llu clean-drop, %llu compressed, %llu raw-swap,"
-                " %llu std-write)\n",
-                clock_.Now().seconds(), clock_.TimeIn(TimeCategory::kCpu).seconds(),
-                clock_.TimeIn(TimeCategory::kCompression).seconds(),
-                clock_.TimeIn(TimeCategory::kDecompression).seconds(),
-                clock_.TimeIn(TimeCategory::kCopy).seconds(),
-                clock_.TimeIn(TimeCategory::kIo).seconds(),
-                pool_.total_frames(), pool_.free_frames(),
-                metadata_frames_, static_cast<unsigned long long>(vm.accesses),
-                static_cast<unsigned long long>(vm.faults),
-                static_cast<unsigned long long>(vm.faults_zero_fill),
-                static_cast<unsigned long long>(vm.faults_from_ccache),
-                static_cast<unsigned long long>(vm.faults_from_swap),
-                static_cast<unsigned long long>(vm.evictions),
-                static_cast<unsigned long long>(vm.evictions_clean_drop),
-                static_cast<unsigned long long>(vm.evictions_compressed),
-                static_cast<unsigned long long>(vm.evictions_raw_swap),
-                static_cast<unsigned long long>(vm.evictions_std_write));
-  out += buf;
-
-  if (ccache_ != nullptr) {
-    const auto& cs = ccache_->stats();
-    std::snprintf(
-        buf, sizeof(buf),
-        "ccache: %zu frames mapped (peak %llu), %zu entries\n"
-        "        %llu compressed (%llu kept, %llu rejected), mean kept size %.1f%% of page\n"
-        "        %llu fault hits, %llu cleaned, %llu dropped, %llu invalidated\n",
-        ccache_->mapped_frames(), static_cast<unsigned long long>(cs.frames_mapped_peak),
-        ccache_->live_entries(), static_cast<unsigned long long>(cs.pages_compressed),
-        static_cast<unsigned long long>(cs.pages_kept),
-        static_cast<unsigned long long>(cs.pages_rejected), cs.kept_ratio_pct.mean(),
-        static_cast<unsigned long long>(cs.fault_hits),
-        static_cast<unsigned long long>(cs.entries_cleaned),
-        static_cast<unsigned long long>(cs.entries_dropped),
-        static_cast<unsigned long long>(cs.invalidations));
-    out += buf;
-  }
-
-  if (const auto* clustered = clustered_swap_; clustered != nullptr) {
-    const auto& sw = clustered->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "cswap: %llu batches, %llu pages written, %llu read, "
-                  "%llu payload bytes, %llu fragment bytes, %llu blocks reused\n",
-                  static_cast<unsigned long long>(sw.batches_written),
-                  static_cast<unsigned long long>(sw.pages_written),
-                  static_cast<unsigned long long>(sw.pages_read),
-                  static_cast<unsigned long long>(sw.payload_bytes_written),
-                  static_cast<unsigned long long>(sw.fragment_bytes_written),
-                  static_cast<unsigned long long>(sw.blocks_reused));
-    out += buf;
-  } else if (const auto* fixed = fixed_swap_; fixed != nullptr) {
-    const auto& sw = fixed->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "fixed swap: %llu pages written, %llu read, %llu payload bytes\n",
-                  static_cast<unsigned long long>(sw.pages_written),
-                  static_cast<unsigned long long>(sw.pages_read),
-                  static_cast<unsigned long long>(sw.payload_bytes_written));
-    out += buf;
-  } else if (const auto* lfs = lfs_swap_; lfs != nullptr) {
-    const auto& sw = lfs->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "lfs: %llu pages written, %llu read (%llu from buffer), "
-                  "%llu segments written, %llu cleaned, %llu live pages copied\n",
-                  static_cast<unsigned long long>(sw.pages_written),
-                  static_cast<unsigned long long>(sw.pages_read),
-                  static_cast<unsigned long long>(sw.reads_from_buffer),
-                  static_cast<unsigned long long>(sw.segments_written),
-                  static_cast<unsigned long long>(sw.segments_cleaned),
-                  static_cast<unsigned long long>(sw.live_pages_copied));
-    out += buf;
-  }
-
-  if (tier_stack_ != nullptr) {
-    // Device tiers only; the bottom tier is the layout reported above.
-    for (size_t t = 0; t + 1 < tier_stack_->num_tiers(); ++t) {
-      const TierCounters& tc = tier_stack_->tier_counters(t);
-      std::snprintf(buf, sizeof(buf),
-                    "tier %-8s %zu pages (%llu KB), %llu landings, "
-                    "%llu/%llu demotions in/out, %llu reads\n",
-                    tier_stack_->tier_name(t).c_str(), tier_stack_->tier_pages(t),
-                    static_cast<unsigned long long>(tier_stack_->tier_sub_blocks(t)),
-                    static_cast<unsigned long long>(tc.landings),
-                    static_cast<unsigned long long>(tc.demotions_in),
-                    static_cast<unsigned long long>(tc.demotions_out),
-                    static_cast<unsigned long long>(tc.reads));
-      out += buf;
+  std::string_view family;
+  for (const auto& [name, value] : snapshot) {
+    const std::string_view full = name;
+    const size_t dot = full.find('.');
+    if (full.substr(0, dot) != family) {
+      family = full.substr(0, dot);
+      out += out.empty() ? "" : "\n";
+      out += family;
+      out += ':';
+    }
+    if (value != 0.0) {
+      out += ' ';
+      out += full.substr(dot + 1);
+      out += '=';
+      out += JsonWriter().Number(value).str();
     }
   }
-
-  if (write_behind_ != nullptr) {
-    const auto& wb = write_behind_->stats();
-    const auto& ps = pipeline_->stats();
-    std::snprintf(buf, sizeof(buf),
-                  "pipeline: %llu batches submitted (%llu completed, %zu in flight), "
-                  "%llu barrier / %llu backpressure stalls\n"
-                  "prefetch: %llu issued, %llu hits, %llu misses, %llu batched\n",
-                  static_cast<unsigned long long>(wb.batches_submitted),
-                  static_cast<unsigned long long>(wb.batches_completed),
-                  write_behind_->inflight_batches(),
-                  static_cast<unsigned long long>(wb.barrier_stalls),
-                  static_cast<unsigned long long>(wb.backpressure_stalls),
-                  static_cast<unsigned long long>(ps.issued),
-                  static_cast<unsigned long long>(ps.hits),
-                  static_cast<unsigned long long>(ps.misses),
-                  static_cast<unsigned long long>(ps.batched));
-    out += buf;
-  }
-
-  const auto& ds = disk_->stats();
-  std::snprintf(buf, sizeof(buf),
-                "disk: %llu reads / %llu writes, %.1f MB read, %.1f MB written, busy %.3f s\n",
-                static_cast<unsigned long long>(ds.read_ops),
-                static_cast<unsigned long long>(ds.write_ops),
-                static_cast<double>(ds.bytes_read) / 1e6,
-                static_cast<double>(ds.bytes_written) / 1e6, ds.busy_time.seconds());
-  out += buf;
-
-  if (injector_ != nullptr || vm.pages_lost > 0 || vm.pages_recovered > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "faults: %llu injected, %llu read / %llu write retries "
-                  "(%llu exhausted), %llu pages recovered, %llu lost, "
-                  "%llu segments aborted\n",
-                  static_cast<unsigned long long>(
-                      injector_ != nullptr ? injector_->total_injected() : 0),
-                  static_cast<unsigned long long>(ds.read_retries),
-                  static_cast<unsigned long long>(ds.write_retries),
-                  static_cast<unsigned long long>(ds.reads_exhausted + ds.writes_exhausted),
-                  static_cast<unsigned long long>(vm.pages_recovered),
-                  static_cast<unsigned long long>(vm.pages_lost),
-                  static_cast<unsigned long long>(vm.segments_aborted));
-    out += buf;
-  }
-
-  const auto& bc = buffer_cache_->stats();
-  std::snprintf(buf, sizeof(buf), "buffer cache: %zu blocks, %llu hits, %llu misses\n",
-                buffer_cache_->num_blocks(), static_cast<unsigned long long>(bc.hits),
-                static_cast<unsigned long long>(bc.misses));
-  out += buf;
-
-  for (const auto& c : arbiter_.consumers()) {
-    std::snprintf(buf, sizeof(buf), "arbiter: %-10s %llu reclaims, %llu refusals\n",
-                  c.name.c_str(), static_cast<unsigned long long>(c.reclaims),
-                  static_cast<unsigned long long>(c.refusals));
-    out += buf;
-  }
+  out += '\n';
   return out;
 }
 

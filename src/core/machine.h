@@ -52,23 +52,23 @@ enum class CompressedSwapKind {
 // Deterministic fault-injection configuration. Disabled by default: no injector
 // is constructed, no RNG is consumed, and every run is bit-identical to a build
 // without this subsystem. Rates are per-operation probabilities; the `*_nth_*`
-// lists name explicit 1-based operation ordinals for targeted tests.
+// lists name explicit 1-based operation ordinals for targeted tests. Schedules
+// with no field here (sector corruption, read ordinals, power-fail rates) are
+// set with FaultInjector::SetSchedule on Machine::fault_injector().
 struct FaultInjectionOptions {
   bool enabled = false;
   uint64_t seed = 1;
   double disk_read_error_rate = 0.0;
   double disk_write_error_rate = 0.0;
-  double sector_corruption_rate = 0.0;
   double codec_corruption_rate = 0.0;
-  std::vector<uint64_t> fail_nth_disk_reads;
   std::vector<uint64_t> fail_nth_disk_writes;
-  std::vector<uint64_t> corrupt_nth_sectors;
   std::vector<uint64_t> corrupt_nth_codec_ops;
   // Simulated power failure. Counted per 512-byte sector of attempted disk
   // writes; on trigger the disk keeps only a prefix of the in-flight request
   // (the final sector torn), throws PowerFailure, and fails every later I/O.
-  double power_fail_rate = 0.0;
   std::vector<uint64_t> power_fail_nth_sectors;
+
+  bool operator==(const FaultInjectionOptions&) const = default;
 };
 
 // Crash consistency: when enabled, the swap layout of either machine keeps
@@ -163,6 +163,12 @@ struct MachineConfig {
   // the DRAM-share knob: a small cap sends writebacks into the device tiers
   // instead of keeping them in compressed DRAM.
   size_t ccache_max_frames = 0;
+
+  // Returns nullptr when a machine can be built from this config, else the
+  // name of the first rule it breaks; the Machine constructor aborts with that
+  // name. The rules refuse unsafe combinations and inert ones (a setting that
+  // would silently do nothing); DESIGN.md section 14 lists them.
+  const char* Validate() const;
 
   static MachineConfig Unmodified(uint64_t memory_bytes) {
     MachineConfig config;
@@ -285,7 +291,10 @@ class Machine : public FrameSource {
   // published counters. A no-op when pipelining is off.
   void DrainPipeline();
 
-  // Multi-line human-readable stats report.
+  // Human-readable rendering of the metric registry: one line per metric
+  // family (the name's first dotted component, e.g. "vm:"), listing the
+  // family's non-zero entries as `rest.of.name=value` in MetricsJson()'s number
+  // format.
   std::string Report() const;
 
   // Zeros on a machine that was not produced by Recover().
@@ -297,34 +306,6 @@ class Machine : public FrameSource {
   Machine(MachineConfig config, Machine* recover_from);
   void RecoverFrom(Machine& crashed);
   void ChargeMetadataBytes(uint64_t bytes);
-
-  // Routes compression-cache events: VM page keys to the pager, file-block keys
-  // nowhere (the buffer cache re-checks Contains() at miss time; clean file
-  // entries never need cleaning).
-  class EventRouter : public CcacheEvents {
-   public:
-    explicit EventRouter(Machine* machine) : machine_(machine) {}
-    void OnEntryCleaned(PageKey key) override {
-      if (!IsFileKey(key)) {
-        machine_->pager_->OnEntryCleaned(key);
-      }
-    }
-    void OnEntryDropped(PageKey key) override {
-      if (!IsFileKey(key)) {
-        machine_->pager_->OnEntryDropped(key);
-      }
-    }
-    void OnEntryLost(PageKey key) override {
-      // File-block entries are inserted clean, so they can never be lost to a
-      // failed write-out; only VM pages reach this event.
-      if (!IsFileKey(key)) {
-        machine_->pager_->OnEntryLost(key);
-      }
-    }
-
-   private:
-    Machine* machine_;
-  };
 
   void BindAllMetrics();
   void RegisterAuditChecks();
@@ -341,7 +322,6 @@ class Machine : public FrameSource {
   ScratchArena scratch_arena_;
   std::unique_ptr<EventTracer> tracer_;
   std::unique_ptr<FaultInjector> injector_;
-  EventRouter event_router_{this};
   std::unique_ptr<Codec> codec_;
   std::unique_ptr<DiskDevice> disk_;
   std::unique_ptr<FileSystem> fs_;

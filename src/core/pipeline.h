@@ -67,6 +67,8 @@ struct PipelineOptions {
   // file blocks (one disk operation — the seek is already paid), and
   // decompress-ahead the coresident neighbors it returns. 0 disables.
   uint32_t fault_batch_window = 0;
+
+  bool operator==(const PipelineOptions&) const = default;
 };
 
 struct PrefetchStats {

@@ -9,7 +9,6 @@ namespace compcache {
 
 FileSystem::FileSystem(DiskDevice* disk, Options options) : disk_(disk), options_(options) {
   CC_EXPECTS(disk_ != nullptr);
-  CC_EXPECTS(options_.extent_blocks > 0);
 }
 
 FileId FileSystem::Create(std::string name) {
@@ -63,8 +62,8 @@ uint64_t FileSystem::AllocateDiskBlock(File& f) {
     // Carve a fresh extent from the global bump allocator. Extents keep one file's
     // blocks contiguous even when several files grow at once.
     f.extent_cursor = next_free_disk_block_;
-    f.extent_remaining = options_.extent_blocks;
-    next_free_disk_block_ += options_.extent_blocks;
+    f.extent_remaining = kExtentBlocks;
+    next_free_disk_block_ += kExtentBlocks;
     CC_ASSERT(next_free_disk_block_ * kFsBlockSize <= disk_->capacity());
   }
   const uint64_t block = f.extent_cursor;

@@ -63,9 +63,6 @@ class FileSystem {
  public:
   struct Options {
     bool allow_partial_block_write = false;
-    // New blocks for a file are allocated from per-file extents of this many
-    // blocks, keeping a file's block run mostly contiguous on disk.
-    uint32_t extent_blocks = 64;
   };
 
   FileSystem(DiskDevice* disk, Options options);
@@ -104,6 +101,10 @@ class FileSystem {
   void BindMetrics(MetricRegistry* registry);
 
  private:
+  // New blocks for a file are allocated from per-file extents of this many
+  // blocks, keeping a file's block run mostly contiguous on disk.
+  static constexpr uint32_t kExtentBlocks = 64;
+
   struct File {
     std::string name;
     uint64_t size = 0;

@@ -490,14 +490,22 @@ bool Pager::ReleaseOldest() {
   return evicted;
 }
 
+// File-block entries (compress_file_cache) belong to the buffer cache, which
+// re-checks Contains() at miss time; they are inserted clean, so they are never
+// cleaned or lost, and a dropped one needs no VM bookkeeping.
 void Pager::OnEntryCleaned(PageKey key) {
-  CC_EXPECTS(!IsFileKey(key));  // the machine's router keeps file keys away
+  if (IsFileKey(key)) {
+    return;
+  }
   PageEntry& entry = EntryFor(key);
   CC_ASSERT(entry.has_ccache_copy);
   entry.has_backing_copy = true;
 }
 
 void Pager::OnEntryDropped(PageKey key) {
+  if (IsFileKey(key)) {
+    return;
+  }
   PageEntry& entry = EntryFor(key);
   CC_ASSERT(entry.has_ccache_copy);
   entry.has_ccache_copy = false;
@@ -511,6 +519,9 @@ void Pager::OnEntryLost(PageKey key) {
   // A dirty compressed copy was reclaimed after its write-out failed; no valid
   // copy exists outside memory (the stale backing copy died when the page was
   // dirtied). The ccache already traced the loss.
+  if (IsFileKey(key)) {
+    return;
+  }
   PageEntry& entry = EntryFor(key);
   CC_ASSERT(entry.has_ccache_copy);
   CC_ASSERT(!entry.has_backing_copy);

@@ -194,7 +194,7 @@ class Pager : public CcacheEvents {
   uint64_t OldestAge() const;
   bool ReleaseOldest();
 
-  // --- CcacheEvents ---
+  // --- CcacheEvents (file-block keys are the buffer cache's and ignored) ---
   void OnEntryCleaned(PageKey key) override;
   void OnEntryDropped(PageKey key) override;
   void OnEntryLost(PageKey key) override;

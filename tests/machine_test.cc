@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <set>
+#include <string>
+
 #include "compress/pagegen.h"
 #include "core/machine.h"
 #include "tests/test_util.h"
@@ -30,6 +35,31 @@ TEST(MachineTest, MetadataChargeCanBeDisabled) {
   EXPECT_EQ(machine.metadata_frames(), 0u);
   machine.NewHeap(1024 * kPageSize);
   EXPECT_EQ(machine.metadata_frames(), 0u);
+}
+
+TEST(MachineTest, ReportListsEveryMetricFamily) {
+  // Report() renders the registry, so it covers every family a bench's JSON
+  // carries, all-zero families included, one line each.
+  Machine machine(SmallConfig(true));
+  Heap heap = machine.NewHeap(3 * kMiB);
+  for (uint64_t p = 0; p < heap.size_bytes() / kPageSize; ++p) {
+    heap.Store<uint32_t>(p * kPageSize, static_cast<uint32_t>(p));
+  }
+  const std::string report = "\n" + machine.Report();
+  std::set<std::string> families;
+  for (const auto& [name, value] : machine.metrics().Snapshot()) {
+    families.insert(name.substr(0, name.find('.')));
+  }
+  for (const std::string& family : families) {
+    EXPECT_NE(report.find("\n" + family + ":"), std::string::npos) << family;
+  }
+  EXPECT_EQ(static_cast<size_t>(std::count(report.begin(), report.end(), '\n')),
+            families.size() + 1);
+  // A non-zero entry is listed under its family as rest.of.name=value.
+  const std::string faults = " faults=" + std::to_string(machine.pager().stats().faults) + " ";
+  const size_t vm_line = report.find("\nvm:");
+  ASSERT_NE(vm_line, std::string::npos);
+  EXPECT_LT(report.find(faults, vm_line), report.find('\n', vm_line + 1));
 }
 
 TEST(MachineTest, ReportMentionsSubsystems) {
@@ -299,6 +329,173 @@ TEST(MachineTest, LfsSwapWorksEndToEnd) {
     ASSERT_EQ(out, shadow[p]) << p;
   }
   machine.pager().CheckInvariants();
+}
+
+TEST(MachineTest, DroppedFileCacheEntriesLeaveThePagerAlone) {
+  // With no heap every compression-cache entry holds a file block, so every
+  // drop the pager hears of has a file key, which it ignores.
+  MachineConfig config = SmallConfig(true, 2 * kMiB);
+  config.compress_file_cache = true;
+  Machine machine(config);
+  const FileId f = machine.fs().Create("data");
+  Rng rng(14);
+  std::vector<uint8_t> block(kFsBlockSize);
+  // 8 MB of text stays larger than the 2 MB machine once compressed.
+  const uint64_t blocks = (8 * kMiB) / kFsBlockSize;
+  for (uint64_t b = 0; b < blocks; ++b) {
+    FillPage(block, ContentClass::kText, rng);
+    machine.buffer_cache().Write(f, b * kFsBlockSize, block);
+  }
+  machine.buffer_cache().FlushAll();
+  std::vector<uint8_t> expected(kFsBlockSize);
+  for (int pass = 0; pass < 4 && machine.ccache()->stats().entries_dropped == 0; ++pass) {
+    for (uint64_t b = 0; b < blocks; ++b) {
+      machine.buffer_cache().Read(f, b * kFsBlockSize, block);
+      machine.fs().Read(f, b * kFsBlockSize, expected);
+      ASSERT_EQ(block, expected) << "block " << b;
+    }
+  }
+  EXPECT_GT(machine.ccache()->stats().entries_dropped, 0u);
+  EXPECT_EQ(machine.pager().num_segments(), 0u);
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
+// One case per MachineConfig::Validate() rule: a config that breaks only that
+// rule is refused under its name.
+struct RuleCase {
+  const char* rule;
+  MachineConfig (*make)();
+};
+
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.rule; }
+
+TierSpec DeviceTier() {
+  TierSpec spec;
+  spec.name = "ssd";
+  return spec;
+}
+
+const RuleCase kRuleCases[] = {
+    {"memory-below-32-pages", [] { return SmallConfig(true, 31 * kPageSize); }},
+    {"pipeline-needs-ccache",
+     [] {
+       MachineConfig c = SmallConfig(false);
+       c.pipeline.enabled = true;
+       return c;
+     }},
+    {"tiers-need-ccache",
+     [] {
+       MachineConfig c = SmallConfig(false);
+       c.tiers.enabled = true;
+       return c;
+     }},
+    {"durability-with-device-tiers",
+     [] {
+       MachineConfig c = SmallConfig(true);
+       c.durability.enabled = true;
+       c.tiers.enabled = true;
+       c.tiers.tiers = {DeviceTier()};
+       return c;
+     }},
+    {"write-behind-depth-zero",
+     [] {
+       MachineConfig c = SmallConfig(true);
+       c.pipeline.enabled = true;
+       c.pipeline.write_behind_depth = 0;
+       return c;
+     }},
+    {"ccache-max-frames-below-4",
+     [] {
+       MachineConfig c = SmallConfig(true);
+       c.ccache_max_frames = 3;
+       return c;
+     }},
+    {"pipeline-fields-while-disabled",
+     [] {
+       MachineConfig c = SmallConfig(true);
+       c.pipeline.prefetch = true;
+       return c;
+     }},
+    {"tier-list-while-disabled",
+     [] {
+       MachineConfig c = SmallConfig(true);
+       c.tiers.tiers = {DeviceTier()};
+       return c;
+     }},
+    {"fault-fields-while-disabled",
+     [] {
+       MachineConfig c = SmallConfig(true);
+       c.fault_injection.disk_read_error_rate = 0.01;
+       return c;
+     }},
+    {"file-cache-compression-needs-ccache",
+     [] {
+       MachineConfig c = SmallConfig(false);
+       c.compress_file_cache = true;
+       return c;
+     }},
+    {"adaptive-compression-needs-ccache",
+     [] {
+       MachineConfig c = SmallConfig(false);
+       c.adaptive_compression.enabled = true;
+       return c;
+     }},
+    {"ccache-max-frames-needs-ccache",
+     [] {
+       MachineConfig c = SmallConfig(false);
+       c.ccache_max_frames = 64;
+       return c;
+     }},
+};
+
+std::string RuleParamName(const ::testing::TestParamInfo<RuleCase>& param) {
+  std::string name = param.param.rule;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+class ValidateRuleTest : public ::testing::TestWithParam<RuleCase> {};
+
+TEST_P(ValidateRuleTest, NamesTheBrokenRule) {
+  const char* rule = GetParam().make().Validate();
+  ASSERT_NE(rule, nullptr);
+  EXPECT_STREQ(rule, GetParam().rule);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryRule, ValidateRuleTest, ::testing::ValuesIn(kRuleCases),
+                         RuleParamName);
+
+TEST(ValidateTest, AcceptsEachRuleBoundary) {
+  EXPECT_EQ(SmallConfig(false).Validate(), nullptr);
+  EXPECT_EQ(SmallConfig(true).Validate(), nullptr);
+  EXPECT_EQ(SmallConfig(true, 32 * kPageSize).Validate(), nullptr);
+
+  MachineConfig config = SmallConfig(true);
+  config.ccache_max_frames = 4;
+  EXPECT_EQ(config.Validate(), nullptr);
+
+  // Durability with the degenerate stack: nothing sits in front of the disk.
+  config = SmallConfig(true);
+  config.durability.enabled = true;
+  config.tiers.enabled = true;
+  EXPECT_EQ(config.Validate(), nullptr);
+
+  config = SmallConfig(false);
+  config.fault_injection.enabled = true;
+  config.fault_injection.power_fail_nth_sectors = {9};
+  EXPECT_EQ(config.Validate(), nullptr);
+
+  config = SmallConfig(true);
+  config.pipeline.enabled = true;
+  config.pipeline.prefetch = true;
+  EXPECT_EQ(config.Validate(), nullptr);
+}
+
+TEST(MachineDeathTest, RefusedConfigAbortsWithTheRuleName) {
+  MachineConfig config = SmallConfig(true);
+  config.pipeline.enabled = true;
+  config.pipeline.write_behind_depth = 0;
+  EXPECT_DEATH(Machine{config}, "write-behind-depth-zero");
 }
 
 }  // namespace
