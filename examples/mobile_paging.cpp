@@ -25,7 +25,7 @@ double RunOne(bool use_ccache, BackingKind backing, double bandwidth_bytes_per_s
                                     : MachineConfig::Unmodified(kMemory);
   config.backing = backing;
   config.network_params.bandwidth_bytes_per_sec = bandwidth_bytes_per_sec;
-  if (backing == BackingKind::kNetworkLink) {
+  if (use_ccache && backing == BackingKind::kNetworkLink) {
     // The slower the backing store, the more a dropped compressed page costs to
     // refetch, so retain the cache harder (the paper's section-4.2 penalty is
     // environment-dependent).

@@ -52,9 +52,7 @@ void GoldIndex::PrepareCorpus() {
     offset += msg.size() + 1;
   }
   message_offsets_.push_back(offset);
-  machine_.fs().Write(
-      corpus_, 0,
-      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(blob.data()), blob.size()));
+  WriteTextFile(machine_.fs(), corpus_, blob);
 }
 
 std::optional<size_t> GoldIndex::LookupSlot(uint64_t hash, bool create, GoldPhaseResult& r) {

@@ -208,9 +208,7 @@ bool TextSort::Step(Machine& machine) {
                                        options_.partial_displacement, options_.seed + 1);
       const std::string text = JoinWords(words);
       input_ = machine.fs().Create("sort.input");
-      machine.fs().Write(input_, 0,
-                         std::span<const uint8_t>(
-                             reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+      WriteTextFile(machine.fs(), input_, text);
 
       text_bytes_ = text.size();
       num_words_ = words.size();

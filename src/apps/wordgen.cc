@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.h"
+#include "util/units.h"
 
 namespace compcache {
 
@@ -133,6 +134,26 @@ std::string MakeMessage(const std::vector<std::string>& dictionary, size_t appro
     }
   }
   return body;
+}
+
+void WriteTextFile(FileSystem& fs, FileId file, std::string_view text) {
+  const std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(text.data()),
+                                       text.size());
+  if (fs.Write(file, 0, bytes) == IoStatus::kOk) {
+    return;
+  }
+  constexpr size_t kPieceBytes = 64 * kKiB;
+  // At a 2% block fault rate a piece fails all four disk attempts with
+  // probability ~0.006; a hundred failed rewrites in a row is a broken disk.
+  constexpr int kMaxRewrites = 100;
+  for (size_t offset = 0; offset < bytes.size(); offset += kPieceBytes) {
+    const auto piece = bytes.subspan(offset, std::min(kPieceBytes, bytes.size() - offset));
+    int rewrites = 0;
+    while (fs.Write(file, offset, piece) != IoStatus::kOk) {
+      ++rewrites;
+      CC_ASSERT(rewrites < kMaxRewrites);
+    }
+  }
 }
 
 }  // namespace compcache

@@ -7,8 +7,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "fs/file_system.h"
 #include "util/rng.h"
 
 namespace compcache {
@@ -38,6 +40,12 @@ std::string JoinWords(const std::vector<std::string>& words);
 // words from the dictionary (for the Gold corpus).
 std::string MakeMessage(const std::vector<std::string>& dictionary, size_t approx_bytes,
                         Rng& rng);
+
+// Writes `text` as the whole of `file`, an app's input set up before its run.
+// Each 4 KB block of a disk request draws its own injected fault, so one large
+// write can outlast the disk's retries; a failed write is redone in 64 KB
+// pieces, each retried until it lands.
+void WriteTextFile(FileSystem& fs, FileId file, std::string_view text);
 
 }  // namespace compcache
 

@@ -46,6 +46,15 @@ namespace compcache {
 
 class InvariantAuditor;
 
+// Zero-page marker: the one-byte backing-store image of an all-zero page's
+// payload-free entry. The cache recognizes it before any codec runs; no codec
+// reads or writes it (a codec image of a page is never one byte long).
+inline constexpr uint8_t kContainerZeroPage = 0x02;
+
+inline bool IsZeroPageMarker(std::span<const uint8_t> image) {
+  return image.size() == 1 && image[0] == kContainerZeroPage;
+}
+
 // State transitions the cache reports to the VM system so that page-table state
 // stays coherent with the cache's own bookkeeping.
 class CcacheEvents {
@@ -76,6 +85,8 @@ struct AdaptiveCompressionOptions {
   uint32_t window = 64;
   double disable_at_reject_rate = 0.9;
   uint32_t probe_interval = 32;
+
+  bool operator==(const AdaptiveCompressionOptions&) const = default;
 };
 
 struct CcacheOptions {

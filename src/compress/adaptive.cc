@@ -104,12 +104,6 @@ bool AdaptiveCodec::TryDecompress(std::span<const uint8_t> src, std::span<uint8_
   if (src.empty()) {
     return false;
   }
-  if (IsZeroPageMarker(src)) {
-    if (n > 0) {
-      std::memset(dst.data(), 0, n);
-    }
-    return true;
-  }
   if (src[0] == kContainerRaw) {
     if (src.size() != n + 1) {
       return false;

@@ -4,8 +4,7 @@
 // The probe reads a prefix only, so selection cost stays far below one full
 // encode; the bet is the paper's: page contents are homogeneous enough that a
 // prefix predicts the page. All-zero pages never reach a codec in the machine:
-// the compression cache's zero-page fast path stores them as the shared
-// marker first.
+// the compression cache's zero-page fast path catches them first.
 //
 // Wire format: fallbacks emit the bare raw container (shared with every other
 // codec); a compressed pick emits [kContainerAdaptive][member id][member's own

@@ -50,11 +50,6 @@ class Codec {
 // Container flags shared by the codecs in this library.
 inline constexpr uint8_t kContainerRaw = 0x00;        // payload is stored verbatim
 inline constexpr uint8_t kContainerCompressed = 0x01;  // payload is codec bitstream
-// Zero-page marker: the image is this single byte and the original page was
-// all zeros. Produced by the compression cache's zero-page fast path (the
-// codec, CRC, and ring payload are all bypassed); every codec's TryDecompress
-// accepts it so a marker read back from any backing store decodes uniformly.
-inline constexpr uint8_t kContainerZeroPage = 0x02;
 
 // Word-wise all-zero scan; the compression cache runs this on every evicted
 // page before any codec work. Unaligned heads/tails are handled bytewise.
@@ -80,10 +75,6 @@ inline bool IsZeroPage(std::span<const uint8_t> page) {
     }
   }
   return true;
-}
-
-inline bool IsZeroPageMarker(std::span<const uint8_t> image) {
-  return image.size() == 1 && image[0] == kContainerZeroPage;
 }
 
 }  // namespace compcache

@@ -189,12 +189,6 @@ bool FpcCodec::TryDecompress(std::span<const uint8_t> src, std::span<uint8_t> ds
   if (src.empty()) {
     return false;
   }
-  if (IsZeroPageMarker(src)) {
-    if (n > 0) {
-      std::memset(dst.data(), 0, n);
-    }
-    return true;
-  }
   if (src[0] == kContainerRaw) {
     if (src.size() != n + 1) {
       return false;

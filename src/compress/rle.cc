@@ -76,12 +76,6 @@ bool RleCodec::TryDecompress(std::span<const uint8_t> src, std::span<uint8_t> ds
   if (src.empty()) {
     return false;
   }
-  if (IsZeroPageMarker(src)) {
-    if (!dst.empty()) {
-      std::memset(dst.data(), 0, dst.size());
-    }
-    return true;
-  }
   const size_t n = dst.size();
   const uint8_t* in = src.data() + 1;
   const uint8_t* const in_end = src.data() + src.size();

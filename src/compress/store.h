@@ -25,12 +25,6 @@ class StoreCodec : public Codec {
   }
 
   bool TryDecompress(std::span<const uint8_t> src, std::span<uint8_t> dst) override {
-    if (IsZeroPageMarker(src)) {
-      if (!dst.empty()) {
-        std::memset(dst.data(), 0, dst.size());
-      }
-      return true;
-    }
     if (src.empty() || src[0] != kContainerRaw || src.size() != dst.size() + 1) {
       return false;
     }

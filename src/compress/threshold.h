@@ -40,6 +40,8 @@ class CompressionThreshold {
     return static_cast<double>(num_) / static_cast<double>(den_);
   }
 
+  constexpr bool operator==(const CompressionThreshold&) const = default;
+
  private:
   uint32_t num_;
   uint32_t den_;

@@ -192,12 +192,6 @@ bool WkCodec::TryDecompress(std::span<const uint8_t> src, std::span<uint8_t> dst
   if (src.empty()) {
     return false;
   }
-  if (IsZeroPageMarker(src)) {
-    if (!dst.empty()) {
-      std::memset(dst.data(), 0, dst.size());
-    }
-    return true;
-  }
   const size_t n = dst.size();
   if (src[0] == kContainerRaw) {
     if (src.size() != n + 1) {

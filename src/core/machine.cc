@@ -63,15 +63,20 @@ const char* MachineConfig::Validate() const {
   if (!fault_injection.enabled && fault_injection != FaultInjectionOptions{}) {
     return "fault-fields-while-disabled";
   }
+  // The unmodified machine has no compression cache, codec or compressed
+  // layout (it pages raw to the fixed-offset layout), so it reads none of these.
   if (!use_compression_cache) {
-    if (compress_file_cache) {
-      return "file-cache-compression-needs-ccache";
-    }
-    if (adaptive_compression.enabled) {
-      return "adaptive-compression-needs-ccache";
-    }
-    if (ccache_max_frames != 0) {
-      return "ccache-max-frames-needs-ccache";
+    const MachineConfig defaults;
+    if (codec != defaults.codec || codec_hash_bits != defaults.codec_hash_bits ||
+        threshold != defaults.threshold || compressed_swap != defaults.compressed_swap ||
+        write_batch_bytes != defaults.write_batch_bytes ||
+        allow_block_spanning != defaults.allow_block_spanning ||
+        insert_coresidents != defaults.insert_coresidents ||
+        biases.ccache != defaults.biases.ccache ||
+        compress_file_cache != defaults.compress_file_cache ||
+        adaptive_compression != defaults.adaptive_compression ||
+        ccache_max_frames != defaults.ccache_max_frames) {
+      return "ccache-settings-need-ccache";
     }
   }
   return nullptr;
@@ -210,9 +215,8 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     }
     if (config_.pipeline.enabled) {
       pipeline_ = std::make_unique<PipelineEngine>(&clock_, &config_.costs, this, ccache_.get(),
-                                                   config_.pipeline);
-      pipeline_->SetPager(pager_.get());
-      pager_->SetPrefetcher(pipeline_.get());
+                                                   pager_.get(), config_.pipeline);
+      pager_->SetPipeline(pipeline_.get());
     }
 
     if (config_.charge_metadata_overhead) {
@@ -579,6 +583,7 @@ Heap Machine::NewHeap(uint64_t bytes, SimDuration cpu_per_access) {
 
 FrameId Machine::AllocateFrame() {
   int spins = 0;
+  int refused = 0;
   while (true) {
     CC_ASSERT(++spins < 1'000'000 && "AllocateFrame livelock");
     if (const auto frame = pool_.TryAllocate(); frame.has_value()) {
@@ -589,7 +594,10 @@ FrameId Machine::AllocateFrame() {
     if (ccache_ != nullptr && ccache_->FreeOneDeadSlot()) {
       continue;
     }
-    if (!arbiter_.ReclaimOne()) {
+    // Under injected disk faults every consumer can refuse because each
+    // victim's write-out exhausted the disk's retries; a later round draws
+    // fresh faults, so only a run of refusals is a wedge.
+    if (!arbiter_.ReclaimOne() && ++refused >= 64) {
       std::fprintf(stderr, "machine wedged: no frames and nothing reclaimable\n");
       std::abort();
     }

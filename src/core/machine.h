@@ -13,7 +13,6 @@
 
 #include "ccache/compression_cache.h"
 #include "compress/registry.h"
-#include "core/pipeline.h"
 #include "disk/disk_device.h"
 #include "fs/buffer_cache.h"
 #include "fs/file_system.h"
@@ -33,6 +32,7 @@
 #include "vm/frame_source.h"
 #include "vm/heap.h"
 #include "vm/pager.h"
+#include "vm/pipeline.h"
 
 namespace compcache {
 

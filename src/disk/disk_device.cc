@@ -27,52 +27,32 @@ void DiskDevice::ResetStats() {
   }
 }
 
-void DiskDevice::BeginDeferred() {
-  CC_EXPECTS(!deferred_active_);
-  deferred_active_ = true;
-  window_charges_ = 0;
-  window_busy_ = SimDuration{};
-}
-
-SimTime DiskDevice::EndDeferred() {
-  CC_EXPECTS(deferred_active_);
-  deferred_active_ = false;
-  // A window that issued no requests completes immediately; otherwise the
-  // window's work is done when the background queue drains.
-  return window_charges_ == 0 ? clock_->Now() : deferred_busy_until_;
-}
-
 void DiskDevice::Charge(uint64_t offset, uint64_t length) {
-  if (deferred_active_) {
+  SimDuration device_cost;
+  if (clock_->in_background_window()) {
     // Background request: stamp it at its actual issue time — behind whatever
     // is already queued, but no earlier than now — and accumulate its service
-    // time on the deferred timeline instead of the caller's clock. Using the
+    // time on the background timeline instead of the caller's clock. Using the
     // issue time (not the submit time) for the timing model keeps the head
     // position honest and makes disk.access_ns reflect real issue order.
-    SimTime issue = std::max(deferred_busy_until_, clock_->Now());
-    issue = issue + setup_overhead_;
-    const SimDuration device_cost = timing_->Access(issue, offset, length);
-    deferred_busy_until_ = issue + device_cost;
-    stats_.busy_time += setup_overhead_ + device_cost;
-    ++window_charges_;
-    window_busy_ += setup_overhead_ + device_cost;
-    if (access_latency_ != nullptr) {
-      access_latency_->Observe(static_cast<double>((setup_overhead_ + device_cost).nanos()));
+    const SimTime issue = std::max(background_busy_until_, clock_->Now()) + setup_overhead_;
+    device_cost = timing_->Access(issue, offset, length);
+    background_busy_until_ = issue + device_cost;
+    clock_->ReportBackgroundIo(background_busy_until_, setup_overhead_ + device_cost);
+  } else {
+    // Foreground request: the device is one FIFO queue, so first wait out any
+    // background work still in flight (charged to the caller — this is the
+    // price of write-behind showing up on the fault path).
+    if (background_busy_until_ > clock_->Now()) {
+      const SimDuration wait = background_busy_until_ - clock_->Now();
+      clock_->Advance(wait, TimeCategory::kIo);
+      stats_.queue_wait_time += wait;
     }
-    return;
+    // The setup overhead elapses before the device starts working on the request.
+    clock_->Advance(setup_overhead_, TimeCategory::kIo);
+    device_cost = timing_->Access(clock_->Now(), offset, length);
+    clock_->Advance(device_cost, TimeCategory::kIo);
   }
-  // Foreground request: the device is one FIFO queue, so first wait out any
-  // deferred work still in flight (charged to the caller — this is the price
-  // of write-behind showing up on the fault path).
-  if (deferred_busy_until_ > clock_->Now()) {
-    const SimDuration wait = deferred_busy_until_ - clock_->Now();
-    clock_->Advance(wait, TimeCategory::kIo);
-    stats_.queue_wait_time += wait;
-  }
-  // The setup overhead elapses before the device starts working on the request.
-  clock_->Advance(setup_overhead_, TimeCategory::kIo);
-  const SimDuration device_cost = timing_->Access(clock_->Now(), offset, length);
-  clock_->Advance(device_cost, TimeCategory::kIo);
   stats_.busy_time += setup_overhead_ + device_cost;
   if (access_latency_ != nullptr) {
     access_latency_->Observe(static_cast<double>((setup_overhead_ + device_cost).nanos()));
@@ -87,21 +67,18 @@ void DiskDevice::ChargeBackoff(uint32_t attempt) {
   const auto backoff = SimDuration::Nanos(static_cast<int64_t>(
       static_cast<double>(retry_policy_.initial_backoff.nanos()) * scale));
   stats_.retry_backoff_time += backoff;
-  if (deferred_active_) {
+  SimTime retry_at;
+  if (clock_->in_background_window()) {
     // The retry waits on the background timeline, after the failed attempt.
-    deferred_busy_until_ =
-        std::max(deferred_busy_until_, clock_->Now()) + backoff;
-    ++window_charges_;
-    window_busy_ += backoff;
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kDiskRetry, deferred_busy_until_, attempt,
-                      static_cast<uint64_t>(backoff.nanos()));
-    }
-    return;
+    background_busy_until_ = std::max(background_busy_until_, clock_->Now()) + backoff;
+    clock_->ReportBackgroundIo(background_busy_until_, backoff);
+    retry_at = background_busy_until_;
+  } else {
+    clock_->Advance(backoff, TimeCategory::kIo);
+    retry_at = clock_->Now();
   }
-  clock_->Advance(backoff, TimeCategory::kIo);
   if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventKind::kDiskRetry, clock_->Now(), attempt,
+    tracer_->Record(TraceEventKind::kDiskRetry, retry_at, attempt,
                     static_cast<uint64_t>(backoff.nanos()));
   }
 }

@@ -12,6 +12,13 @@
 // Latent sector corruption (a stored bit flipping after an otherwise successful
 // write) is injected silently — the device has no checksums, by design; the swap
 // backends and the compression cache detect it at read time.
+//
+// While the clock's background-I/O window is open (a write-behind batch), a
+// request moves bytes and draws fault ordinals as usual, but is queued on this
+// device's background timeline at its actual issue time — the later of now and
+// the end of the queued background work — and reported to the clock instead of
+// advancing it. A foreground request first waits out queued background work
+// (the device is one FIFO queue), charged as kIo and counted in queue_wait_time.
 #ifndef COMPCACHE_DISK_DISK_DEVICE_H_
 #define COMPCACHE_DISK_DISK_DEVICE_H_
 
@@ -24,7 +31,6 @@
 
 #include "disk/disk_model.h"
 #include "sim/clock.h"
-#include "util/assert.h"
 #include "util/fault.h"
 #include "util/io_status.h"
 #include "util/metrics.h"
@@ -39,8 +45,8 @@ struct DiskStats {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   SimDuration busy_time;
-  // Foreground time spent waiting for deferred (write-behind) requests already
-  // queued at the device — the FIFO ordering cost of background I/O.
+  // Foreground time spent waiting for background (write-behind) requests
+  // already queued at the device — the FIFO ordering cost of background I/O.
   SimDuration queue_wait_time;
   // Retry-policy outcomes under fault injection (all zero without an injector).
   uint64_t read_retries = 0;
@@ -83,7 +89,7 @@ class DiskDevice {
   // Returns kFailed when injected transient errors outlast the retry policy
   // (out is untouched past the failed attempt's zero guarantee: nothing is
   // copied on failure).
-  IoStatus Read(uint64_t offset, std::span<uint8_t> out);
+  [[nodiscard]] IoStatus Read(uint64_t offset, std::span<uint8_t> out);
 
   // Writes `data` at `offset`. Returns kFailed when retries are exhausted; the
   // stored bytes are unchanged in that case. Throws PowerFailure when the
@@ -91,7 +97,7 @@ class DiskDevice {
   // persisted before the cut (whole 512-byte sectors plus part of the torn
   // one) is kept, the rest of the request is lost, and the device is dead
   // (power_failed()) from then on.
-  IoStatus Write(uint64_t offset, std::span<const uint8_t> data);
+  [[nodiscard]] IoStatus Write(uint64_t offset, std::span<const uint8_t> data);
 
   // True once a PowerFailure has fired. A dead device fails every subsequent
   // Read/Write immediately (no time charged, no fault ordinals consumed), so
@@ -114,49 +120,6 @@ class DiskDevice {
   // Attaches fault injection; nullptr (the default) restores the perfect
   // device.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
-
-  // --- async request lifecycle (write-behind) ---
-  // While a deferred window is open, Read/Write move bytes and consume fault
-  // ordinals exactly as in the synchronous path, but device time accumulates
-  // on a background timeline instead of advancing the caller's clock. Each
-  // request is stamped at its actual (virtual) issue time — the later of "now"
-  // and the end of the previously queued request — so the timing model's
-  // positional state and the disk.access_ns histogram reflect the order the
-  // device really services requests, not the submit instant. EndDeferred
-  // returns the virtual time at which everything submitted in the window
-  // completes. Windows do not nest.
-  //
-  // Outside a window, a request first waits for any still-pending deferred
-  // work (the device is a single FIFO queue); that wait is charged to the
-  // caller as kIo and counted in queue_wait_time.
-  void BeginDeferred();
-  SimTime EndDeferred();
-
-  // RAII wrapper: opens a deferred window for its lifetime; Close() (or the
-  // destructor) ends it. Safe against exceptions thrown mid-window
-  // (PowerFailure), which would otherwise leave the device stuck in
-  // deferred mode.
-  class DeferredScope {
-   public:
-    explicit DeferredScope(DiskDevice* disk) : disk_(disk) { disk_->BeginDeferred(); }
-    ~DeferredScope() {
-      if (open_) disk_->EndDeferred();
-    }
-    DeferredScope(const DeferredScope&) = delete;
-    DeferredScope& operator=(const DeferredScope&) = delete;
-    // Ends the window and returns the completion time of its requests.
-    SimTime Close() {
-      CC_EXPECTS(open_);
-      open_ = false;
-      return disk_->EndDeferred();
-    }
-    // Device time accumulated by requests in this window so far.
-    SimDuration busy() const { return disk_->window_busy_; }
-
-   private:
-    DiskDevice* disk_;
-    bool open_ = true;
-  };
 
   // --- observability ---
   // Publishes counters as "disk.*" / "retry.*" gauges and creates the
@@ -185,13 +148,9 @@ class DiskDevice {
   RetryPolicy retry_policy_;
   std::unordered_map<uint64_t, std::unique_ptr<Chunk>> chunks_;
   DiskStats stats_;
-  bool deferred_active_ = false;
-  // End of the busiest queued deferred request; requests (deferred or not)
+  // End of the last queued background request; requests (background or not)
   // issue no earlier than this.
-  SimTime deferred_busy_until_;
-  // Charges accumulated by the currently open window (count and device time).
-  uint64_t window_charges_ = 0;
-  SimDuration window_busy_;
+  SimTime background_busy_until_;
   bool power_failed_ = false;
   FaultInjector* injector_ = nullptr;
   LatencyHistogram* access_latency_ = nullptr;  // owned by the bound registry

@@ -84,8 +84,8 @@ class FileSystem {
   // A device failure (retries exhausted under fault injection) surfaces as
   // kFailed: `out` is unspecified for a failed read; a failed write leaves the
   // file size unchanged and may have stored only a prefix of the request.
-  IoStatus Read(FileId file, uint64_t offset, std::span<uint8_t> out);
-  IoStatus Write(FileId file, uint64_t offset, std::span<const uint8_t> data);
+  [[nodiscard]] IoStatus Read(FileId file, uint64_t offset, std::span<uint8_t> out);
+  [[nodiscard]] IoStatus Write(FileId file, uint64_t offset, std::span<const uint8_t> data);
 
   uint64_t FileSize(FileId file) const;
 

@@ -8,8 +8,10 @@
 #ifndef COMPCACHE_SIM_CLOCK_H_
 #define COMPCACHE_SIM_CLOCK_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <optional>
 
 #include "util/assert.h"
 #include "util/time_types.h"
@@ -57,9 +59,54 @@ class Clock {
     return by_category_[static_cast<size_t>(category)];
   }
 
+  // --- background-I/O window (write-behind) ---
+  struct BackgroundIo {
+    SimTime complete_at;      // when the last of them finishes; never before the close
+    SimDuration device_time;  // service time they added to the device queues
+  };
+
+  // Opens a window for its lifetime. Requests issued inside it move bytes and
+  // draw fault ordinals as usual, but each device on this clock queues them on
+  // its own background timeline and reports them through ReportBackgroundIo
+  // instead of advancing the clock. Close() ends the window; the destructor
+  // ends one an exception (PowerFailure mid-batch) left open. Windows do not
+  // nest.
+  class BackgroundWindow {
+   public:
+    explicit BackgroundWindow(Clock* clock) : clock_(clock) {
+      CC_EXPECTS(!clock_->background_.has_value());
+      clock_->background_.emplace();
+    }
+    ~BackgroundWindow() { clock_->background_.reset(); }
+    BackgroundWindow(const BackgroundWindow&) = delete;
+    BackgroundWindow& operator=(const BackgroundWindow&) = delete;
+
+    // Ends the window; an empty one completes now.
+    BackgroundIo Close() {
+      BackgroundIo io = clock_->background_.value();
+      clock_->background_.reset();
+      io.complete_at = std::max(io.complete_at, clock_->Now());
+      return io;
+    }
+
+   private:
+    Clock* clock_;
+  };
+
+  bool in_background_window() const { return background_.has_value(); }
+
+  // A device reports one request of the open window: it ends at `end` on the
+  // device's background timeline and kept the device busy for `busy`.
+  void ReportBackgroundIo(SimTime end, SimDuration busy) {
+    CC_EXPECTS(background_.has_value());
+    background_->complete_at = std::max(background_->complete_at, end);
+    background_->device_time += busy;
+  }
+
  private:
   SimTime now_;
   std::array<SimDuration, static_cast<size_t>(TimeCategory::kCount)> by_category_{};
+  std::optional<BackgroundIo> background_;  // set while a window is open
 };
 
 }  // namespace compcache

@@ -74,8 +74,6 @@ class ClusteredSwapLayout : public CompressedSwapBackend {
 
   bool Contains(PageKey key) const override { return locations_.contains(key); }
 
-  DiskDevice* device() override { return fs_->disk(); }
-
   // Reads one page (whole-block transfers underneath). The page must be present.
   ReadResult ReadPage(PageKey key, bool collect_coresidents) override;
 

@@ -16,12 +16,10 @@
 #include <span>
 #include <vector>
 
-#include "disk/disk_device.h"
 #include "util/assert.h"
 #include "util/checksum.h"
 #include "util/io_status.h"
 #include "util/metrics.h"
-#include "util/time_types.h"
 #include "util/trace.h"
 #include "util/units.h"
 #include "util/wire.h"
@@ -99,32 +97,6 @@ class CompressedSwapBackend {
   // obsolete. On kFailed nothing is recorded: prior copies of the same pages
   // stay valid and readable.
   virtual IoStatus WriteBatch(std::span<const SwapPageImage> pages) = 0;
-
-  // --- split submit/complete (async write lifecycle) ---
-  // SubmitWriteBatch performs the batch *physically* at the submit instant —
-  // stored bytes, durable metadata, IoStatus, and fault-injector ordinals are
-  // exactly those of WriteBatch — but the device time accrues on the disk's
-  // deferred timeline instead of the caller's clock. The returned ticket says
-  // what happened and when the device finishes servicing it; the write-behind
-  // engine retires the batch once the clock passes the latter. Splitting
-  // "what happened" (submit) from "when it cost" (completion) is what keeps
-  // pipelined runs deterministic: outcomes never depend on queue depth.
-  struct WriteTicket {
-    IoStatus status = IoStatus::kOk;
-    SimTime complete_at;      // when the device finishes the batch's requests
-    SimDuration device_time;  // service time the batch added to the disk queue
-  };
-  virtual WriteTicket SubmitWriteBatch(std::span<const SwapPageImage> pages) {
-    DiskDevice::DeferredScope window(device());
-    WriteTicket ticket;
-    ticket.status = WriteBatch(pages);
-    ticket.device_time = window.busy();
-    ticket.complete_at = window.Close();
-    return ticket;
-  }
-
-  // The device the layout's I/O is charged to (used for deferred windows).
-  virtual DiskDevice* device() = 0;
 
   virtual bool Contains(PageKey key) const = 0;
 

@@ -70,7 +70,6 @@ class LfsSwapLayout : public CompressedSwapBackend {
 
   IoStatus WriteBatch(std::span<const SwapPageImage> pages) override;
   bool Contains(PageKey key) const override { return locations_.contains(key); }
-  DiskDevice* device() override { return fs_->disk(); }
   ReadResult ReadPage(PageKey key, bool collect_coresidents) override;
   void Invalidate(PageKey key) override;
   void ForEachPage(const std::function<void(PageKey)>& fn) const override;

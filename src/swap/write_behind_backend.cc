@@ -60,12 +60,14 @@ IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
   Poll();
   // The batch happens physically now — stored bytes, metadata, status, and
   // fault ordinals are exactly the synchronous ones; only the time is deferred.
-  const WriteTicket ticket = inner_->SubmitWriteBatch(pages);
+  Clock::BackgroundWindow window(clock_);
+  const IoStatus status = inner_->WriteBatch(pages);
+  const Clock::BackgroundIo io = window.Close();
   const uint64_t seq = next_seq_++;
   Batch batch;
   batch.seq = seq;
-  batch.complete_at = ticket.complete_at;
-  if (ticket.status == IoStatus::kOk) {
+  batch.complete_at = io.complete_at;
+  if (status == IoStatus::kOk) {
     batch.keys.reserve(pages.size());
     for (const SwapPageImage& image : pages) {
       batch.keys.push_back(image.key);
@@ -76,7 +78,7 @@ IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
   ++stats_.batches_submitted;
   ++lifetime_submitted_;
   stats_.pages_submitted += pages.size();
-  stats_.deferred_io_time += ticket.device_time;
+  stats_.deferred_io_time += io.device_time;
 
   // Backpressure: the queue holds at most `depth` batches counting this one,
   // so depth 1 waits out its own disk time (the synchronous machine).
@@ -91,7 +93,7 @@ IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
   if (stalled) {
     ++stats_.backpressure_stalls;
   }
-  return ticket.status;
+  return status;
 }
 
 CompressedSwapBackend::ReadResult WriteBehindBackend::ReadPage(

@@ -6,7 +6,9 @@
 // *submitted* background request: the wrapped layout performs the batch
 // physically at the submit instant (bytes, metadata, IoStatus, and fault
 // ordinals are identical to the synchronous path — outcomes never depend on
-// queue depth), while the device time accrues on the disk's deferred timeline.
+// queue depth), inside the clock's background-I/O window, so the device time
+// of every device the batch touches (the disk, and any SSD tier below a tier
+// stack) accrues on that device's background timeline.
 // Batches whose completion time the app clock has passed retire at the next
 // submit, read or drain, in (completion time, submit order) order: with a
 // tier stack below, a later batch can finish before an earlier one.
@@ -23,7 +25,7 @@
 //     that batch's completion first, and for no other batch (the data is
 //     physically readable, but a real disk queue would not let the read
 //     overtake the write).
-//   * FIFO device — foreground I/O issued while deferred work is pending
+//   * FIFO device — foreground I/O issued while background work is pending
 //     queues behind it (charged by DiskDevice as disk.queue_wait_ns).
 #ifndef COMPCACHE_SWAP_WRITE_BEHIND_BACKEND_H_
 #define COMPCACHE_SWAP_WRITE_BEHIND_BACKEND_H_
@@ -55,16 +57,10 @@ class WriteBehindBackend : public CompressedSwapBackend {
   WriteBehindBackend(std::unique_ptr<CompressedSwapBackend> inner, Clock* clock,
                      uint32_t depth);
 
-  // Submits the batch via the inner layout's SubmitWriteBatch, puts it in
-  // flight, then applies backpressure. Returns the batch's IoStatus
-  // (known at submit: outcomes are depth-independent).
+  // Writes the batch through the inner layout inside a background-I/O window
+  // on the clock, puts it in flight, then applies backpressure. Returns the
+  // batch's IoStatus (known at submit: outcomes are depth-independent).
   IoStatus WriteBatch(std::span<const SwapPageImage> pages) override;
-
-  // A wrapped wrapper would double-defer; forward to the inner layout.
-  WriteTicket SubmitWriteBatch(std::span<const SwapPageImage> pages) override {
-    return inner_->SubmitWriteBatch(pages);
-  }
-  DiskDevice* device() override { return inner_->device(); }
 
   // Barrier: if `key` belongs to an in-flight batch, stalls to that batch's
   // completion before reading through.

@@ -69,29 +69,6 @@ IoStatus TierStack::WriteBatch(std::span<const SwapPageImage> pages) {
   return StoreBatch(0, pages, Flow::kLanding);
 }
 
-CompressedSwapBackend::WriteTicket TierStack::SubmitWriteBatch(
-    std::span<const SwapPageImage> pages) {
-  std::vector<std::unique_ptr<DiskDevice::DeferredScope>> windows;
-  for (Tier& tier : tiers_) {
-    if (tier.ssd_device != nullptr) {
-      windows.push_back(std::make_unique<DiskDevice::DeferredScope>(tier.ssd_device.get()));
-    }
-  }
-  windows.push_back(std::make_unique<DiskDevice::DeferredScope>(device()));
-  WriteTicket ticket;
-  ticket.status = WriteBatch(pages);
-  SimTime complete_at;
-  SimDuration device_time;
-  for (auto& window : windows) {
-    device_time += window->busy();
-    const SimTime end = window->Close();
-    complete_at = std::max(complete_at, end);
-  }
-  ticket.device_time = device_time;
-  ticket.complete_at = complete_at;
-  return ticket;
-}
-
 CompressedSwapBackend::ReadResult TierStack::ReadPage(PageKey key, bool collect_coresidents) {
   const auto it = entries_.find(key);
   CC_EXPECTS(it != entries_.end());

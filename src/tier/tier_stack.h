@@ -52,11 +52,6 @@ class TierStack : public CompressedSwapBackend {
 
   // --- CompressedSwapBackend ---
   IoStatus WriteBatch(std::span<const SwapPageImage> pages) override;
-  // Opens a deferred window on *every* device in the stack (bottom disk plus
-  // each SSD tier) so a write-behind submit defers all device time, not just
-  // the bottom disk's: device_time sums the windows, complete_at is their max.
-  WriteTicket SubmitWriteBatch(std::span<const SwapPageImage> pages) override;
-  DiskDevice* device() override { return tiers_.back().backend->device(); }
   bool Contains(PageKey key) const override { return entries_.contains(key); }
   ReadResult ReadPage(PageKey key, bool collect_coresidents) override;
   void Invalidate(PageKey key) override;

@@ -8,6 +8,7 @@
 #include "util/audit.h"
 #include "util/checksum.h"
 #include "util/units.h"
+#include "vm/pipeline.h"
 
 namespace compcache {
 
@@ -62,9 +63,9 @@ const PageEntry* Pager::PeekEntry(PageKey key) const {
 }
 
 void Pager::DropStaleCopies(PageEntry& entry) {
-  if (prefetcher_ != nullptr) {
+  if (pipeline_ != nullptr) {
     // Any speculative decompressed copy mirrors the copies dropped here.
-    prefetcher_->Invalidate(entry.key);
+    pipeline_->Invalidate(entry.key);
   }
   if (entry.has_ccache_copy) {
     CC_ASSERT(ccache_ != nullptr);
@@ -159,9 +160,9 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   // copies stay where they are, exactly as on the rung that originally
   // produced the buffered image. A copy that fails to decode is a buffer miss
   // and the fault walks the ladder below.
-  if (prefetcher_ != nullptr &&
+  if (pipeline_ != nullptr &&
       (source == PageState::kCompressed || source == PageState::kSwapped)) {
-    if (prefetcher_->TryFill(entry.key, frame_data)) {
+    if (pipeline_->TryFill(entry.key, frame_data)) {
       prefetched = true;
       ++stats_.faults_prefetch_hit;
       fault_kind = TraceEventKind::kFaultPrefetchHit;
@@ -275,12 +276,12 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   (void)segment;
   (void)write;  // dirtying is handled by the caller after the fault completes
 
-  // Feed the predictor and let the prefetcher issue speculative work for the
+  // Feed the stride detector and let the engine issue speculative work for the
   // pages it expects next. The entry stays pinned across this: speculative
   // frames come from the arbiter, and the reclamation cascade they trigger
   // must never evict the very page being handed back to the app.
-  if (prefetcher_ != nullptr && !IsFileKey(entry.key)) {
-    prefetcher_->OnFault(entry.key, fault_kind == TraceEventKind::kFaultFromSwap);
+  if (pipeline_ != nullptr && !IsFileKey(entry.key)) {
+    pipeline_->OnFault(entry.key, fault_kind == TraceEventKind::kFaultFromSwap);
   }
   entry.pinned = false;
 
@@ -413,8 +414,8 @@ void Pager::TeardownSegment(Segment& segment) {
   for (uint32_t p = 0; p < segment.num_pages(); ++p) {
     PageEntry& e = segment.page(p);
     CC_EXPECTS(!e.pinned);  // teardown mid-fault would orphan the frame
-    if (prefetcher_ != nullptr) {
-      prefetcher_->Invalidate(e.key);
+    if (pipeline_ != nullptr) {
+      pipeline_->Invalidate(e.key);
     }
     if (e.state == PageState::kResident) {
       lru_.Remove(e);
@@ -526,10 +527,10 @@ void Pager::OnEntryLost(PageKey key) {
   CC_ASSERT(entry.has_ccache_copy);
   CC_ASSERT(!entry.has_backing_copy);
   entry.has_ccache_copy = false;
-  if (prefetcher_ != nullptr) {
+  if (pipeline_ != nullptr) {
     // A buffered speculative copy would let the fault path serve a "clean"
     // resident page with no copy anywhere behind it; drop it with the entry.
-    prefetcher_->Invalidate(key);
+    pipeline_->Invalidate(key);
   }
   if (entry.state == PageState::kResident) {
     // The resident copy is intact and now the only one; keep it evictable but

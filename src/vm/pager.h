@@ -30,11 +30,11 @@
 #include "util/trace.h"
 #include "vm/frame_source.h"
 #include "vm/page_key.h"
-#include "vm/prefetcher.h"
 
 namespace compcache {
 
 class InvariantAuditor;
+class PipelineEngine;
 
 enum class PageState : uint8_t {
   kUntouched,   // never materialized; faults zero-fill
@@ -181,9 +181,9 @@ class Pager : public CcacheEvents {
   // cleaner here).
   void SetPostFaultHook(std::function<void()> hook) { post_fault_hook_ = std::move(hook); }
 
-  // Wires the decompress-ahead prefetcher (nullptr disables). The fault path
-  // consults it before the ccache/swap ladder and feeds it the fault stream.
-  void SetPrefetcher(PagePrefetcher* prefetcher) { prefetcher_ = prefetcher; }
+  // Wires the decompress-ahead engine (nullptr disables), which the fault path
+  // consults before the ccache/swap ladder and feeds with the fault stream.
+  void SetPipeline(PipelineEngine* pipeline) { pipeline_ = pipeline; }
 
   // Read-only page lookup for the prefetch engine: nullptr when the key does
   // not name a live page (segment out of range or torn down, page index out
@@ -244,7 +244,7 @@ class Pager : public CcacheEvents {
 
   CompressedSwapBackend* swap_ = nullptr;
   CompressionCache* ccache_ = nullptr;  // null on the unmodified machine
-  PagePrefetcher* prefetcher_ = nullptr;
+  PipelineEngine* pipeline_ = nullptr;
 
   std::vector<std::unique_ptr<Segment>> segments_;
   LruList<PageEntry> lru_;  // resident pages, LRU first

@@ -29,7 +29,7 @@ class BufferCacheTest : public ::testing::Test {
 TEST_F(BufferCacheTest, MissThenHit) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> data(kFsBlockSize, 0x42);
-  fs_.Write(f, 0, data);
+  ASSERT_EQ(fs_.Write(f, 0, data), IoStatus::kOk);
 
   std::vector<uint8_t> out(100);
   cache_.Read(f, 0, out);
@@ -43,7 +43,7 @@ TEST_F(BufferCacheTest, MissThenHit) {
 TEST_F(BufferCacheTest, CachedReadAvoidsDisk) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> data(kFsBlockSize, 1);
-  fs_.Write(f, 0, data);
+  ASSERT_EQ(fs_.Write(f, 0, data), IoStatus::kOk);
 
   std::vector<uint8_t> out(kFsBlockSize);
   cache_.Read(f, 0, out);
@@ -64,14 +64,14 @@ TEST_F(BufferCacheTest, WriteIsWriteBehind) {
   EXPECT_GT(device_.stats().write_ops, writes_before);
 
   std::vector<uint8_t> out(kFsBlockSize);
-  fs_.Read(f, 0, out);
+  ASSERT_EQ(fs_.Read(f, 0, out), IoStatus::kOk);
   EXPECT_EQ(out, data);
 }
 
 TEST_F(BufferCacheTest, FullBlockWriteSkipsReadOnMiss) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> block(kFsBlockSize, 9);
-  fs_.Write(f, 0, block);
+  ASSERT_EQ(fs_.Write(f, 0, block), IoStatus::kOk);
   fs_.ResetStats();
   device_.ResetStats();
 
@@ -83,7 +83,7 @@ TEST_F(BufferCacheTest, FullBlockWriteSkipsReadOnMiss) {
 TEST_F(BufferCacheTest, PartialWriteOnMissFetchesBlock) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> block(kFsBlockSize, 0xAA);
-  fs_.Write(f, 0, block);
+  ASSERT_EQ(fs_.Write(f, 0, block), IoStatus::kOk);
   device_.ResetStats();
 
   std::vector<uint8_t> patch(16, 0xBB);
@@ -91,7 +91,7 @@ TEST_F(BufferCacheTest, PartialWriteOnMissFetchesBlock) {
   EXPECT_EQ(device_.stats().read_ops, 1u);
   cache_.FlushAll();
   std::vector<uint8_t> out(kFsBlockSize);
-  fs_.Read(f, 0, out);
+  ASSERT_EQ(fs_.Read(f, 0, out), IoStatus::kOk);
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], (i >= 100 && i < 116) ? 0xBB : 0xAA);
   }
@@ -112,7 +112,7 @@ TEST_F(BufferCacheTest, ReleaseOldestEvictsLruAndWritesBack) {
   EXPECT_EQ(cache_.stats().writebacks, 1u);
 
   std::vector<uint8_t> out(kFsBlockSize);
-  fs_.Read(f, 0, out);
+  ASSERT_EQ(fs_.Read(f, 0, out), IoStatus::kOk);
   EXPECT_EQ(out, b0);
 }
 
@@ -160,7 +160,7 @@ TEST_F(BufferCacheTest, RandomOpsMatchShadow) {
   }
   cache_.FlushAll();
   std::vector<uint8_t> all(span);
-  fs_.Read(f, 0, all);
+  ASSERT_EQ(fs_.Read(f, 0, all), IoStatus::kOk);
   // Only bytes ever written are defined; compare where shadow is nonzero or zero
   // both ways — full comparison is valid because unwritten disk reads as zero.
   EXPECT_EQ(all, shadow);

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "ccache/compression_cache.h"
 #include "compress/adaptive.h"
 #include "compress/codec.h"
 #include "compress/lzrw1.h"
@@ -138,14 +139,13 @@ TEST_P(CodecEdgeContentTest, ZeroSingleValueAndIncompressiblePagesRoundTrip) {
   }
 }
 
-// Every codec must accept the one-byte zero-page marker, whatever backing
-// store it was read back from, and reproduce the all-zero page.
-TEST_P(CodecEdgeContentTest, AcceptsZeroPageMarker) {
+// The zero-page marker is the compression cache's format, not a codec's: the
+// cache decodes it before any codec runs, and every codec refuses it.
+TEST_P(CodecEdgeContentTest, RejectsZeroPageMarker) {
   auto codec = MakeCodec(GetParam());
   const uint8_t marker[] = {kContainerZeroPage};
-  std::vector<uint8_t> out(kPageSize, 0xCD);  // poisoned: must be overwritten
-  ASSERT_TRUE(codec->TryDecompress(marker, out));
-  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
+  std::vector<uint8_t> out(kPageSize);
+  EXPECT_FALSE(codec->TryDecompress(marker, out));
 }
 
 // Ratio classes on structured word patterns. Every codec must round trip all
@@ -559,10 +559,6 @@ TEST(LzrwByteIdentityTest, Lzrw1aStreamsAndDecodesArePinned) {
 bool ReferenceLzrwDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
   if (src.empty()) {
     return false;
-  }
-  if (IsZeroPageMarker(src)) {
-    std::fill(dst.begin(), dst.end(), uint8_t{0});
-    return true;
   }
   if (src[0] == kContainerRaw) {
     if (src.size() != dst.size() + 1) {

@@ -91,7 +91,7 @@ TEST(PowerFail, TearsInFlightWriteAtSectorGranularityAndKillsDevice) {
   std::vector<uint8_t> first(4096, 0xA1);
   std::vector<uint8_t> second(4096, 0xB2);
   ASSERT_EQ(disk.Write(0, first), IoStatus::kOk);  // sectors 1..8
-  EXPECT_THROW(disk.Write(4096, second), PowerFailure);
+  EXPECT_THROW((void)disk.Write(4096, second), PowerFailure);
 
   EXPECT_TRUE(disk.power_failed());
   EXPECT_EQ(disk.stats().power_failures, 1u);
@@ -595,11 +595,12 @@ bool IsAllZero(std::span<const uint8_t> page) {
 }
 
 // One cell of the machine-level grid: the unmodified machine, or a ccache
-// machine over one compressed-swap layout.
+// machine over one compressed-swap layout, synchronous or pipelined.
 struct MachineCell {
   const char* name;
   bool use_ccache;
   CompressedSwapKind kind;
+  bool pipelined = false;
 };
 
 void PrintTo(const MachineCell& cell, std::ostream* os) { *os << cell.name; }
@@ -608,7 +609,17 @@ MachineConfig CrashConfig(MachineCell cell) {
   // 2 MiB leaves room for the LFS backend's 512 KB segment buffer; the
   // 640-page (2.5 MiB) working set still forces steady eviction traffic.
   MachineConfig config = SmallConfig(cell.use_ccache, /*memory_bytes=*/2 * kMiB);
-  config.compressed_swap = cell.kind;
+  if (cell.use_ccache) {
+    config.compressed_swap = cell.kind;
+  }
+  if (cell.pipelined) {
+    // Write-behind batches: the power cut lands inside the clock's
+    // background-I/O window.
+    config.pipeline.enabled = true;
+    config.pipeline.write_behind_depth = 4;
+    config.pipeline.prefetch = true;
+    config.pipeline.fault_batch_window = 2;
+  }
   config.durability.enabled = true;
   config.fault_injection.enabled = true;
   config.fault_injection.seed = 7;
@@ -668,6 +679,8 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
     ASSERT_TRUE(crashed) << "scheduled crash point never fired";
     ++crashes;
     EXPECT_EQ(machine.metrics().GaugeValue("fault.crashes"), 1.0);
+    // A cut inside a write-behind batch unwinds through its background window.
+    EXPECT_FALSE(machine.clock().in_background_window());
 
     auto recovered = Machine::Recover(machine);
     const RecoveryStats& stats = recovered->recovery_stats();
@@ -754,10 +767,14 @@ std::string MachineGridName(const ::testing::TestParamInfo<MachineCell>& info) {
 // cell proves that layout's journal on whole-block overwrites.
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, MachineCrashGrid,
-    ::testing::Values(MachineCell{"clustered", true, CompressedSwapKind::kClustered},
-                      MachineCell{"fixed_offset", true, CompressedSwapKind::kFixedOffset},
-                      MachineCell{"lfs", true, CompressedSwapKind::kLfs},
-                      MachineCell{"std", false, CompressedSwapKind::kFixedOffset}),
+    ::testing::Values(
+        MachineCell{"clustered", true, CompressedSwapKind::kClustered},
+        MachineCell{"fixed_offset", true, CompressedSwapKind::kFixedOffset},
+        MachineCell{"lfs", true, CompressedSwapKind::kLfs},
+        MachineCell{"std", false, CompressedSwapKind::kFixedOffset},
+        MachineCell{"clustered_pipelined", true, CompressedSwapKind::kClustered, true},
+        MachineCell{"fixed_offset_pipelined", true, CompressedSwapKind::kFixedOffset, true},
+        MachineCell{"lfs_pipelined", true, CompressedSwapKind::kLfs, true}),
     MachineGridName);
 
 // A machine with durability off must not pay for any of this: no journal

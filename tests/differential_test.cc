@@ -141,7 +141,8 @@ TEST(DifferentialBackendTest, IdenticalOpSequenceYieldsIdenticalPageBytes) {
 // A configuration where backing-store geometry cannot leak into scheduling:
 // the network backing model is position-free and is given zero latency and
 // effectively infinite bandwidth, CPU-side costs are effectively free, and
-// coresident insertion (inherently layout-specific) is off. Any remaining
+// the ccache machines' coresident insertion (inherently layout-specific) is
+// off. Any remaining
 // counter difference between compressed backends is a real bookkeeping bug,
 // not a timing echo.
 MachineConfig NeutralConfig(bool use_cc, uint64_t memory_bytes) {
@@ -156,7 +157,9 @@ MachineConfig NeutralConfig(bool use_cc, uint64_t memory_bytes) {
   config.costs.zero_scan_bytes_per_sec = 1e18;
   config.costs.fault_overhead = SimDuration::Nanos(0);
   config.costs.io_setup_overhead = SimDuration::Nanos(0);
-  config.insert_coresidents = false;
+  if (use_cc) {
+    config.insert_coresidents = false;
+  }
   config.charge_metadata_overhead = false;
   return config;
 }

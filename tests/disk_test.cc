@@ -132,15 +132,15 @@ TEST_F(DiskDeviceTest, ReadBackWhatWasWritten) {
   for (auto& b : data) {
     b = static_cast<uint8_t>(rng.Next());
   }
-  device_.Write(12'345, data);
+  ASSERT_EQ(device_.Write(12'345, data), IoStatus::kOk);
   std::vector<uint8_t> out(data.size());
-  device_.Read(12'345, out);
+  ASSERT_EQ(device_.Read(12'345, out), IoStatus::kOk);
   EXPECT_EQ(out, data);
 }
 
 TEST_F(DiskDeviceTest, UnwrittenReadsZero) {
   std::vector<uint8_t> out(4096, 0xFF);
-  device_.Read(1 * kMiB, out);
+  ASSERT_EQ(device_.Read(1 * kMiB, out), IoStatus::kOk);
   for (const uint8_t b : out) {
     EXPECT_EQ(b, 0);
   }
@@ -148,11 +148,11 @@ TEST_F(DiskDeviceTest, UnwrittenReadsZero) {
 
 TEST_F(DiskDeviceTest, PartialOverwrite) {
   std::vector<uint8_t> base(8192, 0x11);
-  device_.Write(0, base);
+  ASSERT_EQ(device_.Write(0, base), IoStatus::kOk);
   std::vector<uint8_t> patch(100, 0x22);
-  device_.Write(4000, patch);  // straddles a chunk boundary
+  ASSERT_EQ(device_.Write(4000, patch), IoStatus::kOk);  // straddles a chunk boundary
   std::vector<uint8_t> out(8192);
-  device_.Read(0, out);
+  ASSERT_EQ(device_.Read(0, out), IoStatus::kOk);
   for (size_t i = 0; i < out.size(); ++i) {
     const uint8_t expected = (i >= 4000 && i < 4100) ? 0x22 : 0x11;
     ASSERT_EQ(out[i], expected) << i;
@@ -162,8 +162,8 @@ TEST_F(DiskDeviceTest, PartialOverwrite) {
 TEST_F(DiskDeviceTest, AdvancesClockAndCountsStats) {
   const SimTime before = clock_.Now();
   std::vector<uint8_t> data(4096, 1);
-  device_.Write(0, data);
-  device_.Read(0, data);
+  ASSERT_EQ(device_.Write(0, data), IoStatus::kOk);
+  ASSERT_EQ(device_.Read(0, data), IoStatus::kOk);
   EXPECT_GT(clock_.Now().nanos(), before.nanos());
   EXPECT_EQ(device_.stats().read_ops, 1u);
   EXPECT_EQ(device_.stats().write_ops, 1u);
@@ -174,7 +174,7 @@ TEST_F(DiskDeviceTest, AdvancesClockAndCountsStats) {
 
 TEST_F(DiskDeviceTest, ResetStats) {
   std::vector<uint8_t> data(4096, 1);
-  device_.Write(0, data);
+  ASSERT_EQ(device_.Write(0, data), IoStatus::kOk);
   device_.ResetStats();
   EXPECT_EQ(device_.stats().write_ops, 0u);
 }
@@ -183,8 +183,8 @@ TEST_F(DiskDeviceTest, ResetStatsClearsBoundLatencyHistogram) {
   MetricRegistry registry;
   device_.BindMetrics(&registry);
   std::vector<uint8_t> data(4096, 1);
-  device_.Write(0, data);
-  device_.Read(0, data);
+  ASSERT_EQ(device_.Write(0, data), IoStatus::kOk);
+  ASSERT_EQ(device_.Read(0, data), IoStatus::kOk);
 
   LatencyHistogram* hist = registry.FindHistogram("disk.access_ns");
   ASSERT_NE(hist, nullptr);
@@ -196,7 +196,7 @@ TEST_F(DiskDeviceTest, ResetStatsClearsBoundLatencyHistogram) {
   EXPECT_EQ(device_.stats().read_ops, 0u);
   EXPECT_EQ(hist->count(), 0u);
 
-  device_.Read(0, data);
+  ASSERT_EQ(device_.Read(0, data), IoStatus::kOk);
   EXPECT_EQ(hist->count(), 1u);
 }
 

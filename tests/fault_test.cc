@@ -16,6 +16,7 @@
 #include "disk/disk_device.h"
 #include "disk/disk_model.h"
 #include "tests/test_util.h"
+#include "util/checksum.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "vm/heap.h"
@@ -374,6 +375,67 @@ TEST(MachineFaultTest, GoldResultsIdenticalUnderTransientDiskFaults) {
             0.0);
   // Retries cost real (virtual) time — degradation is gradual, not wrong.
   EXPECT_GT(faulty.clock().Now().nanos(), clean.clock().Now().nanos());
+}
+
+// Gold's corpus is one 2 MB file write, and each 4 KB block of it draws its own
+// injected fault: at a 2% write error rate the whole-file request outlasts the
+// disk's retries. The corpus must still land whole, or the index covers almost
+// nothing.
+TEST(MachineFaultTest, GoldIndexesItsWholeCorpusWhenTheCorpusWriteFails) {
+  GoldOptions options;
+  options.num_messages = 1024;
+  options.message_bytes = 2048;
+  options.postings_bytes = 6 * kMiB;
+  const auto index = [&](Machine& machine) {
+    GoldIndex engine(machine, options);
+    engine.PrepareCorpus();
+    return engine.RunCreate().tokens_indexed;
+  };
+
+  Machine clean(SmallConfig(true, 6 * kMiB));
+  MachineConfig faulty_config = SmallConfig(true, 6 * kMiB);
+  faulty_config.fault_injection.enabled = true;
+  faulty_config.fault_injection.seed = 1993;
+  faulty_config.fault_injection.disk_write_error_rate = 0.02;
+  Machine faulty(faulty_config);
+
+  const uint64_t clean_tokens = index(clean);
+  const uint64_t faulty_tokens = index(faulty);
+  EXPECT_GT(faulty.disk().stats().writes_exhausted, 0u);  // the whole-file write failed
+  EXPECT_EQ(faulty_tokens, clean_tokens);
+}
+
+// Incompressible pages leave raw through the LFS segment buffer, whose 512 KB
+// flush draws 128 block faults: at a 2% write error rate most flushes exhaust
+// the disk's retries, and a reclaim round can see every victim's pageout
+// refused. The machine retries with fresh faults instead of giving up, and
+// no page is lost.
+TEST(MachineFaultTest, RefusedPageoutsUnderLfsWriteFaultsAreRetried) {
+  MachineConfig config = SmallConfig(true, 2 * kMiB + 128 * kPageSize);
+  config.compressed_swap = CompressedSwapKind::kLfs;
+  config.fault_injection.enabled = true;
+  config.fault_injection.seed = 1993;
+  config.fault_injection.disk_write_error_rate = 0.02;
+  Machine machine(config);
+  const uint64_t pages = 6 * kMiB / kPageSize;
+  Heap heap = machine.NewHeap(pages * kPageSize);
+  Rng rng(3);
+  std::vector<uint8_t> page(kPageSize);
+  std::vector<uint32_t> crcs(pages);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t p = 0; p < pages; ++p) {
+      FillPage(page, ContentClass::kRandom, rng);
+      crcs[p] = Crc32(page);
+      heap.WriteBytes(p * kPageSize, page);
+    }
+  }
+  EXPECT_GT(machine.disk().stats().writes_exhausted, 0u);
+  for (uint64_t p = 0; p < pages; ++p) {
+    heap.ReadBytes(p * kPageSize, page);
+    ASSERT_EQ(Crc32(page), crcs[p]) << "page " << p;
+  }
+  EXPECT_EQ(machine.pager().stats().pages_lost, 0u);
+  EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
 TEST(MachineFaultTest, SortSurvivesLatentCorruption) {

@@ -26,7 +26,7 @@ class FsTest : public ::testing::Test {
 TEST_F(FsTest, WholeBlockWriteNoRmw) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> block(kFsBlockSize, 0x5A);
-  fs_.Write(f, 0, block);
+  ASSERT_EQ(fs_.Write(f, 0, block), IoStatus::kOk);
   EXPECT_EQ(fs_.stats().rmw_reads, 0u);
   EXPECT_EQ(fs_.stats().bytes_transferred_written, kFsBlockSize);
 }
@@ -34,18 +34,18 @@ TEST_F(FsTest, WholeBlockWriteNoRmw) {
 TEST_F(FsTest, PartialWriteOfExistingBlockTriggersRmw) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> block(kFsBlockSize, 0x11);
-  fs_.Write(f, 0, block);
+  ASSERT_EQ(fs_.Write(f, 0, block), IoStatus::kOk);
 
   // Paper section 4.3: "if a page were compressed from 4 Kbytes to 2 Kbytes, a
   // 2-Kbyte write would result in a 4-Kbyte read and a 4-Kbyte write".
   std::vector<uint8_t> half(kFsBlockSize / 2, 0x22);
-  fs_.Write(f, 0, half);
+  ASSERT_EQ(fs_.Write(f, 0, half), IoStatus::kOk);
   EXPECT_EQ(fs_.stats().rmw_reads, 1u);
   EXPECT_EQ(fs_.stats().bytes_transferred_written, 2u * kFsBlockSize);
 
   // Content must merge correctly.
   std::vector<uint8_t> out(kFsBlockSize);
-  fs_.Read(f, 0, out);
+  ASSERT_EQ(fs_.Read(f, 0, out), IoStatus::kOk);
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], i < kFsBlockSize / 2 ? 0x22 : 0x11) << i;
   }
@@ -56,18 +56,18 @@ TEST_F(FsTest, PartialWriteBeyondEofSkipsRead) {
   // so the first partial write of a fresh block needs no read.
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> half(kFsBlockSize / 2, 0x33);
-  fs_.Write(f, 0, half);
+  ASSERT_EQ(fs_.Write(f, 0, half), IoStatus::kOk);
   EXPECT_EQ(fs_.stats().rmw_reads, 0u);
 }
 
 TEST_F(FsTest, PartialReadTransfersWholeBlock) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> block(kFsBlockSize, 0x44);
-  fs_.Write(f, 0, block);
+  ASSERT_EQ(fs_.Write(f, 0, block), IoStatus::kOk);
   fs_.ResetStats();
 
   std::vector<uint8_t> out(100);
-  fs_.Read(f, 50, out);
+  ASSERT_EQ(fs_.Read(f, 50, out), IoStatus::kOk);
   // "a request to read 2 Kbytes within a 4-Kbyte block would result in the file
   // system reading all 4 Kbytes".
   EXPECT_EQ(fs_.stats().bytes_transferred_read, kFsBlockSize);
@@ -80,14 +80,14 @@ TEST_F(FsTest, PartialBlockWriteModeSkipsRmw) {
   FileSystem fs2(&device_, options);
   const FileId f = fs2.Create("a");
   std::vector<uint8_t> block(kFsBlockSize, 0x11);
-  fs2.Write(f, 0, block);
+  ASSERT_EQ(fs2.Write(f, 0, block), IoStatus::kOk);
   std::vector<uint8_t> half(kFsBlockSize / 2, 0x22);
-  fs2.Write(f, 0, half);
+  ASSERT_EQ(fs2.Write(f, 0, half), IoStatus::kOk);
   EXPECT_EQ(fs2.stats().rmw_reads, 0u);
   EXPECT_EQ(fs2.stats().bytes_transferred_written, kFsBlockSize + kFsBlockSize / 2);
 
   std::vector<uint8_t> out(kFsBlockSize);
-  fs2.Read(f, 0, out);
+  ASSERT_EQ(fs2.Read(f, 0, out), IoStatus::kOk);
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], i < kFsBlockSize / 2 ? 0x22 : 0x11) << i;
   }
@@ -119,7 +119,7 @@ TEST_F(FsTest, MultiBlockWriteCoalescesIntoOneDiskOp) {
   const FileId f = fs_.Create("a");
   std::vector<uint8_t> data(8 * kFsBlockSize, 0x77);
   const uint64_t ops_before = device_.stats().write_ops;
-  fs_.Write(f, 0, data);
+  ASSERT_EQ(fs_.Write(f, 0, data), IoStatus::kOk);
   EXPECT_EQ(device_.stats().write_ops, ops_before + 1);  // one coalesced request
 }
 
@@ -127,9 +127,9 @@ TEST_F(FsTest, FileSizeTracksWrites) {
   const FileId f = fs_.Create("a");
   EXPECT_EQ(fs_.FileSize(f), 0u);
   std::vector<uint8_t> data(1000, 1);
-  fs_.Write(f, 0, data);
+  ASSERT_EQ(fs_.Write(f, 0, data), IoStatus::kOk);
   EXPECT_EQ(fs_.FileSize(f), 1000u);
-  fs_.Write(f, 5000, data);
+  ASSERT_EQ(fs_.Write(f, 5000, data), IoStatus::kOk);
   EXPECT_EQ(fs_.FileSize(f), 6000u);
 }
 
@@ -140,9 +140,9 @@ TEST_F(FsTest, UnalignedMultiBlockRoundTrip) {
   for (auto& byte : data) {
     byte = static_cast<uint8_t>(rng.Next());
   }
-  fs_.Write(f, 777, data);
+  ASSERT_EQ(fs_.Write(f, 777, data), IoStatus::kOk);
   std::vector<uint8_t> out(data.size());
-  fs_.Read(f, 777, out);
+  ASSERT_EQ(fs_.Read(f, 777, out), IoStatus::kOk);
   EXPECT_EQ(out, data);
 }
 
@@ -164,7 +164,7 @@ TEST_F(FsTest, RandomOpsMatchShadow) {
       for (auto& byte : data) {
         byte = static_cast<uint8_t>(rng.Next());
       }
-      fs_.Write(f, offset, data);
+      ASSERT_EQ(fs_.Write(f, offset, data), IoStatus::kOk);
       std::copy(data.begin(), data.end(), shadow.begin() + static_cast<ptrdiff_t>(offset));
       logical_size = std::max(logical_size, offset + len);
     } else if (logical_size > 0) {
@@ -172,7 +172,7 @@ TEST_F(FsTest, RandomOpsMatchShadow) {
       const uint64_t read_len = 1 + rng.Below(std::min<uint64_t>(logical_size - read_off,
                                                                  8'000));
       std::vector<uint8_t> out(read_len);
-      fs_.Read(f, read_off, out);
+      ASSERT_EQ(fs_.Read(f, read_off, out), IoStatus::kOk);
       for (uint64_t i = 0; i < read_len; ++i) {
         ASSERT_EQ(out[i], shadow[read_off + i]) << "offset " << read_off + i;
       }

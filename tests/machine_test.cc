@@ -249,7 +249,7 @@ TEST(MachineTest, CompressedFileCacheServesMissesInMemory) {
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t b = 0; b < blocks; ++b) {
       machine.buffer_cache().Read(f, b * kFsBlockSize, got);
-      machine.fs().Read(f, b * kFsBlockSize, expected);
+      ASSERT_EQ(machine.fs().Read(f, b * kFsBlockSize, expected), IoStatus::kOk);
       ASSERT_EQ(got, expected) << "block " << b;
     }
   }
@@ -351,7 +351,7 @@ TEST(MachineTest, DroppedFileCacheEntriesLeaveThePagerAlone) {
   for (int pass = 0; pass < 4 && machine.ccache()->stats().entries_dropped == 0; ++pass) {
     for (uint64_t b = 0; b < blocks; ++b) {
       machine.buffer_cache().Read(f, b * kFsBlockSize, block);
-      machine.fs().Read(f, b * kFsBlockSize, expected);
+      ASSERT_EQ(machine.fs().Read(f, b * kFsBlockSize, expected), IoStatus::kOk);
       ASSERT_EQ(block, expected) << "block " << b;
     }
   }
@@ -360,11 +360,13 @@ TEST(MachineTest, DroppedFileCacheEntriesLeaveThePagerAlone) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
-// One case per MachineConfig::Validate() rule: a config that breaks only that
-// rule is refused under its name.
+// One case per MachineConfig::Validate() rule, and per field of a rule that
+// covers several: a config that breaks only that rule is refused under its
+// name.
 struct RuleCase {
   const char* rule;
   MachineConfig (*make)();
+  const char* field = nullptr;  // names the case among its rule's cases
 };
 
 void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.rule; }
@@ -373,6 +375,14 @@ TierSpec DeviceTier() {
   TierSpec spec;
   spec.name = "ssd";
   return spec;
+}
+
+// The unmodified machine with one ccache-only setting moved off its default.
+template <typename Set>
+MachineConfig StdWith(Set set) {
+  MachineConfig c = SmallConfig(false);
+  set(c);
+  return c;
 }
 
 const RuleCase kRuleCases[] = {
@@ -428,28 +438,40 @@ const RuleCase kRuleCases[] = {
        c.fault_injection.disk_read_error_rate = 0.01;
        return c;
      }},
-    {"file-cache-compression-needs-ccache",
-     [] {
-       MachineConfig c = SmallConfig(false);
-       c.compress_file_cache = true;
-       return c;
-     }},
-    {"adaptive-compression-needs-ccache",
-     [] {
-       MachineConfig c = SmallConfig(false);
-       c.adaptive_compression.enabled = true;
-       return c;
-     }},
-    {"ccache-max-frames-needs-ccache",
-     [] {
-       MachineConfig c = SmallConfig(false);
-       c.ccache_max_frames = 64;
-       return c;
-     }},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.codec = "wk"; }); }, "codec"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.codec_hash_bits = 10; }); }, "codec_hash_bits"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.threshold = CompressionThreshold{2, 1}; }); },
+     "threshold"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.compressed_swap = CompressedSwapKind::kLfs; }); },
+     "compressed_swap"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.write_batch_bytes = 64 * kKiB; }); }, "write_batch_bytes"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.allow_block_spanning = false; }); },
+     "allow_block_spanning"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.insert_coresidents = false; }); }, "insert_coresidents"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.biases.ccache = SimDuration::Seconds(1); }); },
+     "biases_ccache"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.compress_file_cache = true; }); }, "compress_file_cache"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.adaptive_compression.enabled = true; }); },
+     "adaptive_compression"},
+    {"ccache-settings-need-ccache",
+     [] { return StdWith([](auto& c) { c.ccache_max_frames = 64; }); }, "ccache_max_frames"},
 };
 
 std::string RuleParamName(const ::testing::TestParamInfo<RuleCase>& param) {
   std::string name = param.param.rule;
+  if (param.param.field != nullptr) {
+    name = name + "-" + param.param.field;
+  }
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
 }

@@ -229,6 +229,44 @@ TEST(PagerCcTest, IncompressiblePagesBypassCache) {
   machine.pager().CheckInvariants();
 }
 
+// A dirty all-zero page leaves as the compression cache's one-byte zero-page
+// image: the cleaner writes it back, the ring drops it, and the fault reads it
+// back from swap as zeros, on every compressed layout.
+TEST(PagerCcTest, DirtyZeroPageComesBackFromSwapAsZeros) {
+  for (const CompressedSwapKind kind :
+       {CompressedSwapKind::kClustered, CompressedSwapKind::kFixedOffset,
+        CompressedSwapKind::kLfs}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    // LFS wires its 128-frame segment buffer out of the pool.
+    const uint64_t memory =
+        kind == CompressedSwapKind::kLfs ? 2 * kMiB + 128 * kPageSize : 2 * kMiB;
+    MachineConfig config = SmallConfig(true, memory);
+    config.compressed_swap = kind;
+    Machine machine(config);
+    const uint32_t pages = (6 * kMiB) / kPageSize;
+    Segment* segment = machine.pager().CreateSegment(pages);
+    const PageKey key{segment->id(), 0};
+    (void)machine.pager().Access(*segment, 0, /*write=*/true);  // dirty, all zeros
+
+    Rng rng(9);
+    std::vector<uint8_t> page(kPageSize);
+    for (uint32_t p = 1; p < pages && segment->page(0).state != PageState::kSwapped; ++p) {
+      FillPage(page, ContentClass::kText, rng);
+      const auto frame = machine.pager().Access(*segment, p, /*write=*/true);
+      std::copy(page.begin(), page.end(), frame.begin());
+    }
+    ASSERT_EQ(segment->page(0).state, PageState::kSwapped);
+    EXPECT_GT(machine.ccache()->stats().zero_pages, 0u);
+    EXPECT_TRUE(IsZeroPageMarker(machine.compressed_swap()->ReadPage(key, false).bytes));
+
+    const uint64_t from_swap = machine.pager().stats().faults_from_swap;
+    const auto back = machine.pager().Access(*segment, 0, /*write=*/false);
+    EXPECT_TRUE(std::all_of(back.begin(), back.end(), [](uint8_t b) { return b == 0; }));
+    EXPECT_EQ(machine.pager().stats().faults_from_swap, from_swap + 1);
+    EXPECT_EQ(machine.RunAudit(), 0u);
+  }
+}
+
 TEST(PagerStdTest, EvictionWritesSynchronously) {
   Machine machine(SmallConfig(false, 2 * kMiB));
   const uint64_t pages = (3 * kMiB) / kPageSize;

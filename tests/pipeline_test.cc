@@ -181,21 +181,18 @@ TEST(WriteBehindTest, DrainRetiresEverything) {
 
 // A layout whose batches finish after scripted device times, so a batch
 // submitted later can finish before an earlier one (as over a tier stack).
-// It stores nothing; reads return an empty image.
+// It stores nothing and reports each batch's time to the clock's background
+// window; reads return an empty image.
 class ScriptedSwap : public CompressedSwapBackend {
  public:
   ScriptedSwap(Clock* clock, std::vector<SimDuration> times)
       : clock_(clock), times_(std::move(times)) {}
 
-  IoStatus WriteBatch(std::span<const SwapPageImage>) override { return IoStatus::kOk; }
-  WriteTicket SubmitWriteBatch(std::span<const SwapPageImage> pages) override {
-    WriteTicket ticket;
-    ticket.status = WriteBatch(pages);
-    ticket.device_time = times_.at(next_++);
-    ticket.complete_at = clock_->Now() + ticket.device_time;
-    return ticket;
+  IoStatus WriteBatch(std::span<const SwapPageImage>) override {
+    const SimDuration time = times_.at(next_++);
+    clock_->ReportBackgroundIo(clock_->Now() + time, time);
+    return IoStatus::kOk;
   }
-  DiskDevice* device() override { return nullptr; }
   bool Contains(PageKey) const override { return false; }
   ReadResult ReadPage(PageKey, bool) override { return ReadResult{}; }
   void Invalidate(PageKey) override {}

@@ -14,10 +14,12 @@
 #include "fs/file_system.h"
 #include "sim/clock.h"
 #include "swap/clustered_swap.h"
+#include "swap/write_behind_backend.h"
 #include "tests/test_util.h"
 #include "tier/tier_stack.h"
 #include "util/audit.h"
 #include "util/checksum.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace compcache {
@@ -204,6 +206,38 @@ TEST(TierStackTest, InvalidateDropsTheOnlyCopyWhereverItLives) {
   EXPECT_EQ(h.stack->tier_pages(0), 0u);
   EXPECT_EQ(h.stack->tier_sub_blocks(0), 0u);
   EXPECT_EQ(h.CleanAudit(), 0u);
+}
+
+// Write-behind over the stack: the clock's background window reaches the SSD
+// tier's private device, not just the bottom disk.
+TEST(TierStackTest, WriteBehindDefersTheSsdTierDeviceTime) {
+  StackHarness h({SsdTier("ssd", 64 * kKiB)});
+  TierStack* stack = h.stack.get();
+  WriteBehindBackend backend(std::move(h.stack), &h.clock, /*depth=*/4);
+  MetricRegistry registry;
+  backend.BindMetrics(&registry);
+  Rng rng(17);
+  const PageKey key{1, 0};
+  std::vector<SwapPageImage> batch;
+  batch.push_back(StackImage(rng, key, 1500));
+
+  ASSERT_EQ(backend.WriteBatch(batch), IoStatus::kOk);
+  ASSERT_EQ(stack->TierOf(key), std::optional<size_t>(0));
+  EXPECT_EQ(h.clock.Now(), SimTime{});
+  EXPECT_EQ(h.device.stats().write_ops, 0u);
+  const SimDuration ssd_busy =
+      SimDuration::Nanos(static_cast<int64_t>(registry.GaugeValue("tier.ssd.device_busy_ns")));
+  EXPECT_GT(ssd_busy, SimDuration{});
+  EXPECT_EQ(backend.stats().deferred_io_time, ssd_busy);
+
+  // The idle SSD finishes the batch after exactly its busy time; a read of the
+  // page waits until then.
+  const auto result = backend.ReadPage(key, /*collect_coresidents=*/false);
+  ASSERT_EQ(result.status, IoStatus::kOk);
+  EXPECT_EQ(result.bytes, batch[0].bytes);
+  EXPECT_EQ(backend.stats().barrier_stalls, 1u);
+  EXPECT_EQ(backend.stats().stall_time, ssd_busy);
+  EXPECT_FALSE(backend.InFlight(key));
 }
 
 // --- full machine ------------------------------------------------------------
