@@ -65,7 +65,6 @@ MachineConfig TieredConfig(uint64_t memory_bytes, double share) {
   if (share < 0.0) {
     return config;  // all_dram: today's untiered machine, uncapped ccache
   }
-  config.tiers.enabled = true;
   TierSpec ssd;
   ssd.name = "ssd";
   ssd.capacity_bytes = 16 * kMiB;  // roomy: the disk is for cold dregs only

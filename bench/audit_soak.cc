@@ -79,7 +79,6 @@ MachineConfig MakeConfig(CompressedSwapKind kind, double fault_rate, SoakMode mo
     config.pipeline.fault_batch_window = 2;
   }
   if (mode.tiers) {
-    config.tiers.enabled = true;
     TierSpec nvm;
     nvm.name = "nvm";
     nvm.capacity_bytes = 256 * kKiB;

@@ -214,35 +214,30 @@ void CompressionCache::AppendEntry(PageKey key, std::span<const uint8_t> payload
 
 void CompressionCache::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const CcacheStats* s = &stats_;
-  const auto gauge = [&](const char* name, const uint64_t CcacheStats::*field) {
-    registry->RegisterCounterGauge(name,
-                                   [s, field] { return static_cast<double>(s->*field); });
-  };
-  gauge("ccache.pages_compressed", &CcacheStats::pages_compressed);
-  gauge("ccache.pages_kept", &CcacheStats::pages_kept);
-  gauge("ccache.pages_rejected", &CcacheStats::pages_rejected);
-  gauge("ccache.fault_hits", &CcacheStats::fault_hits);
-  gauge("ccache.inserted_from_swap", &CcacheStats::inserted_from_swap);
-  gauge("ccache.entries_cleaned", &CcacheStats::entries_cleaned);
-  gauge("ccache.entries_dropped", &CcacheStats::entries_dropped);
-  gauge("ccache.invalidations", &CcacheStats::invalidations);
-  // The peak is a state gauge, not an event counter: ResetStats re-baselines it
-  // to the current mapping, which may read lower than the previous peak.
-  registry->RegisterGauge("ccache.frames_mapped_peak", [s] {
-    return static_cast<double>(s->frames_mapped_peak);
+  registry->RegisterCounter("ccache.pages_compressed", &stats_.pages_compressed);
+  registry->RegisterCounter("ccache.pages_kept", &stats_.pages_kept);
+  registry->RegisterCounter("ccache.pages_rejected", &stats_.pages_rejected);
+  registry->RegisterCounter("ccache.fault_hits", &stats_.fault_hits);
+  registry->RegisterCounter("ccache.inserted_from_swap", &stats_.inserted_from_swap);
+  registry->RegisterCounter("ccache.entries_cleaned", &stats_.entries_cleaned);
+  registry->RegisterCounter("ccache.entries_dropped", &stats_.entries_dropped);
+  registry->RegisterCounter("ccache.invalidations", &stats_.invalidations);
+  // The peak is a state gauge, not an event counter: RestartPeak re-baselines
+  // it to the current mapping, which may read lower than the previous peak.
+  registry->RegisterGauge("ccache.frames_mapped_peak", [this] {
+    return static_cast<double>(stats_.frames_mapped_peak);
   });
-  gauge("ccache.adaptive_skips", &CcacheStats::adaptive_skips);
-  gauge("ccache.adaptive_probes", &CcacheStats::adaptive_probes);
-  gauge("ccache.adaptive_disables", &CcacheStats::adaptive_disables);
-  gauge("ccache.adaptive_reenables", &CcacheStats::adaptive_reenables);
-  gauge("ccache.zero_pages", &CcacheStats::zero_pages);
-  gauge("ccache.zero_fault_hits", &CcacheStats::zero_fault_hits);
-  gauge("ccache.original_bytes_kept", &CcacheStats::original_bytes_kept);
-  gauge("ccache.compressed_bytes_kept", &CcacheStats::compressed_bytes_kept);
-  gauge("ccache.checksum_mismatches", &CcacheStats::checksum_mismatches);
-  gauge("ccache.entries_lost", &CcacheStats::entries_lost);
-  gauge("ccache.write_batch_failures", &CcacheStats::write_batch_failures);
+  registry->RegisterCounter("ccache.adaptive_skips", &stats_.adaptive_skips);
+  registry->RegisterCounter("ccache.adaptive_probes", &stats_.adaptive_probes);
+  registry->RegisterCounter("ccache.adaptive_disables", &stats_.adaptive_disables);
+  registry->RegisterCounter("ccache.adaptive_reenables", &stats_.adaptive_reenables);
+  registry->RegisterCounter("ccache.zero_pages", &stats_.zero_pages);
+  registry->RegisterCounter("ccache.zero_fault_hits", &stats_.zero_fault_hits);
+  registry->RegisterCounter("ccache.original_bytes_kept", &stats_.original_bytes_kept);
+  registry->RegisterCounter("ccache.compressed_bytes_kept", &stats_.compressed_bytes_kept);
+  registry->RegisterCounter("ccache.checksum_mismatches", &stats_.checksum_mismatches);
+  registry->RegisterCounter("ccache.entries_lost", &stats_.entries_lost);
+  registry->RegisterCounter("ccache.write_batch_failures", &stats_.write_batch_failures);
   registry->RegisterGauge("ccache.frames_mapped",
                           [this] { return static_cast<double>(mapped_count_); });
   registry->RegisterGauge("ccache.live_entries",
@@ -770,14 +765,6 @@ void CompressionCache::CorruptPayloadBitForTest(PageKey key, size_t bit) {
   CopyOut(e->payload_off() + bit / 8, std::span<uint8_t>(&byte, 1));
   byte ^= static_cast<uint8_t>(1u << (bit % 8));
   CopyIn(e->payload_off() + bit / 8, std::span<const uint8_t>(&byte, 1));
-}
-
-void CompressionCache::ResetStats() {
-  stats_ = CcacheStats{};
-  stats_.frames_mapped_peak = mapped_count_;
-  if (kept_ratio_hist_ != nullptr) {
-    kept_ratio_hist_->Reset();
-  }
 }
 
 void CompressionCache::CorruptLiveBytesForTest(size_t slot, int64_t delta) {

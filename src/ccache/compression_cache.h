@@ -245,10 +245,9 @@ class CompressionCache {
   const CcacheStats& stats() const { return stats_; }
   const CcacheOptions& options() const { return options_; }
 
-  // Zeroes event counters and the kept-ratio distribution. State gauges
-  // (mapped frames, live entries, used bytes) are untouched; the mapped-frames
-  // peak re-baselines to the current mapping so it stays meaningful.
-  void ResetStats();
+  // Restarts the mapped-frames peak from the current mapping (a warm-up
+  // discard; Machine::ResetStats calls it).
+  void RestartPeak() { stats_.frames_mapped_peak = mapped_count_; }
 
   // Invariants: ring occupancy — [head, tail] fits the ring's capacity less
   // its one-page anti-alias slack, the contiguous entry chain spans exactly

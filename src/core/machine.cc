@@ -17,7 +17,7 @@ std::unique_ptr<BackingTimingModel> MakeTiming(const MachineConfig& config) {
   if (config.backing == BackingKind::kNetworkLink) {
     return std::make_unique<NetworkLinkModel>(config.network_params);
   }
-  return std::make_unique<SeekDiskModel>(config.disk_params);
+  return std::make_unique<SeekDiskModel>();
 }
 
 // Runs before any member is built, so a refused config aborts with its rule's
@@ -38,12 +38,12 @@ const char* MachineConfig::Validate() const {
   if (pipeline.enabled && !use_compression_cache) {
     return "pipeline-needs-ccache";
   }
-  if (tiers.enabled && !use_compression_cache) {
+  if (!tiers.tiers.empty() && !use_compression_cache) {
     return "tiers-need-ccache";
   }
   // SSD tiers are non-durable layouts on private devices that Recover never
-  // copies and Mount never reads, yet every writeback lands there first.
-  if (durability.enabled && tiers.enabled && !tiers.tiers.empty()) {
+  // copies and no mount reads, yet every writeback lands there first.
+  if (durability.enabled && !tiers.tiers.empty()) {
     return "durability-with-device-tiers";
   }
   if (pipeline.write_behind_depth == 0) {
@@ -56,9 +56,6 @@ const char* MachineConfig::Validate() const {
   // Inert: settings that would silently do nothing.
   if (!pipeline.enabled && pipeline != PipelineOptions{}) {
     return "pipeline-fields-while-disabled";
-  }
-  if (!tiers.enabled && !tiers.tiers.empty()) {
-    return "tier-list-while-disabled";
   }
   if (!fault_injection.enabled && fault_injection != FaultInjectionOptions{}) {
     return "fault-fields-while-disabled";
@@ -160,11 +157,10 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
       break;
     }
   }
-  if (config_.tiers.enabled) {
+  if (!config_.tiers.tiers.empty()) {
     // Tier stack: the configured layout becomes the stack's bottom tier and
     // the flash-class device tiers sit in front of it, behind the same
-    // CompressedSwapBackend contract. With an empty tier list the stack is
-    // degenerate and forwards verbatim.
+    // CompressedSwapBackend contract.
     auto stack = std::make_unique<TierStack>(&clock_, std::move(inner), config_.tiers);
     tier_stack_ = stack.get();
     inner = std::move(stack);
@@ -397,43 +393,25 @@ void Machine::BindAllMetrics() {
   }
   // Cross-layer integrity summary, always registered so bench JSON schemas are
   // stable whether or not faults are enabled.
-  metrics_.RegisterGauge("fault.checksum_mismatches", [this] {
-    double total = ccache_ != nullptr
-                       ? static_cast<double>(ccache_->stats().checksum_mismatches)
-                       : 0.0;
-    if (tier_stack_ != nullptr) {
-      // Sums every tier backend's detections (the plain accessor below would
-      // only see the outermost decorator's counter).
-      total += static_cast<double>(tier_stack_->total_checksum_mismatches());
-    } else {
-      total += static_cast<double>(cswap_->checksum_mismatches());
-    }
-    return total;
+  metrics_.RegisterCounterGauge("fault.checksum_mismatches", [this] {
+    const uint64_t ccache = ccache_ != nullptr ? ccache_->stats().checksum_mismatches : 0;
+    return static_cast<double>(ccache + cswap_->checksum_mismatches());
   });
-  metrics_.RegisterGauge("fault.pages_recovered", [this] {
-    return static_cast<double>(pager_->stats().pages_recovered);
-  });
-  metrics_.RegisterGauge("fault.pages_lost", [this] {
-    return static_cast<double>(pager_->stats().pages_lost);
-  });
-  metrics_.RegisterGauge("fault.segments_aborted", [this] {
-    return static_cast<double>(pager_->stats().segments_aborted);
-  });
+  const VmStats& vm = pager_->stats();
+  metrics_.RegisterCounter("fault.pages_recovered", &vm.pages_recovered);
+  metrics_.RegisterCounter("fault.pages_lost", &vm.pages_lost);
+  metrics_.RegisterCounter("fault.segments_aborted", &vm.segments_aborted);
 
   // Crash-recovery outcome, always registered for a stable bench JSON schema
   // (all-zero on machines that were not produced by Recover()).
-  const RecoveryStats* rs = &recovery_;
-  const auto recovery = [&](const char* name, const uint64_t RecoveryStats::*field) {
-    metrics_.RegisterCounterGauge(name, [rs, field] { return static_cast<double>(rs->*field); });
-  };
-  recovery("recovery.mounts", &RecoveryStats::mounts);
-  recovery("recovery.pages_recovered", &RecoveryStats::pages_recovered);
-  recovery("recovery.pages_lost", &RecoveryStats::pages_lost);
-  recovery("recovery.orphans_discarded", &RecoveryStats::orphans_discarded);
-  recovery("recovery.journal_replays", &RecoveryStats::journal_replays);
-  recovery("recovery.checkpoint_loads", &RecoveryStats::checkpoint_loads);
-  recovery("recovery.torn_writes_detected", &RecoveryStats::torn_writes_detected);
-  recovery("recovery.mount_ns", &RecoveryStats::mount_ns);
+  metrics_.RegisterCounter("recovery.mounts", &recovery_.mounts);
+  metrics_.RegisterCounter("recovery.pages_recovered", &recovery_.pages_recovered);
+  metrics_.RegisterCounter("recovery.pages_lost", &recovery_.pages_lost);
+  metrics_.RegisterCounter("recovery.orphans_discarded", &recovery_.orphans_discarded);
+  metrics_.RegisterCounter("recovery.journal_replays", &recovery_.journal_replays);
+  metrics_.RegisterCounter("recovery.checkpoint_loads", &recovery_.checkpoint_loads);
+  metrics_.RegisterCounter("recovery.torn_writes_detected", &recovery_.torn_writes_detected);
+  metrics_.RegisterCounter("recovery.mount_ns", &recovery_.mount_ns);
 
   disk_->BindMetrics(&metrics_);
   fs_->BindMetrics(&metrics_);
@@ -491,7 +469,7 @@ void Machine::RegisterAuditChecks() {
     return std::nullopt;
   });
   // Every counter-kind metric is non-decreasing between audits. ResetStats()
-  // clears the watermarks so an intentional zeroing is not a violation.
+  // clears the watermarks so the registry's rebase is not a violation.
   auditor_.Register("metrics", "counters-monotone", [this]() -> std::optional<std::string> {
     for (const std::string& name : metrics_.counter_gauge_names()) {
       const double value = metrics_.GaugeValue(name);
@@ -520,22 +498,10 @@ void Machine::RegisterAuditChecks() {
 }
 
 void Machine::ResetStats() {
-  disk_->ResetStats();
-  fs_->ResetStats();
-  buffer_cache_->ResetStats();
-  pager_->ResetStats();
-  arbiter_.ResetStats();
+  metrics_.Rebase();
   if (ccache_ != nullptr) {
-    ccache_->ResetStats();
+    ccache_->RestartPeak();
   }
-  cswap_->ResetStats();
-  if (pipeline_ != nullptr) {
-    pipeline_->ResetStats();
-  }
-  recovery_ = RecoveryStats{};
-  // Deliberately NOT reset: the fault injector (its nth-operation schedules
-  // count operations from machine start; rebasing them would fire faults at
-  // different absolute points) and the clock/occupancy state gauges.
   counter_watermarks_.clear();
 }
 

@@ -121,7 +121,6 @@ struct MachineConfig {
   AdaptiveCompressionOptions adaptive_compression;
 
   BackingKind backing = BackingKind::kLocalDisk;
-  SeekDiskParams disk_params;
   NetworkLinkParams network_params;
   FileSystem::Options fs_options;
   CostModel costs;
@@ -151,10 +150,9 @@ struct MachineConfig {
   PipelineOptions pipeline;
 
   // Flash-class device tiers interposed as an LRU cascade between the
-  // compression cache and the configured disk layout. Requires
-  // use_compression_cache; refused with durability when tiers are listed.
-  // With `tiers.enabled` and an empty tier list the stack is degenerate and
-  // the machine behaves byte-identically to one without it.
+  // compression cache and the configured disk layout; none are listed by
+  // default. Listed tiers require use_compression_cache and are refused with
+  // durability.
   TierOptions tiers;
 
   // Cap on compression-cache slots (frames the ccache ring may map): the
@@ -235,9 +233,9 @@ class Machine : public FrameSource {
   // Non-null only when MachineConfig::pipeline.enabled; write_behind() is then
   // the same object as compressed_swap() (the decorator wraps the layout).
   WriteBehindBackend* write_behind() { return write_behind_; }
-  // Non-null only when MachineConfig::tiers.enabled; the stack sits between
-  // the write-behind decorator (when present) and the disk layout, so the
-  // typed layout aliases above point at the stack's bottom backend.
+  // Non-null only when MachineConfig::tiers lists device tiers; the stack sits
+  // between the write-behind decorator (when present) and the disk layout, so
+  // the typed layout aliases above point at the stack's bottom backend.
   TierStack* tier_stack() { return tier_stack_; }
   PipelineEngine* pipeline() { return pipeline_.get(); }
   FramePool& frame_pool() { return pool_; }
@@ -256,10 +254,12 @@ class Machine : public FrameSource {
   InvariantAuditor& auditor() { return auditor_; }
   size_t RunAudit() { return auditor_.RunAll(); }
 
-  // Zeroes every subsystem's event counters and histograms (warmup discard).
-  // State — resident pages, cache contents, swap locations, virtual time — is
-  // untouched, as are fault-injection schedules (their nth-operation ordinals
-  // are positional and must keep counting from machine start). The metrics
+  // Restarts every published count (warmup discard): rebases the metric
+  // registry, so each counter metric reads its growth from here and every
+  // histogram and push counter restarts from zero, and restarts the ccache's
+  // mapped-frames peak from the current mapping. Subsystem counters never
+  // reset, and state — resident pages, cache contents, swap locations,
+  // virtual time, fault-injection ordinals — is untouched. The metrics
   // monotonicity watermarks re-baseline so the auditor accepts the drop.
   void ResetStats();
 
@@ -337,7 +337,7 @@ class Machine : public FrameSource {
   LfsSwapLayout* lfs_swap_ = nullptr;
   // Alias of cswap_ when it is the write-behind decorator (pipeline enabled).
   WriteBehindBackend* write_behind_ = nullptr;
-  // Alias into the cswap_ chain when MachineConfig::tiers.enabled.
+  // Alias into the cswap_ chain when MachineConfig::tiers lists device tiers.
   TierStack* tier_stack_ = nullptr;
   std::unique_ptr<CompressionCache> ccache_;
 

@@ -20,13 +20,6 @@ void DiskDevice::SetRetryPolicy(const RetryPolicy& policy) {
   retry_policy_ = policy;
 }
 
-void DiskDevice::ResetStats() {
-  stats_ = DiskStats{};
-  if (access_latency_ != nullptr) {
-    access_latency_->Reset();
-  }
-}
-
 void DiskDevice::Charge(uint64_t offset, uint64_t length) {
   SimDuration device_cost;
   if (clock_->in_background_window()) {
@@ -85,33 +78,18 @@ void DiskDevice::ChargeBackoff(uint32_t attempt) {
 
 void DiskDevice::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const DiskStats* s = &stats_;
-  registry->RegisterCounterGauge("disk.read_ops",
-                          [s] { return static_cast<double>(s->read_ops); });
-  registry->RegisterCounterGauge("disk.write_ops",
-                          [s] { return static_cast<double>(s->write_ops); });
-  registry->RegisterCounterGauge("disk.bytes_read",
-                          [s] { return static_cast<double>(s->bytes_read); });
-  registry->RegisterCounterGauge("disk.bytes_written",
-                          [s] { return static_cast<double>(s->bytes_written); });
-  registry->RegisterCounterGauge("disk.busy_ns",
-                          [s] { return static_cast<double>(s->busy_time.nanos()); });
-  registry->RegisterCounterGauge("disk.queue_wait_ns", [s] {
-    return static_cast<double>(s->queue_wait_time.nanos());
-  });
-  registry->RegisterCounterGauge("retry.read_retries",
-                          [s] { return static_cast<double>(s->read_retries); });
-  registry->RegisterCounterGauge("retry.write_retries",
-                          [s] { return static_cast<double>(s->write_retries); });
-  registry->RegisterCounterGauge("retry.reads_exhausted",
-                          [s] { return static_cast<double>(s->reads_exhausted); });
-  registry->RegisterCounterGauge("retry.writes_exhausted",
-                          [s] { return static_cast<double>(s->writes_exhausted); });
-  registry->RegisterCounterGauge("retry.backoff_ns", [s] {
-    return static_cast<double>(s->retry_backoff_time.nanos());
-  });
-  registry->RegisterCounterGauge("fault.crashes",
-                          [s] { return static_cast<double>(s->power_failures); });
+  registry->RegisterCounter("disk.read_ops", &stats_.read_ops);
+  registry->RegisterCounter("disk.write_ops", &stats_.write_ops);
+  registry->RegisterCounter("disk.bytes_read", &stats_.bytes_read);
+  registry->RegisterCounter("disk.bytes_written", &stats_.bytes_written);
+  registry->RegisterCounter("disk.busy_ns", &stats_.busy_time);
+  registry->RegisterCounter("disk.queue_wait_ns", &stats_.queue_wait_time);
+  registry->RegisterCounter("retry.read_retries", &stats_.read_retries);
+  registry->RegisterCounter("retry.write_retries", &stats_.write_retries);
+  registry->RegisterCounter("retry.reads_exhausted", &stats_.reads_exhausted);
+  registry->RegisterCounter("retry.writes_exhausted", &stats_.writes_exhausted);
+  registry->RegisterCounter("retry.backoff_ns", &stats_.retry_backoff_time);
+  registry->RegisterCounter("fault.crashes", &stats_.power_failures);
   access_latency_ = registry->BindHistogram("disk.access_ns");
 }
 

@@ -111,9 +111,6 @@ class DiskDevice {
 
   uint64_t capacity() const { return timing_->capacity(); }
   const DiskStats& stats() const { return stats_; }
-  // Clears the counters and the bound disk.access_ns histogram (if any), so a
-  // bench warm-up reset leaves no stale observability state.
-  void ResetStats();
   Clock* clock() const { return clock_; }
 
   void SetRetryPolicy(const RetryPolicy& policy);

@@ -227,18 +227,13 @@ void BufferCache::RegisterAuditChecks(InvariantAuditor* auditor) {
 
 void BufferCache::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const BufferCacheStats* s = &stats_;
-  const auto gauge = [&](const char* name, const uint64_t BufferCacheStats::*field) {
-    registry->RegisterCounterGauge(name,
-                                   [s, field] { return static_cast<double>(s->*field); });
-  };
-  gauge("bcache.hits", &BufferCacheStats::hits);
-  gauge("bcache.misses", &BufferCacheStats::misses);
-  gauge("bcache.writebacks", &BufferCacheStats::writebacks);
-  gauge("bcache.compressed_inserts", &BufferCacheStats::compressed_inserts);
-  gauge("bcache.compressed_hits", &BufferCacheStats::compressed_hits);
-  gauge("bcache.read_failures", &BufferCacheStats::read_failures);
-  gauge("bcache.writeback_failures", &BufferCacheStats::writeback_failures);
+  registry->RegisterCounter("bcache.hits", &stats_.hits);
+  registry->RegisterCounter("bcache.misses", &stats_.misses);
+  registry->RegisterCounter("bcache.writebacks", &stats_.writebacks);
+  registry->RegisterCounter("bcache.compressed_inserts", &stats_.compressed_inserts);
+  registry->RegisterCounter("bcache.compressed_hits", &stats_.compressed_hits);
+  registry->RegisterCounter("bcache.read_failures", &stats_.read_failures);
+  registry->RegisterCounter("bcache.writeback_failures", &stats_.writeback_failures);
   registry->RegisterGauge("bcache.blocks",
                           [this] { return static_cast<double>(blocks_.size()); });
 }

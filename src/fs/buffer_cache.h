@@ -57,7 +57,6 @@ class BufferCache {
 
   size_t num_blocks() const { return blocks_.size(); }
   const BufferCacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferCacheStats{}; }
 
   // Invariants: block map and LRU list agree, and block ages are plausible
   // virtual-time stamps.

@@ -244,18 +244,13 @@ IoStatus FileSystem::Write(FileId file, uint64_t offset, std::span<const uint8_t
 
 void FileSystem::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const FsStats* s = &stats_;
-  const auto gauge = [&](const char* name, const uint64_t FsStats::*field) {
-    registry->RegisterCounterGauge(name,
-                                   [s, field] { return static_cast<double>(s->*field); });
-  };
-  gauge("fs.direct_reads", &FsStats::direct_reads);
-  gauge("fs.direct_writes", &FsStats::direct_writes);
-  gauge("fs.rmw_reads", &FsStats::rmw_reads);
-  gauge("fs.bytes_requested_read", &FsStats::bytes_requested_read);
-  gauge("fs.bytes_requested_written", &FsStats::bytes_requested_written);
-  gauge("fs.bytes_transferred_read", &FsStats::bytes_transferred_read);
-  gauge("fs.bytes_transferred_written", &FsStats::bytes_transferred_written);
+  registry->RegisterCounter("fs.direct_reads", &stats_.direct_reads);
+  registry->RegisterCounter("fs.direct_writes", &stats_.direct_writes);
+  registry->RegisterCounter("fs.rmw_reads", &stats_.rmw_reads);
+  registry->RegisterCounter("fs.bytes_requested_read", &stats_.bytes_requested_read);
+  registry->RegisterCounter("fs.bytes_requested_written", &stats_.bytes_requested_written);
+  registry->RegisterCounter("fs.bytes_transferred_read", &stats_.bytes_transferred_read);
+  registry->RegisterCounter("fs.bytes_transferred_written", &stats_.bytes_transferred_written);
 }
 
 }  // namespace compcache

@@ -94,7 +94,6 @@ class FileSystem {
   uint64_t DiskBlockFor(FileId file, uint64_t file_block);
 
   const FsStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = FsStats{}; }
   DiskDevice* disk() { return disk_; }
 
   // Publishes counters as "fs.*" gauges.

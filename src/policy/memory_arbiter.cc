@@ -88,13 +88,6 @@ void MemoryArbiter::RecordReclaim(size_t consumer_index, bool fell_through) {
   }
 }
 
-void MemoryArbiter::ResetStats() {
-  for (Consumer& c : consumers_) {
-    c.reclaims = 0;
-    c.refusals = 0;
-  }
-}
-
 void MemoryArbiter::RegisterAuditChecks(InvariantAuditor* auditor, const Clock* clock) {
   CC_EXPECTS(auditor != nullptr && clock != nullptr);
   auditor->Register("arbiter", "ages-plausible", [this, clock]() -> std::optional<std::string> {
@@ -122,12 +115,9 @@ void MemoryArbiter::RegisterAuditChecks(InvariantAuditor* auditor, const Clock* 
 
 void MemoryArbiter::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  for (size_t i = 0; i < consumers_.size(); ++i) {
-    const Consumer* c = &consumers_[i];
-    registry->RegisterCounterGauge("arbiter." + c->name + ".reclaims",
-                                   [c] { return static_cast<double>(c->reclaims); });
-    registry->RegisterCounterGauge("arbiter." + c->name + ".refusals",
-                                   [c] { return static_cast<double>(c->refusals); });
+  for (const Consumer& c : consumers_) {
+    registry->RegisterCounter("arbiter." + c.name + ".reclaims", &c.reclaims);
+    registry->RegisterCounter("arbiter." + c.name + ".refusals", &c.refusals);
   }
 }
 

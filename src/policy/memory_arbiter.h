@@ -69,9 +69,6 @@ class MemoryArbiter {
 
   const std::vector<Consumer>& consumers() const { return consumers_; }
 
-  // Zeroes the per-consumer reclaim/refusal counters.
-  void ResetStats();
-
   // Invariants: every published age is UINT64_MAX (empty) or a plausible
   // timestamp (<= now), and monotone consumers never publish a smaller age
   // than they did at the previous audit. Call after all consumers are added.

@@ -30,27 +30,20 @@ ClusteredSwapLayout::ClusteredSwapLayout(FileSystem* fs, Options options)
 
 void ClusteredSwapLayout::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const ClusteredSwapStats* s = &stats_;
-  const auto gauge = [&](const char* name, const uint64_t ClusteredSwapStats::*field) {
-    registry->RegisterCounterGauge(name,
-                                   [s, field] { return static_cast<double>(s->*field); });
-  };
-  gauge("swap.clustered.batches_written", &ClusteredSwapStats::batches_written);
-  gauge("swap.clustered.pages_written", &ClusteredSwapStats::pages_written);
-  gauge("swap.clustered.pages_read", &ClusteredSwapStats::pages_read);
-  gauge("swap.clustered.fragment_bytes_written", &ClusteredSwapStats::fragment_bytes_written);
-  gauge("swap.clustered.payload_bytes_written", &ClusteredSwapStats::payload_bytes_written);
-  gauge("swap.clustered.blocks_reused", &ClusteredSwapStats::blocks_reused);
-  gauge("swap.clustered.blocks_appended", &ClusteredSwapStats::blocks_appended);
-  gauge("swap.clustered.coresident_pages_returned",
-        &ClusteredSwapStats::coresident_pages_returned);
-  gauge("swap.clustered.readahead_blocks_read",
-        &ClusteredSwapStats::readahead_blocks_read);
+  registry->RegisterCounter("swap.clustered.batches_written", &stats_.batches_written);
+  registry->RegisterCounter("swap.clustered.pages_written", &stats_.pages_written);
+  registry->RegisterCounter("swap.clustered.pages_read", &stats_.pages_read);
+  registry->RegisterCounter("swap.clustered.fragment_bytes_written",
+                            &stats_.fragment_bytes_written);
+  registry->RegisterCounter("swap.clustered.payload_bytes_written", &stats_.payload_bytes_written);
+  registry->RegisterCounter("swap.clustered.blocks_reused", &stats_.blocks_reused);
+  registry->RegisterCounter("swap.clustered.blocks_appended", &stats_.blocks_appended);
+  registry->RegisterCounter("swap.clustered.coresident_pages_returned",
+                            &stats_.coresident_pages_returned);
+  registry->RegisterCounter("swap.clustered.readahead_blocks_read", &stats_.readahead_blocks_read);
   // Base-class counter (bumped when a coresident fails its CRC and is not
   // returned); published here so silent integrity drops are observable.
-  registry->RegisterCounterGauge("swap.clustered.coresidents_dropped", [this] {
-    return static_cast<double>(coresidents_dropped());
-  });
+  registry->RegisterCounter("swap.clustered.coresidents_dropped", &coresidents_dropped_);
   registry->RegisterGauge("swap.clustered.live_pages",
                           [this] { return static_cast<double>(locations_.size()); });
   registry->RegisterGauge("swap.clustered.free_blocks",

@@ -95,10 +95,6 @@ class ClusteredSwapLayout : public CompressedSwapBackend {
   MountStats Mount() override;
 
   const ClusteredSwapStats& stats() const { return stats_; }
-  void ResetStats() override {
-    stats_ = ClusteredSwapStats{};
-    ResetBaseCounters();
-  }
 
   // Publishes counters as "swap.clustered.*" gauges.
   void BindMetrics(MetricRegistry* registry) override;

@@ -145,13 +145,11 @@ class CompressedSwapBackend {
   // conservation, index/location agreement) with the auditor.
   virtual void RegisterAuditChecks(InvariantAuditor* auditor) = 0;
 
-  // Zeroes event counters (layout stats plus the shared integrity counters).
-  // Stored pages and free-space structures are untouched.
-  virtual void ResetStats() { ResetBaseCounters(); }
-
   // --- integrity ---
   // Reads verify each image against the CRC-32C recorded with it at write time.
-  uint64_t checksum_mismatches() const { return checksum_mismatches_; }
+  // Counts the failed verifications of every layout this backend reads
+  // through (a decorator forwards, a tier stack sums its tiers).
+  virtual uint64_t checksum_mismatches() const { return checksum_mismatches_; }
   uint64_t coresidents_dropped() const { return coresidents_dropped_; }
 
   // --- observability ---
@@ -176,11 +174,6 @@ class CompressedSwapBackend {
       result.status = IoStatus::kCorrupt;
     }
     return slice.verified;
-  }
-
-  void ResetBaseCounters() {
-    checksum_mismatches_ = 0;
-    coresidents_dropped_ = 0;
   }
 
   uint64_t checksum_mismatches_ = 0;

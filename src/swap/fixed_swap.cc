@@ -200,13 +200,9 @@ void FixedSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
 
 void FixedSwapLayout::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const FixedSwapStats* s = &stats_;
-  registry->RegisterCounterGauge("swap.fixed.pages_written",
-                                 [s] { return static_cast<double>(s->pages_written); });
-  registry->RegisterCounterGauge("swap.fixed.pages_read",
-                                 [s] { return static_cast<double>(s->pages_read); });
-  registry->RegisterCounterGauge("swap.fixed.payload_bytes_written",
-                                 [s] { return static_cast<double>(s->payload_bytes_written); });
+  registry->RegisterCounter("swap.fixed.pages_written", &stats_.pages_written);
+  registry->RegisterCounter("swap.fixed.pages_read", &stats_.pages_read);
+  registry->RegisterCounter("swap.fixed.payload_bytes_written", &stats_.payload_bytes_written);
   registry->RegisterGauge("swap.fixed.live_pages",
                           [this] { return static_cast<double>(images_.size()); });
 }

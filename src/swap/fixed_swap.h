@@ -64,10 +64,6 @@ class FixedSwapLayout : public CompressedSwapBackend {
   MountStats Mount() override;
 
   const FixedSwapStats& stats() const { return stats_; }
-  void ResetStats() override {
-    stats_ = FixedSwapStats{};
-    ResetBaseCounters();
-  }
 
   // Publishes counters as "swap.fixed.*" gauges.
   void BindMetrics(MetricRegistry* registry) override;

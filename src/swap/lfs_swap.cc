@@ -655,22 +655,15 @@ void LfsSwapLayout::RegisterAuditChecks(InvariantAuditor* auditor) {
 
 void LfsSwapLayout::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const LfsSwapStats* s = &stats_;
-  const auto gauge = [&](const char* name, const uint64_t LfsSwapStats::*field) {
-    registry->RegisterCounterGauge(name,
-                                   [s, field] { return static_cast<double>(s->*field); });
-  };
-  gauge("swap.lfs.pages_written", &LfsSwapStats::pages_written);
-  gauge("swap.lfs.pages_read", &LfsSwapStats::pages_read);
-  gauge("swap.lfs.segments_written", &LfsSwapStats::segments_written);
-  gauge("swap.lfs.segments_cleaned", &LfsSwapStats::segments_cleaned);
-  gauge("swap.lfs.live_pages_copied", &LfsSwapStats::live_pages_copied);
-  gauge("swap.lfs.reads_from_buffer", &LfsSwapStats::reads_from_buffer);
-  gauge("swap.lfs.checkpoints_written", &LfsSwapStats::checkpoints_written);
+  registry->RegisterCounter("swap.lfs.pages_written", &stats_.pages_written);
+  registry->RegisterCounter("swap.lfs.pages_read", &stats_.pages_read);
+  registry->RegisterCounter("swap.lfs.segments_written", &stats_.segments_written);
+  registry->RegisterCounter("swap.lfs.segments_cleaned", &stats_.segments_cleaned);
+  registry->RegisterCounter("swap.lfs.live_pages_copied", &stats_.live_pages_copied);
+  registry->RegisterCounter("swap.lfs.reads_from_buffer", &stats_.reads_from_buffer);
+  registry->RegisterCounter("swap.lfs.checkpoints_written", &stats_.checkpoints_written);
   // Base-class counter, same drop path as the clustered layout's.
-  registry->RegisterCounterGauge("swap.lfs.coresidents_dropped", [this] {
-    return static_cast<double>(coresidents_dropped());
-  });
+  registry->RegisterCounter("swap.lfs.coresidents_dropped", &coresidents_dropped_);
   registry->RegisterGauge("swap.lfs.free_segments",
                           [this] { return static_cast<double>(free_segments()); });
 }

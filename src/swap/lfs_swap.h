@@ -86,10 +86,6 @@ class LfsSwapLayout : public CompressedSwapBackend {
   MountStats Mount() override;
 
   const LfsSwapStats& stats() const { return stats_; }
-  void ResetStats() override {
-    stats_ = LfsSwapStats{};
-    ResetBaseCounters();
-  }
   size_t free_segments() const { return CountSegments(SegmentState::kFree); }
   size_t buffer_frame_count() const { return buffer_frames_.size(); }
 

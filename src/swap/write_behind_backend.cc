@@ -53,7 +53,6 @@ void WriteBehindBackend::Retire(std::vector<Batch>::iterator batch) {
   }
   inflight_.erase(batch);
   ++stats_.batches_completed;
-  ++lifetime_completed_;
 }
 
 IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
@@ -76,7 +75,6 @@ IoStatus WriteBehindBackend::WriteBatch(std::span<const SwapPageImage> pages) {
   }
   inflight_.push_back(std::move(batch));
   ++stats_.batches_submitted;
-  ++lifetime_submitted_;
   stats_.pages_submitted += pages.size();
   stats_.deferred_io_time += io.device_time;
 
@@ -134,11 +132,9 @@ void WriteBehindBackend::RegisterAuditChecks(InvariantAuditor* auditor) {
   inner_->RegisterAuditChecks(auditor);
   auditor->Register("pipeline", "inflight-conservation",
                     [this]() -> std::optional<std::string> {
-                      if (lifetime_submitted_ !=
-                          lifetime_completed_ + inflight_.size()) {
-                        return "submitted " + std::to_string(lifetime_submitted_) +
-                               " != completed " +
-                               std::to_string(lifetime_completed_) +
+                      if (stats_.batches_submitted != stats_.batches_completed + inflight_.size()) {
+                        return "submitted " + std::to_string(stats_.batches_submitted) +
+                               " != completed " + std::to_string(stats_.batches_completed) +
                                " + inflight " + std::to_string(inflight_.size());
                       }
                       return std::nullopt;
@@ -162,28 +158,13 @@ void WriteBehindBackend::RegisterAuditChecks(InvariantAuditor* auditor) {
 void WriteBehindBackend::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
   inner_->BindMetrics(registry);
-  const WriteBehindStats* s = &stats_;
-  registry->RegisterCounterGauge("pipeline.batches_submitted", [s] {
-    return static_cast<double>(s->batches_submitted);
-  });
-  registry->RegisterCounterGauge("pipeline.batches_completed", [s] {
-    return static_cast<double>(s->batches_completed);
-  });
-  registry->RegisterCounterGauge("pipeline.pages_submitted", [s] {
-    return static_cast<double>(s->pages_submitted);
-  });
-  registry->RegisterCounterGauge("pipeline.barrier_stalls", [s] {
-    return static_cast<double>(s->barrier_stalls);
-  });
-  registry->RegisterCounterGauge("pipeline.backpressure_stalls", [s] {
-    return static_cast<double>(s->backpressure_stalls);
-  });
-  registry->RegisterCounterGauge("pipeline.stall_ns", [s] {
-    return static_cast<double>(s->stall_time.nanos());
-  });
-  registry->RegisterCounterGauge("pipeline.deferred_io_ns", [s] {
-    return static_cast<double>(s->deferred_io_time.nanos());
-  });
+  registry->RegisterCounter("pipeline.batches_submitted", &stats_.batches_submitted);
+  registry->RegisterCounter("pipeline.batches_completed", &stats_.batches_completed);
+  registry->RegisterCounter("pipeline.pages_submitted", &stats_.pages_submitted);
+  registry->RegisterCounter("pipeline.barrier_stalls", &stats_.barrier_stalls);
+  registry->RegisterCounter("pipeline.backpressure_stalls", &stats_.backpressure_stalls);
+  registry->RegisterCounter("pipeline.stall_ns", &stats_.stall_time);
+  registry->RegisterCounter("pipeline.deferred_io_ns", &stats_.deferred_io_time);
   registry->RegisterGauge("pipeline.inflight",
                           [this] { return static_cast<double>(inflight_.size()); });
 }

@@ -74,10 +74,7 @@ class WriteBehindBackend : public CompressedSwapBackend {
     inner_->ForEachPage(fn);
   }
   void RegisterAuditChecks(InvariantAuditor* auditor) override;
-  void ResetStats() override {
-    stats_ = WriteBehindStats{};
-    inner_->ResetStats();
-  }
+  uint64_t checksum_mismatches() const override { return inner_->checksum_mismatches(); }
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override { inner_->SetTracer(tracer); }
 
@@ -118,9 +115,6 @@ class WriteBehindBackend : public CompressedSwapBackend {
   std::unordered_map<PageKey, uint64_t, PageKeyHash> inflight_keys_;
   uint64_t next_seq_ = 0;
   WriteBehindStats stats_;
-  // Lifetime counters for the auditor (survive ResetStats, unlike stats_).
-  uint64_t lifetime_submitted_ = 0;
-  uint64_t lifetime_completed_ = 0;
 };
 
 }  // namespace compcache

@@ -34,13 +34,10 @@ struct TierSpec {
 };
 
 struct TierOptions {
-  // Off by default: the machine is wired exactly as before and no TierStack is
-  // constructed. Requires use_compression_cache, and refuses durability when
-  // `tiers` is non-empty (the device tiers are not crash-recoverable).
-  bool enabled = false;
   // Device tiers, fastest first. The disk tier (the configured compressed-swap
-  // layout) is always appended below them. Empty = the degenerate stack,
-  // pinned byte-identical to the unwrapped machine.
+  // layout) is always appended below them. Empty (the default): no TierStack
+  // is constructed. A non-empty list requires use_compression_cache and
+  // refuses durability (the device tiers are not crash-recoverable).
   std::vector<TierSpec> tiers;
 };
 

@@ -93,39 +93,9 @@ void TierStack::Invalidate(PageKey key) {
   RemoveFrom(it->second.tier, key, /*demoted=*/false);
 }
 
-CompressedSwapBackend::MountStats TierStack::Mount() {
-  CC_EXPECTS(entries_.empty());  // mount once, before the first WriteBatch
-  Tier& bottom = tiers_.back();
-  const MountStats stats = bottom.backend->Mount();
-  const size_t b = tiers_.size() - 1;
-  bottom.backend->ForEachPage([&](PageKey key) {
-    bottom.lru.push_back(key);
-    entries_[key] = Entry{b, 0, std::prev(bottom.lru.end())};
-  });
-  for (Tier& tier : tiers_) {
-    tier.pages_at_baseline = tier.lru.size();
-  }
-  return stats;
-}
-
 void TierStack::ForEachPage(const std::function<void(PageKey)>& fn) const {
   for (const auto& [key, entry] : entries_) {
     fn(key);
-  }
-}
-
-void TierStack::ResetStats() {
-  ResetBaseCounters();
-  for (Tier& tier : tiers_) {
-    tier.counters = TierCounters{};
-    tier.pages_at_baseline = tier.lru.size();
-    if (tier.read_ns != nullptr) {
-      tier.read_ns->Reset();
-    }
-    if (tier.ssd_device != nullptr) {
-      tier.ssd_device->ResetStats();
-    }
-    tier.backend->ResetStats();
   }
 }
 
@@ -146,29 +116,20 @@ void TierStack::BindMetrics(MetricRegistry* registry) {
                             [tier] { return static_cast<double>(tier->lru.size()); });
     registry->RegisterGauge(prefix + "sub_blocks",
                             [tier] { return static_cast<double>(tier->sub_blocks_used); });
-    const auto counter = [&](const char* name, const uint64_t* value) {
-      registry->RegisterCounterGauge(prefix + name,
-                                     [value] { return static_cast<double>(*value); });
-    };
-    counter("landings", &tier->counters.landings);
-    counter("demotions_in", &tier->counters.demotions_in);
-    counter("demotions_out", &tier->counters.demotions_out);
-    counter("invalidations", &tier->counters.invalidations);
-    counter("reads", &tier->counters.reads);
-    counter("demotion_failures", &tier->counters.demotion_failures);
+    const TierCounters& c = tier->counters;
+    registry->RegisterCounter(prefix + "landings", &c.landings);
+    registry->RegisterCounter(prefix + "demotions_in", &c.demotions_in);
+    registry->RegisterCounter(prefix + "demotions_out", &c.demotions_out);
+    registry->RegisterCounter(prefix + "invalidations", &c.invalidations);
+    registry->RegisterCounter(prefix + "reads", &c.reads);
+    registry->RegisterCounter(prefix + "demotion_failures", &c.demotion_failures);
     if (tier->ssd_device != nullptr) {
       // The SSD device's own BindMetrics would collide with the bottom disk's
       // fixed "disk.*" names, so its stats surface under the tier prefix.
-      DiskDevice* dev = tier->ssd_device.get();
-      registry->RegisterCounterGauge(prefix + "device_read_ops", [dev] {
-        return static_cast<double>(dev->stats().read_ops);
-      });
-      registry->RegisterCounterGauge(prefix + "device_write_ops", [dev] {
-        return static_cast<double>(dev->stats().write_ops);
-      });
-      registry->RegisterCounterGauge(prefix + "device_busy_ns", [dev] {
-        return static_cast<double>(dev->stats().busy_time.nanos());
-      });
+      const DiskStats& dev = tier->ssd_device->stats();
+      registry->RegisterCounter(prefix + "device_read_ops", &dev.read_ops);
+      registry->RegisterCounter(prefix + "device_write_ops", &dev.write_ops);
+      registry->RegisterCounter(prefix + "device_busy_ns", &dev.busy_time);
     }
     tier->read_ns = registry->BindHistogram(prefix + "read_ns");
   }
@@ -211,11 +172,11 @@ void TierStack::RegisterAuditChecks(InvariantAuditor* auditor) {
     }
     return std::nullopt;
   });
-  // Per-tier occupancy: baseline plus inflows equals live pages plus outflows.
+  // Per-tier occupancy: inflows equal live pages plus outflows.
   auditor->Register("tier", "occupancy-conservation", [this]() -> std::optional<std::string> {
     for (const Tier& tier : tiers_) {
       const TierCounters& c = tier.counters;
-      const uint64_t in = tier.pages_at_baseline + c.landings + c.demotions_in;
+      const uint64_t in = c.landings + c.demotions_in;
       const uint64_t out =
           static_cast<uint64_t>(tier.lru.size()) + c.demotions_out + c.invalidations;
       if (in != out) {
@@ -244,7 +205,7 @@ void TierStack::RegisterAuditChecks(InvariantAuditor* auditor) {
   });
 }
 
-uint64_t TierStack::total_checksum_mismatches() const {
+uint64_t TierStack::checksum_mismatches() const {
   uint64_t total = 0;
   for (const Tier& tier : tiers_) {
     total += tier.backend->checksum_mismatches();

@@ -4,10 +4,8 @@
 // pager, and write-behind decorator it *is* the backing store. Every image
 // the ccache writes back lands in tier 0; when a tier is over capacity its
 // LRU pages are demoted one tier down, and the machine's configured disk swap
-// layout is the unbounded bottom tier. Every page lives in exactly one tier;
-// per-tier occupancy and flow conservation are audited, and the degenerate
-// stack (no device tiers) forwards every batch verbatim, byte-identical to
-// the unwrapped machine.
+// layout is the unbounded bottom tier. Every page lives in exactly one tier,
+// and per-tier occupancy and flow conservation are audited.
 #ifndef COMPCACHE_TIER_TIER_STACK_H_
 #define COMPCACHE_TIER_TIER_STACK_H_
 
@@ -31,7 +29,7 @@ namespace compcache {
 
 // Per-tier event counters, published as "tier.<name>.*" counter gauges.
 // Conservation identities (audited, and re-checked over bench JSON):
-//   baseline + landings + demotions_in
+//   landings + demotions_in
 //     == pages + demotions_out + invalidations      (per tier)
 //   demotions_out[i] == demotions_in[i+1]           (boundary)
 struct TierCounters {
@@ -55,17 +53,14 @@ class TierStack : public CompressedSwapBackend {
   bool Contains(PageKey key) const override { return entries_.contains(key); }
   ReadResult ReadPage(PageKey key, bool collect_coresidents) override;
   void Invalidate(PageKey key) override;
-  MountStats Mount() override;
   void ForEachPage(const std::function<void(PageKey)>& fn) const override;
   void RegisterAuditChecks(InvariantAuditor* auditor) override;
-  void ResetStats() override;
+  // Summed over every tier's layout (the stack reads no image itself).
+  uint64_t checksum_mismatches() const override;
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override;
 
   // --- machine integration ---
-  // Checksum mismatches summed across every tier backend (the base-class
-  // accessor only sees this object's, which the stack never bumps).
-  uint64_t total_checksum_mismatches() const;
   // The adopted disk layout (for the machine's typed-alias debug check).
   CompressedSwapBackend* bottom_backend() { return tiers_.back().backend; }
 
@@ -98,7 +93,6 @@ class TierStack : public CompressedSwapBackend {
     CompressedSwapBackend* backend = nullptr;
     std::list<PageKey> lru;  // front = oldest
     uint64_t sub_blocks_used = 0;
-    uint64_t pages_at_baseline = 0;  // occupancy at construction/Mount/ResetStats
     TierCounters counters;
     LatencyHistogram* read_ns = nullptr;  // owned by the bound registry
   };

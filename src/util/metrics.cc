@@ -85,15 +85,38 @@ void MetricRegistry::RegisterGauge(const std::string& name, GaugeFn fn) {
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     CheckNameFree(name, nullptr);
-    gauges_.emplace(name, std::move(fn));
+    gauges_.emplace(name, Gauge{std::move(fn)});
   } else {
-    it->second = std::move(fn);
+    it->second = Gauge{std::move(fn)};
   }
 }
 
 void MetricRegistry::RegisterCounterGauge(const std::string& name, GaugeFn fn) {
   RegisterGauge(name, std::move(fn));
   counter_gauge_names_.insert(name);
+}
+
+void MetricRegistry::RegisterCounter(const std::string& name, const uint64_t* value) {
+  CC_EXPECTS(value != nullptr);
+  RegisterCounterGauge(name, [value] { return static_cast<double>(*value); });
+}
+
+void MetricRegistry::RegisterCounter(const std::string& name, const SimDuration* value) {
+  CC_EXPECTS(value != nullptr);
+  RegisterCounterGauge(name, [value] { return static_cast<double>(value->nanos()); });
+}
+
+void MetricRegistry::Rebase() {
+  for (const std::string& name : counter_gauge_names_) {
+    Gauge& gauge = gauges_.at(name);
+    gauge.base = gauge.fn();
+  }
+  for (auto& [name, counter] : counters_) {
+    counter->Reset();
+  }
+  for (auto& [name, entry] : histograms_) {
+    entry.hist->Reset();
+  }
 }
 
 std::vector<std::string> MetricRegistry::HistogramNames() const {
@@ -141,7 +164,7 @@ const LatencyHistogram* MetricRegistry::FindHistogram(const std::string& name) c
 double MetricRegistry::GaugeValue(const std::string& name) const {
   const auto it = gauges_.find(name);
   CC_EXPECTS(it != gauges_.end());
-  return it->second();
+  return it->second.Read();
 }
 
 bool MetricRegistry::Lookup(const std::string& name, double* out) const {
@@ -151,7 +174,7 @@ bool MetricRegistry::Lookup(const std::string& name, double* out) const {
     return true;
   }
   if (const auto it = gauges_.find(name); it != gauges_.end()) {
-    *out = it->second();
+    *out = it->second.Read();
     return true;
   }
   const auto dot = name.rfind('.');
@@ -191,8 +214,8 @@ std::vector<std::pair<std::string, double>> MetricRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     out.emplace_back(name, static_cast<double>(counter->value()));
   }
-  for (const auto& [name, fn] : gauges_) {
-    out.emplace_back(name, fn());
+  for (const auto& [name, gauge] : gauges_) {
+    out.emplace_back(name, gauge.Read());
   }
   for (const auto& [name, entry] : histograms_) {
     const LatencyHistogram& h = *entry.hist;

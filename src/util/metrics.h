@@ -9,6 +9,10 @@
 // drift from the source of truth. Latency distributions (fault service time,
 // disk access time) are recorded directly into histograms.
 //
+// Subsystem counters never reset. The registry is the one place where a count
+// restarts: Rebase() makes every counter gauge read its counter's growth since
+// the call and zeroes the push counters and histograms.
+//
 // Naming convention: dotted lower_snake paths, subsystem first —
 //   vm.faults, ccache.pages_kept, swap.clustered.batches_written,
 //   disk.read_ops, bcache.hits, arbiter.ccache.reclaims, clock.io_ns.
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "util/stats.h"
+#include "util/time_types.h"
 
 namespace compcache {
 
@@ -104,14 +109,24 @@ class MetricRegistry {
   void RegisterGauge(const std::string& name, GaugeFn fn);
 
   // Registers a gauge whose backing value is a monotonically non-decreasing
-  // counter that the owning subsystem's ResetStats() zeroes. The kind tag lets
+  // counter that never resets. The gauge reads the counter's growth since the
+  // last Rebase() (since registration before the first one). The kind tag lets
   // the invariant auditor enforce monotonicity across snapshots and lets the
-  // ResetStats parity sweep assert every counter gauge reads 0 after a reset,
+  // reset parity sweep assert every counter gauge reads 0 after a Rebase(),
   // without either of them hard-coding metric names. State gauges (occupancy,
   // free counts, clock time) stay on plain RegisterGauge.
   void RegisterCounterGauge(const std::string& name, GaugeFn fn);
+  // A counter gauge over one field (a SimDuration reads in nanoseconds). The
+  // field must outlive the registry's use of the gauge.
+  void RegisterCounter(const std::string& name, const uint64_t* value);
+  void RegisterCounter(const std::string& name, const SimDuration* value);
 
   const std::set<std::string>& counter_gauge_names() const { return counter_gauge_names_; }
+
+  // Restarts every count (a bench's warm-up discard): from here on each counter
+  // gauge reads its counter's growth since this call, and every push counter
+  // and histogram starts from zero. State gauges are untouched.
+  void Rebase();
 
   // Registered histogram names (not the expanded .count/.mean/... fields).
   std::vector<std::string> HistogramNames() const;
@@ -153,8 +168,16 @@ class MetricRegistry {
     std::array<std::string, 8> field_names;
   };
 
+  // A gauge reads fn() - base. Only Rebase() sets base, and only on counter
+  // gauges; registration starts it at 0.
+  struct Gauge {
+    GaugeFn fn;
+    double base = 0.0;
+    double Read() const { return fn() - base; }
+  };
+
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, GaugeFn> gauges_;
+  std::map<std::string, Gauge> gauges_;
   std::map<std::string, HistogramEntry> histograms_;
   std::set<std::string> counter_gauge_names_;  // subset of gauges_ keys
 };

@@ -99,38 +99,26 @@ std::span<uint8_t> Pager::Access(Segment& segment, uint32_t page, bool write) {
 
 void Pager::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const VmStats* s = &stats_;
-  const auto gauge = [&](const char* name, const uint64_t VmStats::*field) {
-    registry->RegisterCounterGauge(name,
-                                   [s, field] { return static_cast<double>(s->*field); });
-  };
-  gauge("vm.accesses", &VmStats::accesses);
-  gauge("vm.faults", &VmStats::faults);
-  gauge("vm.faults_zero_fill", &VmStats::faults_zero_fill);
-  gauge("vm.faults_from_ccache", &VmStats::faults_from_ccache);
-  gauge("vm.faults_from_swap", &VmStats::faults_from_swap);
-  gauge("vm.faults_prefetch_hit", &VmStats::faults_prefetch_hit);
-  gauge("vm.coresidents_inserted", &VmStats::coresidents_inserted);
-  gauge("vm.evictions", &VmStats::evictions);
-  gauge("vm.evictions_clean_drop", &VmStats::evictions_clean_drop);
-  gauge("vm.evictions_compressed", &VmStats::evictions_compressed);
-  gauge("vm.evictions_raw_swap", &VmStats::evictions_raw_swap);
-  gauge("vm.evictions_std_write", &VmStats::evictions_std_write);
-  gauge("vm.evictions_failed", &VmStats::evictions_failed);
-  gauge("vm.pages_recovered", &VmStats::pages_recovered);
-  gauge("vm.pages_lost", &VmStats::pages_lost);
-  gauge("vm.segments_aborted", &VmStats::segments_aborted);
-  gauge("vm.segments_torn_down", &VmStats::segments_torn_down);
+  registry->RegisterCounter("vm.accesses", &stats_.accesses);
+  registry->RegisterCounter("vm.faults", &stats_.faults);
+  registry->RegisterCounter("vm.faults_zero_fill", &stats_.faults_zero_fill);
+  registry->RegisterCounter("vm.faults_from_ccache", &stats_.faults_from_ccache);
+  registry->RegisterCounter("vm.faults_from_swap", &stats_.faults_from_swap);
+  registry->RegisterCounter("vm.faults_prefetch_hit", &stats_.faults_prefetch_hit);
+  registry->RegisterCounter("vm.coresidents_inserted", &stats_.coresidents_inserted);
+  registry->RegisterCounter("vm.evictions", &stats_.evictions);
+  registry->RegisterCounter("vm.evictions_clean_drop", &stats_.evictions_clean_drop);
+  registry->RegisterCounter("vm.evictions_compressed", &stats_.evictions_compressed);
+  registry->RegisterCounter("vm.evictions_raw_swap", &stats_.evictions_raw_swap);
+  registry->RegisterCounter("vm.evictions_std_write", &stats_.evictions_std_write);
+  registry->RegisterCounter("vm.evictions_failed", &stats_.evictions_failed);
+  registry->RegisterCounter("vm.pages_recovered", &stats_.pages_recovered);
+  registry->RegisterCounter("vm.pages_lost", &stats_.pages_lost);
+  registry->RegisterCounter("vm.segments_aborted", &stats_.segments_aborted);
+  registry->RegisterCounter("vm.segments_torn_down", &stats_.segments_torn_down);
   registry->RegisterGauge("vm.resident_pages",
                           [this] { return static_cast<double>(lru_.size()); });
   fault_latency_ = registry->BindHistogram("vm.fault_ns");
-}
-
-void Pager::ResetStats() {
-  stats_ = VmStats{};
-  if (fault_latency_ != nullptr) {
-    fault_latency_->Reset();
-  }
 }
 
 void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {

@@ -201,7 +201,6 @@ class Pager : public CcacheEvents {
 
   size_t resident_pages() const { return lru_.size(); }
   const VmStats& stats() const { return stats_; }
-  void ResetStats();
 
   // Invariants: the per-page-state flag rules, resident count == LRU size, and
   // two-way vm <-> backing-store coherence: every page claiming a backing copy

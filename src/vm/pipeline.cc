@@ -49,7 +49,6 @@ void PipelineEngine::Drop(PageKey key, bool count_miss) {
   buffer_.erase(it);
   if (count_miss) {
     ++stats_.misses;
-    ++lifetime_misses_;
   }
 }
 
@@ -111,7 +110,6 @@ bool PipelineEngine::TryFill(PageKey key, std::span<uint8_t> out) {
   ccache_->Touch(key);
   Drop(key, /*count_miss=*/false);
   ++stats_.hits;
-  ++lifetime_hits_;
   return true;
 }
 
@@ -173,7 +171,6 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
 
   buffer_.push_back(entry);
   ++stats_.issued;
-  ++lifetime_issued_;
   if (batched) {
     ++stats_.batched;
   }
@@ -242,21 +239,12 @@ void PipelineEngine::OnFault(PageKey key, bool from_swap) {
 
 void PipelineEngine::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  const PrefetchStats* s = &stats_;
-  registry->RegisterCounterGauge(
-      "prefetch.issued", [s] { return static_cast<double>(s->issued); });
-  registry->RegisterCounterGauge(
-      "prefetch.hits", [s] { return static_cast<double>(s->hits); });
-  registry->RegisterCounterGauge(
-      "prefetch.misses", [s] { return static_cast<double>(s->misses); });
-  registry->RegisterCounterGauge(
-      "prefetch.batched", [s] { return static_cast<double>(s->batched); });
-  registry->RegisterCounterGauge("prefetch.wait_ready_ns", [s] {
-    return static_cast<double>(s->wait_ready_time.nanos());
-  });
-  registry->RegisterCounterGauge("prefetch.background_ns", [s] {
-    return static_cast<double>(s->background_time.nanos());
-  });
+  registry->RegisterCounter("prefetch.issued", &stats_.issued);
+  registry->RegisterCounter("prefetch.hits", &stats_.hits);
+  registry->RegisterCounter("prefetch.misses", &stats_.misses);
+  registry->RegisterCounter("prefetch.batched", &stats_.batched);
+  registry->RegisterCounter("prefetch.wait_ready_ns", &stats_.wait_ready_time);
+  registry->RegisterCounter("prefetch.background_ns", &stats_.background_time);
   registry->RegisterGauge("prefetch.buffered", [this] {
     return static_cast<double>(buffer_.size());
   });
@@ -266,11 +254,10 @@ void PipelineEngine::RegisterAuditChecks(InvariantAuditor* auditor) {
   CC_EXPECTS(auditor != nullptr);
   auditor->Register("prefetch", "buffer-conservation",
                     [this]() -> std::optional<std::string> {
-                      if (lifetime_issued_ !=
-                          lifetime_hits_ + lifetime_misses_ + buffer_.size()) {
-                        return "issued " + std::to_string(lifetime_issued_) +
-                               " != hits " + std::to_string(lifetime_hits_) +
-                               " + misses " + std::to_string(lifetime_misses_) +
+                      if (stats_.issued != stats_.hits + stats_.misses + buffer_.size()) {
+                        return "issued " + std::to_string(stats_.issued) +
+                               " != hits " + std::to_string(stats_.hits) +
+                               " + misses " + std::to_string(stats_.misses) +
                                " + buffered " + std::to_string(buffer_.size());
                       }
                       if (buffer_.size() > options_.prefetch_buffer_pages) {

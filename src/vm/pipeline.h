@@ -127,7 +127,6 @@ class PipelineEngine {
     return it != streams_.end() && it->second.confirmed ? it->second.delta : 0;
   }
 
-  void ResetStats() { stats_ = PrefetchStats{}; }
   // Publishes "prefetch.*" gauges.
   void BindMetrics(MetricRegistry* registry);
   // Registers buffer-conservation checks under subsystem "prefetch".
@@ -181,11 +180,6 @@ class PipelineEngine {
   SimTime background_busy_until_;
 
   PrefetchStats stats_;
-  // Lifetime counters for the auditor (survive ResetStats):
-  // issued == hits + misses + buffered.
-  uint64_t lifetime_issued_ = 0;
-  uint64_t lifetime_hits_ = 0;
-  uint64_t lifetime_misses_ = 0;
 };
 
 }  // namespace compcache

@@ -172,23 +172,28 @@ TEST(AuditMutationTest, UnaccountedFrameIsAttributed) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
-TEST(AuditMutationTest, PiecemealStatResetTripsMonotonicityCheck) {
+TEST(AuditMutationTest, CounterMovingBackwardsTripsMonotonicityCheck) {
+  // A test-owned counter, published like every subsystem counter. Declared
+  // before the machine: the shutdown audit still reads it.
+  uint64_t events = 5;
   Machine machine(SmallConfig(true));
   machine.auditor().set_abort_on_violation(false);
+  machine.metrics().RegisterCounter("test.events", &events);
   Heap heap = machine.NewHeap(3 * kMiB);
   Thrash(heap, 300);
   ASSERT_GT(machine.pager().stats().faults, 0u);
   EXPECT_EQ(machine.RunAudit(), 0u);  // baselines the counter watermarks
 
-  // Resetting one subsystem behind the machine's back is exactly the kind of
-  // accounting drift the metrics check exists to catch: vm.* counters move
-  // backwards relative to the audited watermark.
-  machine.pager().ResetStats();
+  // A counter moving backwards is exactly the kind of accounting drift the
+  // metrics check exists to catch.
+  events = 2;
   EXPECT_GT(machine.RunAudit(), 0u);
   EXPECT_TRUE(HasViolation(machine.auditor(), "metrics", "counters-monotone"));
 
-  // Machine::ResetStats is the sanctioned path: it re-baselines the watermarks.
+  // Machine::ResetStats is the one sanctioned restart: it rebases the registry
+  // and re-baselines the watermarks.
   machine.ResetStats();
+  EXPECT_EQ(machine.metrics().GaugeValue("test.events"), 0.0);
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
@@ -490,13 +495,13 @@ TEST(AuditTest, FailedWriteBatchLeavesNoOrphanedBackendPages) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
-// --- ResetStats parity (satellite fix) ---------------------------------------
+// --- ResetStats parity: Machine::ResetStats rebases the whole registry ------
 
 TEST(AuditTest, ResetStatsZeroesEveryCounterMetricInTheRegistry) {
   for (const bool use_cc : {true, false}) {
     MachineConfig config = SmallConfig(use_cc);
     if (use_cc) {
-      config.compressed_swap = CompressedSwapKind::kLfs;  // exercise base + override
+      config.compressed_swap = CompressedSwapKind::kLfs;
     }
     Machine machine(config);
     Heap heap = machine.NewHeap(4 * kMiB);
@@ -598,7 +603,6 @@ TEST(AuditTest, ResetStatsZeroesPipelineEraCounters) {
 // clustered disk so every tier level exists and sees traffic first.
 TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
   MachineConfig config = SmallConfig(true);
-  config.tiers.enabled = true;
   TierSpec nvm;
   nvm.name = "nvm";
   nvm.capacity_bytes = 128 * kKiB;
@@ -632,8 +636,8 @@ TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
         << name << " survived ResetStats";
   }
 
-  // Still a working machine whose tier conservation audits (re-baselined by
-  // the reset) stay clean.
+  // Still a working machine whose tier conservation audits (over counters the
+  // reset does not touch) stay clean.
   Thrash(heap, 200, /*seed=*/10);
   EXPECT_GT(machine.pager().stats().accesses, 0u);
   EXPECT_EQ(machine.RunAudit(), 0u);

@@ -188,8 +188,7 @@ struct MachineRun {
   std::vector<std::pair<std::string, double>> snapshot;  // full metric snapshot
 };
 
-MachineRun RunOne(const std::string& name, bool use_cc, CompressedSwapKind kind,
-                  bool degenerate_tiers = false, bool inject_faults = false) {
+MachineRun RunOne(const std::string& name, bool use_cc, CompressedSwapKind kind) {
   // The LFS layout wires its 128-frame segment buffer out of the pool at
   // construction. Give every other machine a pool that is 128 frames smaller,
   // so the *usable* frame count — which drives cleaner pacing and arbiter
@@ -198,21 +197,7 @@ MachineRun RunOne(const std::string& name, bool use_cc, CompressedSwapKind kind,
   const uint64_t memory = is_lfs ? 2 * kMiB + 128 * kPageSize : 2 * kMiB;
   MachineConfig config = NeutralConfig(use_cc, memory);
   config.compressed_swap = kind;
-  // An enabled tier stack with no intermediate tiers: the wrapper must forward
-  // every operation verbatim, with zero cost and zero behavioral difference.
-  config.tiers.enabled = degenerate_tiers;
-  if (inject_faults) {
-    config.fault_injection.enabled = true;
-    config.fault_injection.seed = 1993;
-    config.fault_injection.disk_read_error_rate = 0.05;
-    config.fault_injection.disk_write_error_rate = 0.05;
-  }
   Machine machine(config);
-  if (inject_faults) {
-    // Lost pages and aborted segments are the expected degradation here; the
-    // comparison is between two machines, not against a clean audit.
-    machine.auditor().set_abort_on_violation(false);
-  }
 
   Heap heap = machine.NewHeap(3 * kMiB);
   RunWorkload(heap);
@@ -277,71 +262,6 @@ TEST(DifferentialMachineTest, AllBackendsProduceIdenticalPageContents) {
       EXPECT_EQ(other.at(name), value)
           << name << " diverges: " << gold.name << "=" << value << " " << runs[r].name
           << "=" << other.at(name);
-    }
-  }
-}
-
-// The degenerate tier stack (tiers.enabled, empty tier list) interposes the
-// TierStack between the ccache and the configured layout but adds no device
-// tiers. It must be a perfect no-op: final page bytes and the ENTIRE metric
-// snapshot — timing gauges included — byte-identical to the unwrapped
-// machine, for every compressed backend. The only new names allowed are the
-// stack's own "tier." family (which exists so bench JSON schemas stay stable
-// whether or not device tiers are configured). The second pass injects 5%
-// disk read/write errors, so the stack's failed-write path (discarding a
-// partially persisted batch) runs too and must change nothing either.
-TEST(DifferentialMachineTest, DegenerateTierStackIsByteIdentical) {
-  const struct {
-    const char* name;
-    CompressedSwapKind kind;
-  } kBackends[] = {
-      {"clustered", CompressedSwapKind::kClustered},
-      {"fixed_compressed", CompressedSwapKind::kFixedOffset},
-      {"lfs", CompressedSwapKind::kLfs},
-  };
-  for (const bool faults : {false, true}) {
-    double write_batch_failures = 0.0;
-    for (const auto& backend : kBackends) {
-      SCOPED_TRACE(std::string(backend.name) + (faults ? " with faults" : ""));
-      const MachineRun plain =
-          RunOne(backend.name, true, backend.kind, /*degenerate_tiers=*/false, faults);
-      const MachineRun tiered = RunOne(std::string(backend.name) + "+tiers", true,
-                                       backend.kind, /*degenerate_tiers=*/true, faults);
-
-      ASSERT_EQ(tiered.pages.size(), plain.pages.size());
-      for (size_t p = 0; p < plain.pages.size(); ++p) {
-        ASSERT_EQ(tiered.pages[p], plain.pages[p]) << "page " << p << " diverged";
-      }
-
-      std::map<std::string, double> tiered_metrics;
-      for (const auto& [name, value] : tiered.snapshot) {
-        tiered_metrics[name] = value;
-      }
-      size_t extra = tiered_metrics.size();
-      for (const auto& [name, value] : plain.snapshot) {
-        ASSERT_TRUE(tiered_metrics.contains(name)) << "tiered machine lacks " << name;
-        // "audit." gauges count registered checks, not machine behavior; the
-        // stack legitimately registers its own conservation checks.
-        if (name.rfind("audit.", 0) != 0) {
-          EXPECT_EQ(tiered_metrics.at(name), value) << name << " diverges";
-        }
-        --extra;
-      }
-      // Everything the tiered machine adds belongs to the stack's own family.
-      size_t tier_names = 0;
-      for (const auto& [name, value] : tiered_metrics) {
-        tier_names += name.rfind("tier.", 0) == 0 ? 1 : 0;
-      }
-      EXPECT_EQ(extra, tier_names);
-      EXPECT_GT(tier_names, 0u);
-      // The comparison exercised the stack: pages actually flowed through it.
-      EXPECT_GT(tiered_metrics.at("tier.disk.landings"), 0.0);
-      write_batch_failures += tiered_metrics.at("ccache.write_batch_failures");
-    }
-    if (faults) {
-      // At least one backend failed a writeback batch, so the stack's
-      // bottom-failure path actually ran.
-      EXPECT_GT(write_batch_failures, 0.0);
     }
   }
 }

@@ -172,14 +172,7 @@ TEST_F(DiskDeviceTest, AdvancesClockAndCountsStats) {
   EXPECT_GT(device_.stats().busy_time.nanos(), 0);
 }
 
-TEST_F(DiskDeviceTest, ResetStats) {
-  std::vector<uint8_t> data(4096, 1);
-  ASSERT_EQ(device_.Write(0, data), IoStatus::kOk);
-  device_.ResetStats();
-  EXPECT_EQ(device_.stats().write_ops, 0u);
-}
-
-TEST_F(DiskDeviceTest, ResetStatsClearsBoundLatencyHistogram) {
+TEST_F(DiskDeviceTest, RegistryRebaseRestartsCountersAndLatencyHistogram) {
   MetricRegistry registry;
   device_.BindMetrics(&registry);
   std::vector<uint8_t> data(4096, 1);
@@ -190,13 +183,18 @@ TEST_F(DiskDeviceTest, ResetStatsClearsBoundLatencyHistogram) {
   ASSERT_NE(hist, nullptr);
   ASSERT_EQ(hist->count(), 2u);
 
-  // A bench warm-up reset must leave no stale observability state: the counters
-  // AND the latency histogram both start over.
-  device_.ResetStats();
-  EXPECT_EQ(device_.stats().read_ops, 0u);
+  // A bench warm-up discard must leave no stale observability state: the
+  // published counters AND the latency histogram start over, while the
+  // device's own counters keep counting.
+  registry.Rebase();
+  EXPECT_EQ(registry.GaugeValue("disk.write_ops"), 0.0);
+  EXPECT_EQ(registry.GaugeValue("disk.read_ops"), 0.0);
   EXPECT_EQ(hist->count(), 0u);
+  EXPECT_EQ(device_.stats().write_ops, 1u);
 
   ASSERT_EQ(device_.Read(0, data), IoStatus::kOk);
+  EXPECT_EQ(registry.GaugeValue("disk.read_ops"), 1.0);
+  EXPECT_EQ(device_.stats().read_ops, 2u);
   EXPECT_EQ(hist->count(), 1u);
 }
 

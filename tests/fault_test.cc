@@ -339,6 +339,34 @@ TEST(MachineFaultTest, LostSwapPageDropsItsDeadCopy) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
+// fault.checksum_mismatches counts every swap CRC failure whatever wraps the
+// layout: on a pipelined machine the outermost backend is the write-behind
+// decorator, which reads no image itself and forwards the layout's count.
+TEST(MachineFaultTest, ChecksumGaugeCountsSwapMismatchesThroughWriteBehind) {
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "synchronous");
+    MachineConfig config = SmallConfig(true, 2 * kMiB);
+    config.fault_injection.enabled = true;
+    config.pipeline.enabled = pipelined;
+    Machine machine(config);
+    FaultSchedule corrupt;
+    corrupt.probability = 0.5;
+    machine.fault_injector()->SetSchedule(FaultSite::kSectorCorruption, corrupt);
+    ThrasherOptions options;
+    options.address_space_bytes = 8 * kMiB;
+    options.write = true;
+    options.passes = 2;
+    Thrasher app(options);
+    app.Run(machine);
+
+    const uint64_t layout = machine.clustered_swap()->checksum_mismatches();
+    EXPECT_GT(layout, 0u);
+    EXPECT_EQ(machine.compressed_swap()->checksum_mismatches(), layout);
+    EXPECT_EQ(machine.metrics().GaugeValue("fault.checksum_mismatches"),
+              static_cast<double>(layout + machine.ccache()->stats().checksum_mismatches));
+  }
+}
+
 TEST(MachineFaultTest, GoldResultsIdenticalUnderTransientDiskFaults) {
   GoldOptions options;
   options.num_messages = 256;

@@ -396,14 +396,13 @@ const RuleCase kRuleCases[] = {
     {"tiers-need-ccache",
      [] {
        MachineConfig c = SmallConfig(false);
-       c.tiers.enabled = true;
+       c.tiers.tiers = {DeviceTier()};
        return c;
      }},
     {"durability-with-device-tiers",
      [] {
        MachineConfig c = SmallConfig(true);
        c.durability.enabled = true;
-       c.tiers.enabled = true;
        c.tiers.tiers = {DeviceTier()};
        return c;
      }},
@@ -424,12 +423,6 @@ const RuleCase kRuleCases[] = {
      [] {
        MachineConfig c = SmallConfig(true);
        c.pipeline.prefetch = true;
-       return c;
-     }},
-    {"tier-list-while-disabled",
-     [] {
-       MachineConfig c = SmallConfig(true);
-       c.tiers.tiers = {DeviceTier()};
        return c;
      }},
     {"fault-fields-while-disabled",
@@ -494,12 +487,6 @@ TEST(ValidateTest, AcceptsEachRuleBoundary) {
 
   MachineConfig config = SmallConfig(true);
   config.ccache_max_frames = 4;
-  EXPECT_EQ(config.Validate(), nullptr);
-
-  // Durability with the degenerate stack: nothing sits in front of the disk.
-  config = SmallConfig(true);
-  config.durability.enabled = true;
-  config.tiers.enabled = true;
   EXPECT_EQ(config.Validate(), nullptr);
 
   config = SmallConfig(false);

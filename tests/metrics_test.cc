@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 namespace compcache {
 namespace {
@@ -49,6 +51,44 @@ TEST(MetricRegistryTest, GaugeReadsLiveValueAndRebindReplaces) {
   registry.RegisterGauge("mem.source", [] { return 1.5; });
   EXPECT_EQ(registry.GaugeValue("mem.source"), 1.5);
   EXPECT_EQ(registry.num_gauges(), 1u);
+}
+
+TEST(MetricRegistryTest, RebaseRestartsCountsButNotTheirSources) {
+  MetricRegistry registry;
+  uint64_t events = 5;
+  SimDuration busy = SimDuration::Nanos(70);
+  uint64_t occupancy = 11;
+  registry.RegisterCounter("a.events", &events);
+  registry.RegisterCounter("a.busy_ns", &busy);
+  registry.RegisterGauge("a.occupancy", [&occupancy] { return static_cast<double>(occupancy); });
+  registry.GetCounter("a.pushed").Inc(3);
+  LatencyHistogram& hist = registry.GetHistogram("a.latency");
+  hist.Observe(10);
+  EXPECT_TRUE(registry.counter_gauge_names().contains("a.events"));
+  EXPECT_EQ(registry.GaugeValue("a.events"), 5.0);
+  EXPECT_EQ(registry.GaugeValue("a.busy_ns"), 70.0);
+
+  registry.Rebase();
+  // Counter gauges read zero while their fields keep their values; push
+  // counters and histograms are zeroed; state gauges are untouched.
+  EXPECT_EQ(registry.GaugeValue("a.events"), 0.0);
+  EXPECT_EQ(registry.GaugeValue("a.busy_ns"), 0.0);
+  EXPECT_EQ(events, 5u);
+  EXPECT_EQ(busy.nanos(), 70);
+  EXPECT_EQ(registry.FindCounter("a.pushed")->value(), 0u);
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(registry.GaugeValue("a.occupancy"), 11.0);
+
+  // From the rebase on, each counter gauge reads its field's growth.
+  events += 4;
+  busy += SimDuration::Nanos(30);
+  double out = 0;
+  ASSERT_TRUE(registry.Lookup("a.events", &out));
+  EXPECT_EQ(out, 4.0);
+  EXPECT_EQ(registry.GaugeValue("a.busy_ns"), 30.0);
+  const auto snapshot = registry.Snapshot();
+  const std::pair<std::string, double> events_entry{"a.events", 4.0};
+  EXPECT_NE(std::find(snapshot.begin(), snapshot.end(), events_entry), snapshot.end());
 }
 
 TEST(MetricRegistryTest, SnapshotFlattensEverything) {

@@ -166,6 +166,34 @@ TEST(SchedulerTest, PerProcessCountersSumToMachineTotals) {
   EXPECT_GT(out.vm.faults_from_ccache, 0u);
 }
 
+// Machine::ResetStats rebases the whole registry, the scheduler's proc.*
+// gauges included, so the per-process partition of the machine totals holds
+// over the published metrics across a mid-run reset too.
+TEST(SchedulerTest, PartitionHoldsAcrossAMidRunReset) {
+  Machine machine(SmallConfig(true, 2 * kMiB));
+  Scheduler sched(machine);
+  ThrasherOptions thrasher;
+  thrasher.address_space_bytes = 3 * kMiB;
+  thrasher.write = true;
+  thrasher.passes = 4;
+  sched.Spawn("first", std::make_unique<Thrasher>(thrasher));
+  sched.Spawn("second", std::make_unique<Thrasher>(thrasher));
+  for (int q = 0; q < 40; ++q) {
+    ASSERT_TRUE(sched.RunQuantum());
+  }
+  machine.ResetStats();
+  sched.RunToCompletion();
+
+  const MetricRegistry& m = machine.metrics();
+  const auto proc_sum = [&m](const std::string& field) {
+    return m.GaugeValue("proc.first." + field) + m.GaugeValue("proc.second." + field);
+  };
+  EXPECT_GT(m.GaugeValue("vm.faults"), 0.0);
+  EXPECT_EQ(proc_sum("faults"), m.GaugeValue("vm.faults"));
+  EXPECT_EQ(proc_sum("disk_reads"), m.GaugeValue("disk.read_ops"));
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
 TEST(SchedulerTest, ChargedTimeNeverExceedsElapsed) {
   Machine machine(MixConfig(CompressedSwapKind::kClustered));
   Scheduler sched(machine);

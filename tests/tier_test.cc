@@ -41,7 +41,6 @@ struct StackHarness {
       : device(&clock, std::make_unique<SeekDiskModel>(), SimDuration::Micros(500)),
         fs(&device) {
     TierOptions options;
-    options.enabled = true;
     options.tiers = std::move(tiers);
     stack = std::make_unique<TierStack>(
         &clock, std::make_unique<ClusteredSwapLayout>(&fs, ClusteredSwapLayout::Options{}),
@@ -262,7 +261,6 @@ void TierWorkload(Heap& heap, int ops, uint64_t seed = 21) {
 
 MachineConfig TieredConfig() {
   MachineConfig config = SmallConfig(true);
-  config.tiers.enabled = true;
   config.tiers.tiers = {SsdTier("nvm", 128 * kKiB), SsdTier("ssd", 512 * kKiB)};
   config.tiers.tiers[0].ssd_latency = SimDuration::Micros(20);
   // Cap the ccache ring so evictions actually flow into the stack instead of
@@ -341,17 +339,12 @@ TEST(TierMachineTest, FailedDemotionUnderInjectedFaultsLeavesNoOrphanCopies) {
 }
 
 // Device tiers live on private devices that Machine::Recover never copies and
-// TierStack::Mount never reads, so a durable machine with tiers would lose
-// every page still in them at a crash. The combination is refused outright;
-// the degenerate stack (nothing in front of the disk) stays allowed.
+// no mount reads, so a durable machine with tiers would lose every page still
+// in them at a crash. The combination is refused outright.
 TEST(TierMachineDeathTest, DurabilityWithDeviceTiersIsRefused) {
   MachineConfig config = TieredConfig();
   config.durability.enabled = true;
   EXPECT_DEATH(Machine{config}, "durability");
-
-  config.tiers.tiers.clear();
-  Machine degenerate(config);
-  EXPECT_NE(degenerate.tier_stack(), nullptr);
 }
 
 }  // namespace
