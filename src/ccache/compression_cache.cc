@@ -160,7 +160,8 @@ void CompressionCache::EnsureMappedForAppend(uint64_t need) {
 }
 
 void CompressionCache::AppendEntry(PageKey key, std::span<const uint8_t> payload,
-                                   uint32_t original_size, bool dirty, bool zero_page) {
+                                   uint32_t checksum, uint32_t original_size, bool dirty,
+                                   bool zero_page) {
   CC_EXPECTS(!Contains(key));
   CC_EXPECTS(!zero_page || payload.empty());
   const uint64_t need = kEntryHeaderBytes + payload.size();
@@ -198,7 +199,7 @@ void CompressionCache::AppendEntry(PageKey key, std::span<const uint8_t> payload
   if (!payload.empty()) {
     // The paper's 36-byte per-page header carries the payload CRC-32C in its
     // first word; the Entry keeps a copy so verification needs no header read.
-    e.checksum = Crc32(payload);
+    e.checksum = checksum;
     const uint8_t hdr[4] = {static_cast<uint8_t>(e.checksum),
                             static_cast<uint8_t>(e.checksum >> 8),
                             static_cast<uint8_t>(e.checksum >> 16),
@@ -347,7 +348,8 @@ CompressionCache::CompressOutcome CompressionCache::CompressPage(
 
 void CompressionCache::InsertCompressed(PageKey key, std::span<const uint8_t> compressed,
                                         uint32_t original_size, bool dirty, bool zero_page) {
-  AppendEntry(key, compressed, original_size, dirty, zero_page);
+  AppendEntry(key, compressed, zero_page ? 0 : Crc32(compressed), original_size, dirty,
+              zero_page);
   ++stats_.pages_kept;
   stats_.original_bytes_kept += original_size;
   stats_.compressed_bytes_kept += compressed.size();
@@ -375,16 +377,17 @@ bool CompressionCache::CompressAndInsert(PageKey key, std::span<const uint8_t> p
 }
 
 void CompressionCache::InsertCompressedClean(PageKey key, std::span<const uint8_t> compressed,
-                                             uint32_t original_size, bool zero_page) {
+                                             uint32_t original_size, uint32_t checksum,
+                                             bool zero_page) {
   CC_EXPECTS(!Contains(key));
   // Staging the bits into the cache region is a copy, not a compression.
   clock_->Advance(costs_->CopyCost(compressed.size()), TimeCategory::kCopy);
   // A zero-page marker read back from the backing store normalizes into the
   // same payload-free entry the eviction fast path creates.
   if (zero_page || IsZeroPageMarker(compressed)) {
-    AppendEntry(key, {}, original_size, /*dirty=*/false, /*zero_page=*/true);
+    AppendEntry(key, {}, 0, original_size, /*dirty=*/false, /*zero_page=*/true);
   } else {
-    AppendEntry(key, compressed, original_size, /*dirty=*/false, /*zero_page=*/false);
+    AppendEntry(key, compressed, checksum, original_size, /*dirty=*/false, /*zero_page=*/false);
   }
   ++stats_.inserted_from_swap;
   if (tracer_ != nullptr) {

@@ -174,11 +174,13 @@ class CompressionCache {
                         uint32_t original_size, bool dirty, bool zero_page = false);
 
   // Inserts an already-compressed image read from the backing store, as a clean
-  // entry. No compression charge (the bits are already compressed). A one-byte
-  // zero-page marker image (or zero_page=true from a CompressOutcome) becomes a
-  // payload-free zero entry.
+  // entry. No compression charge (the bits are already compressed). `checksum`
+  // is the image's CRC-32C, which the ring stores as given: the swap layouts
+  // verify every image they return against it, so it is not computed again. A
+  // one-byte zero-page marker image (or zero_page=true from a CompressOutcome)
+  // becomes a payload-free zero entry.
   void InsertCompressedClean(PageKey key, std::span<const uint8_t> compressed,
-                             uint32_t original_size, bool zero_page = false);
+                             uint32_t original_size, uint32_t checksum, bool zero_page = false);
 
   bool Contains(PageKey key) const { return index_.contains(key); }
 
@@ -329,8 +331,9 @@ class CompressionCache {
   // Maps frames for every slot covering [tail_off_, tail_off_ + need).
   void EnsureMappedForAppend(uint64_t need);
 
-  void AppendEntry(PageKey key, std::span<const uint8_t> payload, uint32_t original_size,
-                   bool dirty, bool zero_page);
+  // `checksum` is the CRC-32C of a non-empty payload.
+  void AppendEntry(PageKey key, std::span<const uint8_t> payload, uint32_t checksum,
+                   uint32_t original_size, bool dirty, bool zero_page);
 
   Entry* Find(PageKey key);
   const Entry* Find(PageKey key) const;

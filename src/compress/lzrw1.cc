@@ -1,5 +1,6 @@
 #include "compress/lzrw1.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -20,17 +21,48 @@ size_t WorstCase(size_t n) {
 
 // Room the decode fast loop needs at the start of a step. A step moves one
 // 16-byte literal block, then handles at most one copy item: 2 bytes of input
-// and at most 24 bytes of output (three 8-byte moves).
+// and at most 24 bytes of output.
 constexpr ptrdiff_t kFastIn = 16 + 2;
 constexpr ptrdiff_t kFastOut = 16 + 24;
 
-// Moves sizeof(Word) bytes as one load and one store.
 template <typename Word>
-void MoveWord(uint8_t* to, const uint8_t* from) {
+Word LoadWord(const uint8_t* from) {
   Word word = 0;
   std::memcpy(&word, from, sizeof(word));
+  return word;
+}
+
+template <typename Word>
+void StoreWord(uint8_t* to, Word word) {
   std::memcpy(to, &word, sizeof(word));
 }
+
+// Sixteen bytes in one register; byte i of memory is bits [8i, 8i + 8) on a
+// little-endian host.
+using Bytes16 = unsigned __int128;
+
+// An overlapping copy with offset d repeats its first d source bytes. For d
+// from 1 to 16: the mask that keeps a load's first d bytes, the multiplier
+// that repeats them every d bytes across 16 (the copies do not overlap, so
+// nothing carries), and the shift to the pattern's next 8 bytes, which start
+// at byte 16 mod d.
+struct Period {
+  Bytes16 mask = 0;
+  Bytes16 repeat = 0;
+  unsigned next_shift = 0;
+};
+constexpr std::array<Period, 17> kPeriods = [] {
+  std::array<Period, 17> periods{};
+  for (unsigned d = 1; d <= 16; ++d) {
+    Period& p = periods[d];
+    p.mask = d == 16 ? ~Bytes16{0} : (Bytes16{1} << (8 * d)) - 1;
+    for (unsigned at = 0; at < 16; at += d) {
+      p.repeat |= Bytes16{1} << (8 * at);
+    }
+    p.next_shift = 8 * (16 % d);
+  }
+  return periods;
+}();
 
 }  // namespace
 
@@ -174,8 +206,8 @@ bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
       // The literals before the next copy item, or to the end of the group.
       const size_t run = static_cast<size_t>(
           std::countr_zero((control >> item) | (1u << (kItemsPerGroup - item))));
-      MoveWord<uint64_t>(out, in);
-      MoveWord<uint64_t>(out + 8, in + 8);
+      StoreWord(out, LoadWord<uint64_t>(in));
+      StoreWord(out + 8, LoadWord<uint64_t>(in + 8));
       in += run;
       out += run;
       item += run;
@@ -187,21 +219,36 @@ bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
       if (offset - 1 >= static_cast<size_t>(out - out_begin)) {
         return false;  // offset 0, or before start of output
       }
-      // Fixed-shape copies: with an offset of at least the word size, each
-      // word reads only bytes before it that are already final.
+      // Every load comes before every store, so no load waits on a store of
+      // the same item. A loaded byte at or past `out` lands past the item's
+      // end, is masked off, or is replaced (offset 17; DESIGN.md §13).
       const uint8_t* const from = out - offset;
-      if (offset >= 8) {
-        MoveWord<uint64_t>(out, from);
-        MoveWord<uint64_t>(out + 8, from + 8);
-        MoveWord<uint64_t>(out + 16, from + 16);
-      } else if (offset >= 4) {
-        for (size_t i = 0; i < 20; i += 4) {
-          MoveWord<uint32_t>(out + i, from + i);
-        }
-      } else {
+      if (offset >= len) {
+        const auto w0 = LoadWord<uint64_t>(from);
+        const auto w1 = LoadWord<uint64_t>(from + 8);
+        const auto w2 = LoadWord<uint64_t>(from + 16);
+        StoreWord(out, w0);
+        StoreWord(out + 8, w1);
+        StoreWord(out + 16, w2);
+      } else if (std::endian::native != std::endian::little) {
+        // The register patterns below assume little-endian byte order.
         for (size_t i = 0; i < len; ++i) {
           out[i] = from[i];
         }
+      } else if (offset <= 16) {
+        // Build the period-`offset` pattern in a register from one load.
+        const Period& period = kPeriods[offset];
+        const Bytes16 pattern = (LoadWord<Bytes16>(from) & period.mask) * period.repeat;
+        StoreWord(out, pattern);
+        StoreWord(out + 16, static_cast<uint64_t>(pattern >> period.next_shift));
+      } else {
+        // Offset 17, length 18: the last byte repeats the first.
+        const auto w0 = LoadWord<uint64_t>(from);
+        const auto w1 = LoadWord<uint64_t>(from + 8);
+        const auto w2 = LoadWord<uint64_t>(from + 16);
+        StoreWord(out, w0);
+        StoreWord(out + 8, w1);
+        StoreWord(out + 16, (w2 & ~uint64_t{0xFF00}) | (w0 & 0xFF) << 8);
       }
       in += 2;
       out += len;

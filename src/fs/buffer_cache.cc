@@ -6,6 +6,7 @@
 #include "ccache/compression_cache.h"
 #include "util/assert.h"
 #include "util/audit.h"
+#include "util/checksum.h"
 #include "util/units.h"
 
 namespace compcache {
@@ -113,7 +114,8 @@ void BufferCache::Evict(Block& block) {
       lru_.Remove(block);
       frames_->FreeFrame(block.frame);
       if (outcome.keep) {
-        ccache_->InsertCompressedClean(ckey, outcome.bytes, kFsBlockSize, outcome.zero);
+        ccache_->InsertCompressedClean(ckey, outcome.bytes, kFsBlockSize,
+                                       outcome.zero ? 0 : Crc32(outcome.bytes), outcome.zero);
         ++stats_.compressed_inserts;
       }
     } else {

@@ -7,6 +7,16 @@
 
 namespace compcache {
 
+namespace {
+
+// Whether a request starts on a block boundary and spans whole blocks: such
+// requests move between the caller's span and the device without staging.
+bool CoversWholeBlocks(uint64_t offset, size_t size) {
+  return offset % kFsBlockSize == 0 && size % kFsBlockSize == 0;
+}
+
+}  // namespace
+
 FileSystem::FileSystem(DiskDevice* disk, Options options) : disk_(disk), options_(options) {
   CC_EXPECTS(disk_ != nullptr);
 }
@@ -128,6 +138,15 @@ IoStatus FileSystem::Read(FileId file, uint64_t offset, std::span<uint8_t> out) 
   const uint64_t last_block = (offset + out.size() - 1) / kFsBlockSize;
   const uint64_t block_count = last_block - first_block + 1;
 
+  if (CoversWholeBlocks(offset, out.size())) {
+    // The device requests are the same as through staging; the bytes land in
+    // the caller's span directly.
+    const IoStatus status = TransferBlocks(f, first_block, block_count, out.data(), nullptr);
+    if (status == IoStatus::kOk) {
+      stats_.bytes_transferred_read += out.size();
+    }
+    return status;
+  }
   // Whole-block semantics: the device moves full blocks regardless of how little
   // the caller asked for.
   std::vector<uint8_t> staging(block_count * kFsBlockSize);
@@ -188,6 +207,18 @@ IoStatus FileSystem::Write(FileId file, uint64_t offset, std::span<const uint8_t
       stats_.bytes_transferred_written += len;
       pos += len;
     }
+    f.size = std::max(f.size, offset + data.size());
+    return IoStatus::kOk;
+  }
+
+  if (CoversWholeBlocks(offset, data.size())) {
+    // Nothing to preserve around the request, so it goes to the device from
+    // the caller's span: the same requests as through staging.
+    const IoStatus status = TransferBlocks(f, first_block, block_count, nullptr, data.data());
+    if (status != IoStatus::kOk) {
+      return status;
+    }
+    stats_.bytes_transferred_written += data.size();
     f.size = std::max(f.size, offset + data.size());
     return IoStatus::kOk;
   }

@@ -220,7 +220,7 @@ ClusteredSwapLayout::ReadResult ClusteredSwapLayout::ReadPage(PageKey key,
 
   // Whole-block read (the restriction the paper laments: "there is no way to avoid
   // reading a minimum of 4 Kbytes to satisfy a page fault").
-  std::vector<uint8_t> staging(blocks * kFsBlockSize);
+  const std::span<uint8_t> staging = ReadBuffer(blocks * kFsBlockSize);
   ReadResult result;
   result.blocks_read = blocks;
   if (fs_->Read(file_, first_block * kFsBlockSize, staging) != IoStatus::kOk) {

@@ -176,8 +176,21 @@ class CompressedSwapBackend {
     return slice.verified;
   }
 
+  // The first `size` bytes of the layout's read buffer, which every ReadPage
+  // reuses instead of allocating its own. The bytes are unspecified until read
+  // into, and the next call may move them.
+  std::span<uint8_t> ReadBuffer(size_t size) {
+    if (read_buffer_.size() < size) {
+      read_buffer_.resize(size);
+    }
+    return std::span<uint8_t>(read_buffer_).first(size);
+  }
+
   uint64_t checksum_mismatches_ = 0;
   uint64_t coresidents_dropped_ = 0;
+
+ private:
+  std::vector<uint8_t> read_buffer_;
 };
 
 }  // namespace compcache

@@ -76,7 +76,7 @@ CompressedSwapBackend::ReadResult FixedSwapLayout::ReadPage(PageKey key,
   ReadResult result;
   // The request is for just the image's bytes; the file system still moves
   // whole blocks underneath. No coresidents ever: each block holds one page.
-  std::vector<uint8_t> buf(it->second.byte_size);
+  const std::span<uint8_t> buf = ReadBuffer(it->second.byte_size);
   if (fs_->Read(SwapFileFor(key.segment), OffsetOf(key), buf) != IoStatus::kOk) {
     result.status = IoStatus::kFailed;
     return result;

@@ -366,7 +366,7 @@ CompressedSwapBackend::ReadResult LfsSwapLayout::ReadPage(PageKey key,
   const uint64_t seg_base = static_cast<uint64_t>(loc.segment) * SegmentBytes();
   const uint64_t first_block = loc.offset / kFsBlockSize;
   const uint64_t last_block = (loc.offset + loc.image.byte_size - 1) / kFsBlockSize;
-  std::vector<uint8_t> staging((last_block - first_block + 1) * kFsBlockSize);
+  const std::span<uint8_t> staging = ReadBuffer((last_block - first_block + 1) * kFsBlockSize);
   if (fs_->Read(file_, seg_base + first_block * kFsBlockSize, staging) != IoStatus::kOk) {
     result.status = IoStatus::kFailed;
     return result;

@@ -60,21 +60,15 @@ uint64_t FaultInjector::total_injected() const {
 
 void FaultInjector::BindMetrics(MetricRegistry* registry) {
   CC_EXPECTS(registry != nullptr);
-  registry->RegisterGauge("fault.disk_read_errors", [this] {
-    return static_cast<double>(injected(FaultSite::kDiskRead));
-  });
-  registry->RegisterGauge("fault.disk_write_errors", [this] {
-    return static_cast<double>(injected(FaultSite::kDiskWrite));
-  });
-  registry->RegisterGauge("fault.sector_corruptions", [this] {
-    return static_cast<double>(injected(FaultSite::kSectorCorruption));
-  });
-  registry->RegisterGauge("fault.codec_corruptions", [this] {
-    return static_cast<double>(injected(FaultSite::kCodecCorruption));
-  });
-  registry->RegisterGauge("fault.power_fails", [this] {
-    return static_cast<double>(injected(FaultSite::kPowerFail));
-  });
+  registry->RegisterCounter("fault.disk_read_errors",
+                            &sites_[Index(FaultSite::kDiskRead)].injected);
+  registry->RegisterCounter("fault.disk_write_errors",
+                            &sites_[Index(FaultSite::kDiskWrite)].injected);
+  registry->RegisterCounter("fault.sector_corruptions",
+                            &sites_[Index(FaultSite::kSectorCorruption)].injected);
+  registry->RegisterCounter("fault.codec_corruptions",
+                            &sites_[Index(FaultSite::kCodecCorruption)].injected);
+  registry->RegisterCounter("fault.power_fails", &sites_[Index(FaultSite::kPowerFail)].injected);
 }
 
 }  // namespace compcache

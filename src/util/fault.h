@@ -77,8 +77,10 @@ class FaultInjector {
   uint64_t injected(FaultSite site) const { return sites_[Index(site)].injected; }
   uint64_t total_injected() const;
 
-  // Publishes fault.disk_read_errors / fault.disk_write_errors /
-  // fault.sector_corruptions / fault.codec_corruptions gauges.
+  // Publishes each site's injection count (fault.disk_read_errors,
+  // fault.disk_write_errors, fault.sector_corruptions, fault.codec_corruptions,
+  // fault.power_fails) as a counter: a registry rebase restarts the published
+  // counts without touching the sites' positional ordinals.
   void BindMetrics(MetricRegistry* registry);
   void SetTracer(EventTracer* tracer, const Clock* clock) {
     tracer_ = tracer;

@@ -203,7 +203,8 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
       // decompress for the faulting process. Only a ccache writes compressed
       // images, so one exists here.
       if (!ccache_->Contains(entry.key)) {
-        ccache_->InsertCompressedClean(entry.key, result.bytes, result.original_size);
+        ccache_->InsertCompressedClean(entry.key, result.bytes, result.original_size,
+                                       result.checksum);
         entry.has_ccache_copy = ccache_->Contains(entry.key);
       }
       if (!ccache_->DecompressImage(result.bytes, frame_data)) {
@@ -231,7 +232,7 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
         PageEntry& other = EntryFor(co.key);
         if (other.state == PageState::kSwapped && co.is_compressed &&
             !ccache_->Contains(co.key)) {
-          ccache_->InsertCompressedClean(co.key, co.bytes, co.original_size);
+          ccache_->InsertCompressedClean(co.key, co.bytes, co.original_size, co.checksum);
           other.has_ccache_copy = true;
           other.state = PageState::kCompressed;
           ++stats_.coresidents_inserted;

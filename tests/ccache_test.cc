@@ -9,6 +9,7 @@
 #include "compress/lzrw1.h"
 #include "compress/pagegen.h"
 #include "tests/test_util.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace compcache {
@@ -266,7 +267,7 @@ TEST_F(CcacheTest, InsertCompressedCleanFromSwapImage) {
   compressed.resize(c);
 
   const PageKey key{1, 2};
-  cache_->InsertCompressedClean(key, compressed, kPageSize);
+  cache_->InsertCompressedClean(key, compressed, kPageSize, Crc32(compressed));
   EXPECT_TRUE(cache_->Contains(key));
   EXPECT_EQ(cache_->stats().inserted_from_swap, 1u);
 
@@ -361,7 +362,7 @@ TEST_F(CcacheTest, DirtyAppendAfterHeadReclaimDropsTheCursorEntryEndsTheCleanPre
     ScratchArena::Scope scope(cache_->arena());
     const auto outcome = cache_->CompressPage(MakePage(ContentClass::kText, 700 + i));
     ASSERT_TRUE(outcome.keep && !outcome.zero);
-    cache_->InsertCompressedClean(PageKey{0, i}, outcome.bytes, kPageSize);
+    cache_->InsertCompressedClean(PageKey{0, i}, outcome.bytes, kPageSize, Crc32(outcome.bytes));
   }
   cache_->CheckInvariants();  // the cursor now rests on the dirty head entry
 

@@ -644,11 +644,34 @@ TEST(LzrwReferenceTest, EveryTruncationOfRealPages) {
   }
 }
 
+// A stream of `run` literals, one copy item, then `tail` literals, each literal
+// drawn from `literal()`.
+template <typename Literal>
+std::vector<uint8_t> OneCopyStream(size_t run, size_t offset, size_t len, size_t tail,
+                                   Literal literal) {
+  std::vector<uint8_t> stream = {kContainerCompressed};
+  for (size_t item = 0; item < run + 1 + tail; ++item) {
+    if (item % 16 == 0) {
+      const unsigned control = run >= item && run < item + 16 ? 1u << (run - item) : 0;
+      stream.push_back(static_cast<uint8_t>(control & 0xFFu));
+      stream.push_back(static_cast<uint8_t>(control >> 8));
+    }
+    if (item == run) {
+      stream.push_back(static_cast<uint8_t>(((offset >> 4) & 0xF0u) | (len - kLzrwMinMatch)));
+      stream.push_back(static_cast<uint8_t>(offset & 0xFFu));
+    } else {
+      stream.push_back(literal());
+    }
+  }
+  return stream;
+}
+
 // Streams of `run` literals, one copy item, then literals up to the end of the
 // page. Item by item they cross the decoder's hand-over from its fast loop to
 // its checked loop at every distance from the end of the page.
 TEST(LzrwReferenceTest, HandBuiltCopiesAtEveryDistanceFromTheEnd) {
   Rng rng(0xC0B1);
+  const auto random = [&rng] { return static_cast<uint8_t>(rng.Next()); };
   for (size_t run = 0; run <= 16; ++run) {
     std::vector<size_t> offsets = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
     offsets.push_back(run);      // back to the first byte of the page
@@ -657,26 +680,38 @@ TEST(LzrwReferenceTest, HandBuiltCopiesAtEveryDistanceFromTheEnd) {
       for (size_t len = kLzrwMinMatch; len <= kLzrwMaxMatch; ++len) {
         // A negative tail makes the copy run past the end of the page.
         for (int tail = -2; tail <= 48; ++tail) {
-          const size_t items = run + 1 + static_cast<size_t>(std::max(tail, 0));
-          std::vector<uint8_t> stream = {kContainerCompressed};
-          for (size_t item = 0; item < items; ++item) {
-            if (item % 16 == 0) {
-              const unsigned control = run >= item && run < item + 16 ? 1u << (run - item) : 0;
-              stream.push_back(static_cast<uint8_t>(control & 0xFFu));
-              stream.push_back(static_cast<uint8_t>(control >> 8));
-            }
-            if (item == run) {
-              stream.push_back(
-                  static_cast<uint8_t>(((offset >> 4) & 0xF0u) | (len - kLzrwMinMatch)));
-              stream.push_back(static_cast<uint8_t>(offset & 0xFFu));
-            } else {
-              stream.push_back(static_cast<uint8_t>(rng.Next()));
-            }
-          }
+          const std::vector<uint8_t> stream =
+              OneCopyStream(run, offset, len, static_cast<size_t>(std::max(tail, 0)), random);
           const size_t n = run + static_cast<size_t>(static_cast<int>(len) + tail);
           ASSERT_TRUE(SameAsReference(stream, n))
               << run << " literals, then offset " << offset << " length " << len
               << " ending " << tail << " bytes before the end";
+        }
+      }
+    }
+  }
+}
+
+// One copy item of every offset 1-64 and every length 3-18, after 64-79
+// literals (so at each item position in its control group) and before 48 more,
+// so the copy decodes inside the fast loop. That covers every copy shape: the
+// overlapping ones (offset below the length, up to 17 at length 18), and the
+// offsets below 24 whose source words reach past the copy's start. Literals are
+// random bytes, and all zeros as on sparse pages.
+TEST(LzrwReferenceTest, EveryCopyShapeInsideTheFastLoop) {
+  constexpr size_t kTail = 48;
+  for (const bool zero_literals : {false, true}) {
+    Rng rng(0x5EED);
+    const auto literal = [&] {
+      return zero_literals ? uint8_t{0} : static_cast<uint8_t>(rng.Next());
+    };
+    for (size_t prefix = 64; prefix < 80; ++prefix) {
+      for (size_t offset = 1; offset <= 64; ++offset) {
+        for (size_t len = kLzrwMinMatch; len <= kLzrwMaxMatch; ++len) {
+          ASSERT_TRUE(SameAsReference(OneCopyStream(prefix, offset, len, kTail, literal),
+                                      prefix + len + kTail))
+              << (zero_literals ? "zero" : "random") << " literals, " << prefix
+              << " before a copy of offset " << offset << " length " << len;
         }
       }
     }

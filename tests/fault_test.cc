@@ -4,6 +4,7 @@
 // owning segment, never the machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -339,6 +340,121 @@ TEST(MachineFaultTest, LostSwapPageDropsItsDeadCopy) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
+// A fault from clustered swap seeds the ring with the image and the CRC the
+// layout verified, without computing it again. The seeded entry then serves a
+// fault, and a bit flipped in it is caught at the next one, which recovers the
+// page from swap.
+TEST(MachineFaultTest, SwapSeededRingEntryIsStillVerified) {
+  Machine machine(MachineConfig::WithCompressionCache(2 * kMiB));
+  ASSERT_NE(machine.clustered_swap(), nullptr);
+  Heap heap = machine.NewHeap(6 * kMiB);
+  const uint64_t pages = heap.size_bytes() / kPageSize;
+  Rng rng(17);
+  std::vector<std::vector<uint8_t>> reference(pages, std::vector<uint8_t>(kPageSize));
+  for (uint64_t p = 0; p < pages; ++p) {
+    FillPage(reference[p], ContentClass::kRepetitiveText, rng);
+    heap.WriteBytes(p * kPageSize, reference[p]);
+  }
+  Segment* segment = heap.segment();
+  uint32_t page = 0;
+  while (page < pages && segment->page(page).state != PageState::kSwapped) {
+    ++page;
+  }
+  ASSERT_LT(page, pages) << "no page reached swap";
+  const PageKey key{segment->id(), page};
+  const uint64_t address = uint64_t{page} * kPageSize;
+  const VmStats& vm = machine.pager().stats();
+  const MetricRegistry& metrics = machine.metrics();
+  const auto evict = [&] {
+    while (segment->page(page).state == PageState::kResident && machine.pager().ReleaseOldest()) {
+    }
+    ASSERT_EQ(segment->page(page).state, PageState::kCompressed);
+  };
+  std::vector<uint8_t> out(kPageSize);
+
+  const uint64_t from_swap = vm.faults_from_swap;
+  heap.ReadBytes(address, out);
+  ASSERT_EQ(out, reference[page]);
+  ASSERT_EQ(vm.faults_from_swap, from_swap + 1);
+  ASSERT_TRUE(machine.ccache()->Contains(key));
+
+  ASSERT_NO_FATAL_FAILURE(evict());
+  const double mismatches = metrics.GaugeValue("ccache.checksum_mismatches");
+  const uint64_t from_ccache = vm.faults_from_ccache;
+  heap.ReadBytes(address, out);
+  EXPECT_EQ(out, reference[page]);
+  EXPECT_EQ(vm.faults_from_ccache, from_ccache + 1);
+  EXPECT_EQ(metrics.GaugeValue("ccache.checksum_mismatches"), mismatches);
+
+  ASSERT_NO_FATAL_FAILURE(evict());
+  const auto info = machine.ccache()->EntryInfoFor(key);
+  ASSERT_TRUE(info.has_value());
+  machine.ccache()->CorruptPayloadBitForTest(key, info->payload_size * 4 + 3);
+  const uint64_t recovered = vm.pages_recovered;
+  heap.ReadBytes(address, out);
+  EXPECT_EQ(metrics.GaugeValue("ccache.checksum_mismatches"), mismatches + 1);
+  EXPECT_EQ(out, reference[page]);
+  EXPECT_EQ(vm.pages_recovered, recovered + 1);
+  EXPECT_EQ(vm.pages_lost, 0u);
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
+// A coresident whose stored copy fails its CRC is dropped by the layout and
+// never enters the ring: it stays on swap, where a fault on it meets the
+// corruption itself.
+TEST(MachineFaultTest, CorruptCoresidentNeverEntersTheRing) {
+  Machine machine(MachineConfig::WithCompressionCache(2 * kMiB));
+  ASSERT_NE(machine.clustered_swap(), nullptr);
+  Heap heap = machine.NewHeap(6 * kMiB);
+  const uint64_t pages = heap.size_bytes() / kPageSize;
+  Rng rng(19);
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    FillPage(page, ContentClass::kSparseNumeric, rng);
+    heap.WriteBytes(p * kPageSize, page);
+  }
+  // A swapped page whose blocks hold another swapped page.
+  Segment* segment = heap.segment();
+  CompressedSwapBackend& swap = *machine.compressed_swap();
+  uint32_t demand = 0;
+  SwapPageImage victim;
+  for (; demand < pages && !victim.key.valid(); ++demand) {
+    if (segment->page(demand).state != PageState::kSwapped) {
+      continue;
+    }
+    for (SwapPageImage& co : swap.ReadPage(PageKey{segment->id(), demand}, true).coresidents) {
+      if (segment->page(co.key.page).state == PageState::kSwapped) {
+        victim = std::move(co);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(victim.key.valid()) << "no swapped page has a swapped coresident";
+  --demand;
+
+  // Flip one bit in the middle of the victim's stored image.
+  FileSystem& fs = machine.fs();
+  const FileId file = fs.OpenOrCreate("cswap");
+  std::vector<uint8_t> contents(fs.FileSize(file));
+  ASSERT_EQ(fs.Read(file, 0, contents), IoStatus::kOk);
+  const auto at =
+      std::search(contents.begin(), contents.end(), victim.bytes.begin(), victim.bytes.end());
+  ASSERT_NE(at, contents.end());
+  const uint64_t offset = static_cast<uint64_t>(at - contents.begin()) + victim.bytes.size() / 2;
+  const uint8_t flipped[] = {static_cast<uint8_t>(contents[offset] ^ 0x10)};
+  ASSERT_EQ(fs.Write(file, offset, flipped), IoStatus::kOk);
+
+  const MetricRegistry& metrics = machine.metrics();
+  const double dropped = metrics.GaugeValue("swap.clustered.coresidents_dropped");
+  const uint64_t from_swap = machine.pager().stats().faults_from_swap;
+  heap.ReadBytes(uint64_t{demand} * kPageSize, page);
+  EXPECT_EQ(machine.pager().stats().faults_from_swap, from_swap + 1);
+  EXPECT_EQ(metrics.GaugeValue("swap.clustered.coresidents_dropped"), dropped + 1);
+  EXPECT_FALSE(machine.ccache()->Contains(victim.key));
+  EXPECT_EQ(segment->page(victim.key.page).state, PageState::kSwapped);
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
 // fault.checksum_mismatches counts every swap CRC failure whatever wraps the
 // layout: on a pipelined machine the outermost backend is the write-behind
 // decorator, which reads no image itself and forwards the layout's count.
@@ -365,6 +481,47 @@ TEST(MachineFaultTest, ChecksumGaugeCountsSwapMismatchesThroughWriteBehind) {
     EXPECT_EQ(machine.metrics().GaugeValue("fault.checksum_mismatches"),
               static_cast<double>(layout + machine.ccache()->stats().checksum_mismatches));
   }
+}
+
+// The fault.* injection counts are lifetime counters like retry.*: right
+// after Machine::ResetStats() each reads 0, then its growth since the reset,
+// and the monotonicity audit holds them.
+TEST(MachineFaultTest, InjectionCountsRestartWithTheRegistry) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.fault_injection.enabled = true;
+  config.fault_injection.disk_read_error_rate = 0.05;
+  config.fault_injection.disk_write_error_rate = 0.05;
+  Machine machine(config);
+  const MetricRegistry& metrics = machine.metrics();
+  const FaultInjector& injector = *machine.fault_injector();
+  ThrasherOptions options;
+  options.address_space_bytes = 4 * kMiB;
+  options.write = true;
+  Thrasher before(options);
+  before.Run(machine);
+  const uint64_t read_errors = injector.injected(FaultSite::kDiskRead);
+  const uint64_t write_errors = injector.injected(FaultSite::kDiskWrite);
+  ASSERT_GT(write_errors, 0u);
+  ASSERT_EQ(metrics.GaugeValue("fault.disk_write_errors"), static_cast<double>(write_errors));
+  ASSERT_GT(metrics.GaugeValue("retry.write_retries"), 0.0);
+
+  machine.ResetStats();
+  EXPECT_EQ(metrics.GaugeValue("retry.write_retries"), 0.0);
+  for (const char* name : {"fault.disk_read_errors", "fault.disk_write_errors",
+                           "fault.sector_corruptions", "fault.codec_corruptions",
+                           "fault.power_fails"}) {
+    EXPECT_EQ(metrics.GaugeValue(name), 0.0) << name;
+    EXPECT_TRUE(metrics.counter_gauge_names().contains(name)) << name;
+  }
+
+  Thrasher after(options);
+  after.Run(machine);
+  EXPECT_GT(injector.injected(FaultSite::kDiskWrite), write_errors);
+  EXPECT_EQ(metrics.GaugeValue("fault.disk_read_errors"),
+            static_cast<double>(injector.injected(FaultSite::kDiskRead) - read_errors));
+  EXPECT_EQ(metrics.GaugeValue("fault.disk_write_errors"),
+            static_cast<double>(injector.injected(FaultSite::kDiskWrite) - write_errors));
+  EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
 TEST(MachineFaultTest, GoldResultsIdenticalUnderTransientDiskFaults) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "disk/disk_device.h"
 #include "fs/file_system.h"
 #include "sim/clock.h"
 #include "util/rng.h"
+#include "util/trace.h"
 #include "util/units.h"
 
 namespace compcache {
@@ -121,6 +124,86 @@ TEST_F(FsTest, MultiBlockWriteCoalescesIntoOneDiskOp) {
   const uint64_t ops_before = device_.stats().write_ops;
   ASSERT_EQ(fs_.Write(f, 0, data), IoStatus::kOk);
   EXPECT_EQ(device_.stats().write_ops, ops_before + 1);  // one coalesced request
+}
+
+// Requests that cover whole blocks move between the caller's span and the
+// device without staging. The device still sees one request per
+// disk-contiguous run, the same requests as a staged request over the same
+// blocks, and the fs.* counts are the same. A partial-block write still reads
+// the blocks it only partly covers before writing them back.
+TEST_F(FsTest, WholeBlockRequestsIssueTheStagedRequests) {
+  const FileId a = fs_.Create("a");
+  const FileId b = fs_.Create("b");
+  // a's blocks 62-66 straddle two extents with one of b's between them.
+  fs_.DiskBlockFor(a, 63);
+  fs_.DiskBlockFor(b, 0);
+  ASSERT_NE(fs_.DiskBlockFor(a, 64), fs_.DiskBlockFor(a, 63) + 1);
+
+  Rng rng(31);
+  std::vector<uint8_t> data(5 * kFsBlockSize);
+  for (auto& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  const uint64_t first = 62 * kFsBlockSize;
+  DiskStats disk = device_.stats();
+  FsStats fs = fs_.stats();
+  ASSERT_EQ(fs_.Write(a, first, data), IoStatus::kOk);
+  EXPECT_EQ(device_.stats().write_ops - disk.write_ops, 2u);  // one per contiguous run
+  EXPECT_EQ(device_.stats().bytes_written - disk.bytes_written, data.size());
+  EXPECT_EQ(device_.stats().read_ops, disk.read_ops);  // nothing to preserve
+  EXPECT_EQ(fs_.stats().direct_writes - fs.direct_writes, 1u);
+  EXPECT_EQ(fs_.stats().rmw_reads, fs.rmw_reads);
+  EXPECT_EQ(fs_.stats().bytes_requested_written - fs.bytes_requested_written, data.size());
+  EXPECT_EQ(fs_.stats().bytes_transferred_written - fs.bytes_transferred_written, data.size());
+  EXPECT_EQ(fs_.FileSize(a), first + data.size());
+
+  // The whole-block read, then a staged read of the same blocks one byte in
+  // from each end: the device sees the same requests.
+  EventTracer tracer(64);
+  device_.SetTracer(&tracer);
+  struct Requests {
+    std::vector<std::pair<uint64_t, uint64_t>> reads;  // disk offset, bytes
+    uint64_t transferred = 0;
+  };
+  const auto read = [&](uint64_t offset, size_t size) {
+    tracer.Clear();
+    const FsStats f = fs_.stats();
+    std::vector<uint8_t> out(size);
+    EXPECT_EQ(fs_.Read(a, offset, out), IoStatus::kOk);
+    const auto from = data.begin() + static_cast<ptrdiff_t>(offset - first);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), from));
+    EXPECT_EQ(fs_.stats().direct_reads - f.direct_reads, 1u);
+    EXPECT_EQ(fs_.stats().bytes_requested_read - f.bytes_requested_read, size);
+    Requests requests;
+    tracer.ForEach([&](const TraceEvent& e) {
+      EXPECT_EQ(e.kind, TraceEventKind::kDiskRead);
+      requests.reads.emplace_back(e.a, e.b);
+    });
+    requests.transferred = fs_.stats().bytes_transferred_read - f.bytes_transferred_read;
+    return requests;
+  };
+  const Requests whole = read(first, data.size());
+  const Requests staged = read(first + 1, data.size() - 2);
+  EXPECT_EQ(whole.reads.size(), 2u);  // one per contiguous run
+  EXPECT_EQ(whole.reads, staged.reads);
+  EXPECT_EQ(whole.transferred, data.size());
+  EXPECT_EQ(staged.transferred, data.size());
+  device_.SetTracer(nullptr);
+
+  // Partial head and tail blocks: each is read before the write.
+  std::vector<uint8_t> patch(3 * kFsBlockSize, 0xC3);
+  disk = device_.stats();
+  fs = fs_.stats();
+  ASSERT_EQ(fs_.Write(a, first + 100, patch), IoStatus::kOk);
+  EXPECT_EQ(fs_.stats().rmw_reads - fs.rmw_reads, 2u);
+  EXPECT_EQ(device_.stats().read_ops - disk.read_ops, 2u);
+  EXPECT_EQ(device_.stats().write_ops - disk.write_ops, 2u);
+  EXPECT_EQ(fs_.stats().bytes_transferred_written - fs.bytes_transferred_written,
+            4 * kFsBlockSize);
+  std::copy(patch.begin(), patch.end(), data.begin() + 100);
+  std::vector<uint8_t> out(data.size());
+  ASSERT_EQ(fs_.Read(a, first, out), IoStatus::kOk);
+  EXPECT_EQ(out, data);
 }
 
 TEST_F(FsTest, FileSizeTracksWrites) {
